@@ -4,11 +4,21 @@
 //! `Exh-Dyn` comparison scheme of Figures 10–12.
 //!
 //! The search runs on the operating-point fast path: scene invariants are
-//! hoisted once per query ([`SceneEval`]), thermal solves are memoized and
-//! warm-started through a per-optimizer [`SolveCache`], and the frequency
-//! search verifies the previous `(Vdd, Vbb)` pair's answer as a first
-//! guess before falling back to bisection — adjacent ladder settings
-//! almost always share their feasibility frontier within a step or two.
+//! hoisted once per query ([`SceneEval`]), ladder-point thermal solves are
+//! memoized and warm-started through a per-optimizer [`SolveCache`], and
+//! both searches prune with the model's monotonicities instead of
+//! evaluating the whole grid:
+//!
+//! - `freq_max` probes each `(Vdd, Vbb)` pair at the pruning floor (one
+//!   step above the best frequency so far) first; only a pair that clears
+//!   the floor goes on to the previous pair's answer, the ladder top, or
+//!   bisection.
+//! - `power_settings` scans each supply row in ascending body bias and
+//!   stops at the first feasible point, which is the row's cheapest.
+//!
+//! Every feasibility check is kept, so both return exactly what the
+//! full-grid searches ([`ExhaustiveOptimizer::freq_max_reference`],
+//! [`ExhaustiveOptimizer::power_settings_reference`]) return.
 //
 // lint:hot-path — this module is on the operating-point fast path; the
 // no-alloc-in-check rule forbids Vec construction outside tests here.
@@ -16,33 +26,33 @@
 use std::cell::RefCell;
 
 use eval_core::{EvalConfig, FREQ_LADDER};
-use eval_power::{BatchScratch, SolveCache, MAX_BATCH};
+use eval_power::SolveCache;
 use eval_trace::{names, Tracer};
 
 use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
 
 /// Exhaustive grid search over `(f, Vdd, Vbb)`.
 ///
-/// For each `(Vdd, Vbb)` pair the feasible frequency set is an interval
-/// (both the error rate and the temperature grow with `f`), so the scan
-/// over the frequency ladder is a batched guess-verify probe seeded by
-/// the previous pair's answer, falling back to binary search.
+/// For each `(Vdd, Vbb)` pair the feasible frequency set is a prefix of
+/// the ladder (both the error rate and the temperature grow with `f`),
+/// so the frequency search probes the pruning floor first and then
+/// verifies the previous pair's answer as a guess, falling back to
+/// binary search. For each `(f, Vdd)` row, power rises strictly with
+/// `Vbb` (see [`Optimizer::power_settings`] below), so the power search
+/// stops at the row's first feasible body bias.
 ///
-/// Each optimizer instance owns a [`SolveCache`] and a struct-of-arrays
-/// [`BatchScratch`]; cached values are pure functions of the operating
-/// point, so sharing or not sharing an instance cannot change any result
-/// — only the hit rate. The `RefCell`s keep the query methods `&self`;
-/// instances are per-thread by construction (one per campaign sweep unit
-/// or training run).
+/// Each optimizer instance owns a [`SolveCache`]; cached values are pure
+/// functions of the operating point, so sharing or not sharing an
+/// instance cannot change any result — only the hit rate. The `RefCell`
+/// keeps the query methods `&self`; instances are per-thread by
+/// construction (one per campaign sweep unit or training run).
 #[derive(Debug, Clone, Default)]
 pub struct ExhaustiveOptimizer {
     cache: RefCell<SolveCache>,
-    scratch: RefCell<BatchScratch>,
 }
 
 impl ExhaustiveOptimizer {
-    /// Creates the optimizer with an empty solve cache and a preplanned
-    /// batch scratch buffer.
+    /// Creates the optimizer with an empty solve cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -71,64 +81,41 @@ impl ExhaustiveOptimizer {
     /// Largest feasible ladder index at fixed `(vdd, vbb)` that is at least
     /// `floor_idx`, or `None`. Exploits monotonicity: error rate and
     /// temperature both grow with `f`, so feasibility is a prefix of the
-    /// ladder. The guess-verify probe set — the pruning floor, the
-    /// previous pair's answer `hint`, its successor, and the ladder top —
-    /// is evaluated as *one* struct-of-arrays batch; in the common case
-    /// (adjacent pairs share their frontier) that single batch decides
-    /// the pair outright, and only a genuinely moved frontier falls back
-    /// to scalar bisection. Callers prune by passing the best index found
-    /// so far as the floor.
+    /// ladder. Callers prune by passing one step above the best index
+    /// found so far as the floor, so the floor is probed first: once a
+    /// good pair has been seen, most pairs fail it and cost one check.
+    /// A pair that clears the floor verifies the previous pair's answer
+    /// `hint` and its successor (adjacent pairs usually share their
+    /// frontier), then the ladder top, and only a genuinely moved
+    /// frontier falls back to bisection.
     fn fmax_index_at(
         eval: &SceneEval<'_>,
         cache: &mut SolveCache,
-        scratch: &mut BatchScratch,
         vdd: f64,
         vbb: f64,
         floor_idx: usize,
         hint: Option<usize>,
     ) -> Option<usize> {
         let last = FREQ_LADDER.len() - 1;
-        if let Some(h) = hint {
-            let h = h.clamp(floor_idx, last);
-            let h1 = (h + 1).min(last);
-            let lanes = [
-                (floor_idx, vdd, vbb),
-                (h, vdd, vbb),
-                (h1, vdd, vbb),
-                (last, vdd, vbb),
-            ];
-            let mut out = [None; 4];
-            eval.check_batch(cache, &lanes, scratch, &mut out);
-            let (floor_ok, h_ok, h1_ok, last_ok) = (
-                out[0].is_some(),
-                out[1].is_some(),
-                out[2].is_some(),
-                out[3].is_some(),
-            );
-            if h_ok {
-                // Feasible guess: the frontier is at or above `h`.
-                if h == last || !h1_ok {
-                    return Some(h);
-                }
-                if last_ok {
-                    return Some(last);
-                }
-                return Some(Self::bisect(eval, cache, vdd, vbb, h1, last));
-            }
-            // Infeasible guess: the frontier (if any) is below `h`.
-            if h == floor_idx || !floor_ok {
-                return None;
-            }
-            return Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, h));
+        let ok = |cache: &mut SolveCache, i: usize| eval.check_at(cache, i, vdd, vbb).is_some();
+        if !ok(cache, floor_idx) {
+            return None;
         }
-        let lanes = [(floor_idx, vdd, vbb), (last, vdd, vbb)];
-        let mut out = [None; 2];
-        eval.check_batch(cache, &lanes, scratch, &mut out);
-        out[0]?;
-        if out[1].is_some() {
+        let lo = match hint.map(|h| h.clamp(floor_idx, last)) {
+            // Infeasible guess: the frontier is in `[floor_idx, h)`.
+            Some(h) if h > floor_idx && !ok(cache, h) => {
+                return Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, h));
+            }
+            // Feasible guess with an infeasible successor: `h` is it.
+            Some(h) if h == last || !ok(cache, h + 1) => return Some(h),
+            // The frontier moved up past the guess.
+            Some(h) => h + 1,
+            None => floor_idx,
+        };
+        if lo == last || ok(cache, last) {
             return Some(last);
         }
-        Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, last))
+        Some(Self::bisect(eval, cache, vdd, vbb, lo, last))
     }
 
     /// [`Optimizer::freq_max`] computed with the original uncached,
@@ -166,6 +153,38 @@ impl ExhaustiveOptimizer {
         }
         FREQ_LADDER.at(best.unwrap_or(0))
     }
+
+    /// [`Optimizer::power_settings`] without the early exit: every
+    /// `(Vdd, Vbb)` point is checked and the cheapest feasible one kept —
+    /// the "before" implementation, kept for the exactness tests and the
+    /// hot-path benchmarks. It uses the same checks as the pruned search
+    /// through a cache of its own, so the two agree bit for bit exactly
+    /// when the pruning is exact.
+    pub fn power_settings_reference(
+        &self,
+        config: &EvalConfig,
+        scene: &SubsystemScene<'_>,
+        f_core: f64,
+    ) -> (f64, f64) {
+        let eval = SceneEval::new(config, scene);
+        let mut cache = SolveCache::new();
+        let f_idx = FREQ_LADDER.index_of(f_core);
+        let mut best: Option<(f64, f64, f64)> = None; // (power, vdd, vbb)
+        for &vdd in scene.vdd_options() {
+            for &vbb in scene.vbb_options() {
+                let checked = match f_idx {
+                    Some(i) => eval.check_at(&mut cache, i, vdd, vbb),
+                    None => eval.check_free(f_core, vdd, vbb),
+                };
+                if let Some((p, _t)) = checked {
+                    if best.is_none_or(|(bp, _, _)| p < bp) {
+                        best = Some((p, vdd, vbb));
+                    }
+                }
+            }
+        }
+        best.map_or((1.0, 0.0), |(_, vdd, vbb)| (vdd, vbb))
+    }
 }
 
 impl Optimizer for ExhaustiveOptimizer {
@@ -176,20 +195,18 @@ impl Optimizer for ExhaustiveOptimizer {
     fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
         let eval = SceneEval::new(config, scene);
         let cache = &mut *self.cache.borrow_mut();
-        let scratch = &mut *self.scratch.borrow_mut();
         let n = FREQ_LADDER.len();
         let mut best: Option<usize> = None;
         let mut hint: Option<usize> = None;
         // Scan the supply ladder from the top: the highest Vdd usually
         // holds the highest feasible frequency, so the first pair sets a
-        // `best` that rejects most remaining pairs on a single bounded
-        // floor probe. The result is a max over all pairs either way —
-        // scan order only affects how much work pruning saves.
+        // `best` that rejects most remaining pairs on a single floor
+        // probe. The result is a max over all pairs either way — scan
+        // order only affects how much work pruning saves.
         for &vdd in scene.vdd_options().iter().rev() {
             for &vbb in scene.vbb_options() {
                 let floor = best.map_or(0, |b| (b + 1).min(n - 1));
-                if let Some(idx) = Self::fmax_index_at(&eval, cache, scratch, vdd, vbb, floor, hint)
-                {
+                if let Some(idx) = Self::fmax_index_at(&eval, cache, vdd, vbb, floor, hint) {
                     hint = Some(idx);
                     if best.is_none_or(|b| idx > b) {
                         best = Some(idx);
@@ -200,6 +217,14 @@ impl Optimizer for ExhaustiveOptimizer {
         FREQ_LADDER.at(best.unwrap_or(0))
     }
 
+    /// Scans each supply row in ascending body bias and keeps only the
+    /// row's first feasible point. This is exact: positive `Vbb` is
+    /// forward bias and lowers `Vt` (`k3_vt_per_vbb` < 0), which raises
+    /// leakage and the thermal fixed point while dynamic power does not
+    /// depend on `Vbb` — so at fixed `(f, Vdd)` total power rises
+    /// strictly with `Vbb` and the first feasible point is the row's
+    /// minimum. Across rows the strict `<` keeps the earliest of equal
+    /// powers, as the full-grid scan does.
     fn power_settings(
         &self,
         config: &EvalConfig,
@@ -208,37 +233,21 @@ impl Optimizer for ExhaustiveOptimizer {
     ) -> (f64, f64) {
         let eval = SceneEval::new(config, scene);
         let cache = &mut *self.cache.borrow_mut();
-        let scratch = &mut *self.scratch.borrow_mut();
         let f_idx = FREQ_LADDER.index_of(f_core);
         let mut best: Option<(f64, f64, f64)> = None; // (power, vdd, vbb)
         for &vdd in scene.vdd_options() {
-            match f_idx {
-                // On-ladder core frequency: evaluate the whole Vbb row of
-                // this supply setting as one struct-of-arrays batch.
-                Some(i) => {
-                    let vbbs = scene.vbb_options();
-                    let mut lanes = [(0usize, 0.0, 0.0); MAX_BATCH];
-                    for (k, &vbb) in vbbs.iter().enumerate() {
-                        lanes[k] = (i, vdd, vbb);
-                    }
-                    let mut out = [None; MAX_BATCH];
-                    eval.check_batch(cache, &lanes[..vbbs.len()], scratch, &mut out);
-                    for (k, &vbb) in vbbs.iter().enumerate() {
-                        if let Some((p, _t)) = out[k] {
-                            if best.is_none_or(|(bp, _, _)| p < bp) {
-                                best = Some((p, vdd, vbb));
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &vbb in scene.vbb_options() {
-                        if let Some((p, _t)) = eval.check_free(f_core, vdd, vbb) {
-                            if best.is_none_or(|(bp, _, _)| p < bp) {
-                                best = Some((p, vdd, vbb));
-                            }
-                        }
-                    }
+            let row_min = scene.vbb_options().iter().find_map(|&vbb| {
+                let checked = match f_idx {
+                    Some(i) => eval.check_at(cache, i, vdd, vbb),
+                    // Off-ladder core frequencies (every teacher label
+                    // draws `f_core` continuously) are solved uncached.
+                    None => eval.check_free(f_core, vdd, vbb),
+                };
+                checked.map(|(p, _t)| (p, vbb))
+            });
+            if let Some((p, vbb)) = row_min {
+                if best.is_none_or(|(bp, _, _)| p < bp) {
+                    best = Some((p, vdd, vbb));
                 }
             }
         }
@@ -419,37 +428,148 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::teacher::{variant_selection_for, TH_RANGE};
+        use eval_core::SubsystemState;
         use proptest::prelude::*;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
+        /// The environments whose search the pruning touches: ASV alone,
+        /// and every environment that adds the body-bias ladder.
+        const ENVS: [Environment; 4] = [
+            Environment::TS_ASV,
+            Environment::TS_ASV_ABB,
+            Environment::ALL,
+            Environment::TS_ABB_ASV,
+        ];
 
-            /// The cached, batched, anchor-seeded `freq_max` lands on
-            /// exactly the frequency the uncached cold-start reference
-            /// search finds, for any sensed environment — i.e. turning
-            /// the cache on cannot move an answer.
+        /// A sensed scene for any subsystem, either variant, any of
+        /// [`ENVS`].
+        fn random_scene(
+            state: &SubsystemState,
+            alt: bool,
+            env: usize,
+            th: f64,
+            alpha: f64,
+            rho: f64,
+        ) -> SubsystemScene<'_> {
+            SubsystemScene {
+                state,
+                variants: variant_selection_for(state.id(), alt),
+                th_c: th,
+                alpha_f: alpha,
+                rho,
+                pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
+                env: ENVS[env],
+            }
+        }
+
+        /// Ladder point `idx` (cached path) or, `off_ladder`, a point a
+        /// fraction `frac` of a step below it — above it at the ladder's
+        /// bottom — as the teacher draws them (uncached path).
+        fn core_freq(idx: usize, off_ladder: bool, frac: f64) -> f64 {
+            let f = FREQ_LADDER.at(idx);
+            match (off_ladder, idx) {
+                (false, _) => f,
+                (true, 0) => f + frac * FREQ_LADDER.step,
+                (true, _) => f - frac * FREQ_LADDER.step,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The cached, floor-first `freq_max` lands on exactly the
+            /// frequency the uncached cold-start reference search finds,
+            /// for any subsystem, variant, environment and sensed inputs
+            /// — i.e. neither the cache nor the probe order can move an
+            /// answer.
             #[test]
             fn prop_cached_freq_max_matches_uncached_reference(
-                th in 45.0f64..68.0,
+                th in TH_RANGE.0..TH_RANGE.1,
                 alpha in 0.05f64..0.95,
-                chip_seed in 1u64..5,
+                rho in 0.05f64..2.5,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                env in 0usize..ENVS.len(),
             ) {
                 let cfg = factory().config().clone();
                 let chip = factory().chip(chip_seed);
                 let opt = ExhaustiveOptimizer::new();
-                let state = chip.core(0).subsystem(SubsystemId::Dcache);
-                let sc = SubsystemScene {
-                    state,
-                    variants: VariantSelection::default(),
-                    th_c: th,
-                    alpha_f: alpha,
-                    rho: 0.6,
-                    pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
-                    env: Environment::TS_ABB_ASV,
-                };
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                let sc = random_scene(state, alt, env, th, alpha, rho);
                 let fast = opt.freq_max(&cfg, &sc);
                 let reference = opt.freq_max_reference(&cfg, &sc);
-                prop_assert_eq!(fast, reference);
+                prop_assert_eq!(fast.to_bits(), reference.to_bits());
+            }
+
+            /// The first-feasible-`Vbb` power search returns bit for bit
+            /// the setting the full-grid scan returns, on and off the
+            /// frequency ladder, from the scene's `fmax` (where few
+            /// points are feasible) down to well below it.
+            #[test]
+            fn prop_pruned_power_settings_match_full_grid_reference(
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in 0.05f64..0.95,
+                rho in 0.05f64..2.5,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                env in 0usize..ENVS.len(),
+                steps_below_fmax in 0usize..10,
+                off_ladder in proptest::bool::ANY,
+                frac in 0.01f64..0.99,
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let opt = ExhaustiveOptimizer::new();
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                let sc = random_scene(state, alt, env, th, alpha, rho);
+                let fmax_idx = FREQ_LADDER.index_of(opt.freq_max(&cfg, &sc)).unwrap_or(0);
+                let f_idx = fmax_idx.saturating_sub(steps_below_fmax);
+                let f_core = core_freq(f_idx, off_ladder, frac);
+                let pruned = opt.power_settings(&cfg, &sc, f_core);
+                let reference = opt.power_settings_reference(&cfg, &sc, f_core);
+                prop_assert_eq!(
+                    (pruned.0.to_bits(), pruned.1.to_bits()),
+                    (reference.0.to_bits(), reference.1.to_bits())
+                );
+            }
+
+            /// The premise of the early exit: at fixed `(f, Vdd)`, power
+            /// rises strictly with `Vbb` across the feasible points.
+            #[test]
+            fn prop_feasible_power_rises_strictly_with_vbb(
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in 0.05f64..0.95,
+                rho in 0.05f64..2.5,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                f_idx in 0usize..20,
+                off_ladder in proptest::bool::ANY,
+                frac in 0.01f64..0.99,
+                vdd_idx in 0usize..9,
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                // ALL exposes both ladders; only the (f, Vdd) row matters.
+                let sc = random_scene(state, alt, 2, th, alpha, rho);
+                let f = core_freq(f_idx, off_ladder, frac);
+                let vdd = sc.vdd_options()[vdd_idx];
+                let mut prev: Option<(f64, f64)> = None;
+                for &vbb in sc.vbb_options() {
+                    if let Some((p, _t)) = sc.check(&cfg, f, vdd, vbb) {
+                        if let Some((prev_vbb, prev_p)) = prev {
+                            prop_assert!(
+                                p > prev_p,
+                                "f {} vdd {} : P({}) = {} <= P({}) = {}",
+                                f, vdd, vbb, p, prev_vbb, prev_p
+                            );
+                        }
+                        prev = Some((vbb, p));
+                    }
+                }
             }
         }
     }

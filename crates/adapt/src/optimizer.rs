@@ -278,8 +278,10 @@ pub trait Optimizer {
 
     /// The `Power` algorithm for one subsystem: the `(Vdd, Vbb)` that
     /// minimizes subsystem power at core frequency `f_core` without
-    /// violating constraints. Falls back to the most aggressive setting if
-    /// nothing on the ladder is feasible (retuning will then lower `f`).
+    /// violating constraints. When nothing on the ladders is feasible the
+    /// exhaustive oracle returns the nominal setting `(1.0, 0.0)`, and
+    /// retuning then lowers `f`; trained controllers return their
+    /// prediction unchecked and leave infeasibility to retuning as well.
     fn power_settings(
         &self,
         config: &EvalConfig,

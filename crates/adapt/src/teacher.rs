@@ -49,6 +49,13 @@ pub struct TeacherExamples {
 /// `rng`. The draw order per example — `th`, `alpha`, `rho`, then
 /// `f_core` after the frequency query — matches the original fuzzy
 /// training loop bit for bit.
+///
+/// `f_core` is drawn continuously from `[FREQ_LADDER.min, fmax]`, so it
+/// (almost surely) falls between ladder points and the exhaustive oracle
+/// labels the `Power` examples on its uncached path
+/// (`SceneEval::check_free`, one cold thermal solve per `(Vdd, Vbb)`
+/// point it visits); only the `Freq` query goes through the oracle's
+/// solve cache.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_bank(
     oracle: &dyn Optimizer,

@@ -20,8 +20,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use eval_adapt::{
-    Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, SceneEval, Scheme, SubsystemScene,
-    TrainingBudget,
+    sample_bank, Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, SceneEval, Scheme,
+    SubsystemScene, TrainingBudget,
 };
 use eval_bench::{fail_chip_from_env, run_campaign, TraceSession};
 use eval_core::{
@@ -32,6 +32,7 @@ use eval_power::{
     solve_thermal, solve_thermal_reference, BatchScratch, OperatingPoint, SolveCache,
     ThermalEnvironment, FREQ_LADDER, MAX_BATCH,
 };
+use eval_rng::ChaCha12Rng;
 use eval_uarch::Workload;
 use eval_trace::names;
 use eval_units::{GHz, Volts};
@@ -130,6 +131,46 @@ fn scene<'a>(config: &EvalConfig, chip: &'a ChipModel, id: SubsystemId) -> Subsy
         pe_budget: config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS),
         env: Environment::TS_ASV,
     }
+}
+
+/// Examples in the `teacher_sample_bank_abb` row's bank: the per-bank
+/// budget of the `fig10-train` benchmark workload.
+const TEACHER_BANK_EXAMPLES: usize = 65;
+
+/// The exhaustive oracle with its `Power` search replaced by the
+/// full-grid [`ExhaustiveOptimizer::power_settings_reference`] — the
+/// reference side of the `teacher_sample_bank_abb` row.
+struct FullGridPowerOracle(ExhaustiveOptimizer);
+
+impl Optimizer for FullGridPowerOracle {
+    fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
+        self.0.freq_max(config, scene)
+    }
+
+    fn power_settings(
+        &self,
+        config: &EvalConfig,
+        scene: &SubsystemScene<'_>,
+        f_core: f64,
+    ) -> (f64, f64) {
+        self.0.power_settings_reference(config, scene, f_core)
+    }
+}
+
+/// Labels one TS+ASV+ABB teacher bank for the Dcache of `chip` with a
+/// fixed seed, so every call does the same work.
+fn teacher_bank_abb(oracle: &dyn Optimizer, config: &EvalConfig, chip: &ChipModel) {
+    let mut rng = ChaCha12Rng::seed_from_u64(7);
+    black_box(sample_bank(
+        oracle,
+        config,
+        chip.core(0).subsystem(SubsystemId::Dcache),
+        VariantSelection::default(),
+        Environment::TS_ASV_ABB,
+        config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS),
+        TEACHER_BANK_EXAMPLES,
+        &mut rng,
+    ));
 }
 
 fn small_campaign(intra_chip_threads: usize) {
@@ -365,6 +406,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n(7),
         ),
         None,
+    ));
+
+    // One teacher bank as controller training labels it (fresh oracle,
+    // 65 examples, off-ladder core frequencies): the pruned searches vs
+    // the same bank with the full-grid power search.
+    rows.push(Row::new(
+        "teacher_sample_bank_abb",
+        time_samples(
+            || teacher_bank_abb(&ExhaustiveOptimizer::new(), &config, &chip),
+            20,
+            n(7),
+        ),
+        Some(time_ns(
+            || {
+                teacher_bank_abb(
+                    &FullGridPowerOracle(ExhaustiveOptimizer::new()),
+                    &config,
+                    &chip,
+                )
+            },
+            20,
+            7,
+        )),
     ));
 
     // A trained fixed-point MLP's ladder decision vs the warm memoized
