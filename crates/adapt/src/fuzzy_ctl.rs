@@ -323,6 +323,30 @@ mod tests {
     }
 
     #[test]
+    fn q_and_q_fu_train_identical_banks() {
+        // Both environments train the alternate-structure banks (queue
+        // resizing or FU replication enables them), the teacher RNG is
+        // seeded from `budget.seed ^ chip.seed()` alone, and the oracle
+        // sees only the ladders (ASV, no ABB in either) and the variant
+        // list. So the banks are the same; any Fuzzy-Dyn difference
+        // between the two Figure 10 columns comes from `decide_phase`'s
+        // FU rule, not from training.
+        let cfg = factory().config().clone();
+        let chip = factory().chip(3);
+        let budget = TrainingBudget {
+            examples: 40,
+            ..small_budget()
+        };
+        let q = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q, &budget);
+        let q_fu = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q_FU, &budget);
+        assert_ne!(q.environment(), q_fu.environment());
+        assert_eq!(
+            format!("{:?}", q.controllers),
+            format!("{:?}", q_fu.controllers)
+        );
+    }
+
+    #[test]
     fn variant_controllers_differ_for_replicated_fus() {
         let cfg = factory().config().clone();
         let chip = factory().chip(3);

@@ -245,6 +245,33 @@ impl<'a> SceneEval<'a> {
         }
     }
 
+    /// Whether `(f, vdd, vbb)` is proven infeasible by the error-rate
+    /// constraint alone, with no thermal solve and no cache access:
+    /// `rho * PE(f)` exceeds the budget at every temperature in
+    /// `[TH, TMAX]` (see [`StageTiming::pe_exceeds_over`]). Every feasible
+    /// point lies in that range — the solved temperature is
+    /// `TH + Rth * P` with `P >= 0`, and the checks reject anything above
+    /// `TMAX` — so a `true` here means [`check_at`], [`check_free`] and
+    /// [`SubsystemScene::check`] all return `None`. `false` decides
+    /// nothing.
+    ///
+    /// At fixed temperature the bound falls as `vbb` rises (forward bias
+    /// lowers `Vt`: `k3_vt_per_vbb < 0`), so a rejection also proves every
+    /// lower body bias of the same `(f, vdd)` row infeasible.
+    ///
+    /// [`check_at`]: SceneEval::check_at
+    /// [`check_free`]: SceneEval::check_free
+    pub fn pe_screen_rejects(&self, f: GHz, vdd: Volts, vbb: Volts) -> bool {
+        self.timing.pe_exceeds_over(
+            f,
+            vdd,
+            vbb,
+            (self.tenv.th_c, self.t_max_c),
+            self.rho,
+            self.pe_budget,
+        )
+    }
+
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
     /// frequency: a direct canonical cold-start solve, no memoization.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {

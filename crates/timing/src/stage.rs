@@ -1,6 +1,7 @@
 //! Per-subsystem timing under variation and operating conditions.
 
 use eval_units::{GHz, UnitRangeError, Volts};
+use eval_variation::device::KELVIN;
 use eval_variation::{delay_factor, ChipMap, DeviceParams};
 
 use crate::paths::PathDistribution;
@@ -53,7 +54,41 @@ struct CellDevice {
     vt0: f64,
     /// Normalized effective channel length.
     leff: f64,
+    /// `delay_factor`'s channel-length term `(leff / leff_nominal)^leff_exp`,
+    /// which depends on nothing but the cell.
+    leff_term: f64,
 }
+
+impl CellDevice {
+    fn new(vt0: f64, leff: f64, device: &DeviceParams) -> Self {
+        Self {
+            vt0,
+            leff,
+            leff_term: (leff / device.leff_nominal).powf(device.leff_exp),
+        }
+    }
+}
+
+/// The per-call invariants of `delay_factor` at one operating condition:
+/// everything but the cell's own `Vt0` and channel-length term.
+#[derive(Debug, Clone, Copy)]
+struct CondTerms {
+    vdd: f64,
+    /// `Vt` shifts from temperature, supply (DIBL) and body bias, in
+    /// `DeviceParams::vt_at`'s summation order.
+    vt_shift_t: f64,
+    vt_shift_vdd: f64,
+    vt_shift_vbb: f64,
+    /// `vdd / vdd_nominal`.
+    vdd_ratio: f64,
+    /// `(T_k / T_ref_k)^mu_exp`.
+    mobility: f64,
+}
+
+/// Relative margin by which the screen's bound
+/// ([`StageTiming::pe_exceeds_over`]) must exceed the error budget before
+/// it rejects; rounding in the bound is many orders of magnitude smaller.
+const SCREEN_MARGIN: f64 = 1e-6;
 
 /// The timing model of one pipeline stage (subsystem) on a specific chip:
 /// a nominal path-delay distribution plus the systematic variation of the
@@ -68,6 +103,8 @@ pub struct StageTiming {
     dist: PathDistribution,
     cells: Vec<CellDevice>,
     device: DeviceParams,
+    /// `(vdd_nominal - vt_nominal)^alpha`, the nominal overdrive term.
+    overdrive_nom: f64,
 }
 
 impl StageTiming {
@@ -109,14 +146,16 @@ impl StageTiming {
         let dist = class.nominal_distribution(t_nom_ns).widened(rel_rand);
         let cells = cells
             .iter()
-            .map(|&c| CellDevice {
-                vt0: chip.vt.at(c),
-                leff: chip.leff.at(c),
-            })
+            .map(|&c| CellDevice::new(chip.vt.at(c), chip.leff.at(c), &device))
             .collect();
+        Self::with_cells(dist, cells, device)
+    }
+
+    fn with_cells(dist: PathDistribution, cells: Vec<CellDevice>, device: DeviceParams) -> Self {
         Self {
             dist,
             cells,
+            overdrive_nom: (device.vdd_nominal - device.vt_nominal).powf(device.alpha),
             device,
         }
     }
@@ -133,14 +172,11 @@ impl StageTiming {
         device: DeviceParams,
     ) -> Self {
         assert!(!vt0_leff_pairs.is_empty(), "at least one cell required");
-        Self {
-            dist,
-            cells: vt0_leff_pairs
-                .iter()
-                .map(|&(vt0, leff)| CellDevice { vt0, leff })
-                .collect(),
-            device,
-        }
+        let cells = vt0_leff_pairs
+            .iter()
+            .map(|&(vt0, leff)| CellDevice::new(vt0, leff, &device))
+            .collect();
+        Self::with_cells(dist, cells, device)
     }
 
     /// The underlying nominal path-delay distribution.
@@ -153,8 +189,7 @@ impl StageTiming {
     pub fn with_distribution(&self, dist: PathDistribution) -> Self {
         Self {
             dist,
-            cells: self.cells.clone(),
-            device: self.device,
+            ..self.clone()
         }
     }
 
@@ -182,6 +217,40 @@ impl StageTiming {
             .device
             .vt_at(cell.vt0, cond.t_c, cond.vdd.get(), cond.vbb.get());
         delay_factor(&self.device, vt, cell.leff, cond.vdd.get(), cond.t_c)
+    }
+
+    /// `delay_factor`'s per-call terms at `(vdd, vbb, t_c)`.
+    fn cond_terms(&self, vdd: f64, vbb: f64, t_c: f64) -> CondTerms {
+        let d = &self.device;
+        CondTerms {
+            vdd,
+            vt_shift_t: d.k1_vt_per_kelvin * (t_c - d.t_ref_c),
+            vt_shift_vdd: d.k2_vt_per_vdd * (vdd - d.vdd_nominal),
+            vt_shift_vbb: d.k3_vt_per_vbb * vbb,
+            vdd_ratio: vdd / d.vdd_nominal,
+            mobility: ((t_c + KELVIN) / (d.t_ref_c + KELVIN)).powf(d.mu_exp),
+        }
+    }
+
+    /// The cell's local threshold voltage, summed in
+    /// `DeviceParams::vt_at`'s order.
+    fn cell_vt(cell: &CellDevice, terms: &CondTerms) -> f64 {
+        cell.vt0 + terms.vt_shift_t + terms.vt_shift_vdd + terms.vt_shift_vbb
+    }
+
+    /// [`cell_factor`](Self::cell_factor) from hoisted terms: the same
+    /// operands multiplied in `delay_factor`'s order, so bit-identical.
+    fn hoisted_factor(&self, cell: &CellDevice, terms: &CondTerms) -> f64 {
+        let vt = Self::cell_vt(cell, terms);
+        assert!(
+            terms.vdd > vt,
+            "supply voltage {} V must exceed threshold {vt} V",
+            terms.vdd
+        );
+        terms.vdd_ratio
+            * cell.leff_term
+            * terms.mobility
+            * (self.overdrive_nom / (terms.vdd - vt).powf(self.device.alpha))
     }
 
     /// The largest per-cell delay factor at `cond` (the slowest spot).
@@ -221,6 +290,12 @@ impl StageTiming {
     /// partial product is a lower bound on the final `pe` — each cell only
     /// adds error mass — so an early `None` is never wrong.
     ///
+    /// The loop invariants of `delay_factor` (the mobility and supply
+    /// ratios, the nominal overdrive and each cell's channel-length term)
+    /// are computed once per call or once per stage and multiplied in the
+    /// original operand order, so every cell's delay factor is bitwise
+    /// the one [`pe_access`] uses.
+    ///
     /// When the access is within budget, the returned `Some(pe)` is
     /// bitwise identical to [`pe_access`]'s value: same cells, same
     /// accumulation order, same arithmetic.
@@ -241,9 +316,10 @@ impl StageTiming {
         assert!(f.get() > 0.0, "frequency must be positive");
         let t = f.period_ns();
         let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
+        let terms = self.cond_terms(cond.vdd.get(), cond.vbb.get(), cond.t_c);
         let mut log_ok = 0.0f64;
         for cell in &self.cells {
-            let kappa = self.cell_factor(cell, cond);
+            let kappa = self.hoisted_factor(cell, &terms);
             let q = self.dist.scaled(kappa).single_path_miss(t);
             if q >= 1.0 {
                 // `pe_access` returns 1.0 here; mirror its caller's
@@ -261,6 +337,85 @@ impl StageTiming {
         } else {
             Some(pe)
         }
+    }
+
+    /// Whether `scale * PE(f) > cap` at **every** temperature in
+    /// `[t_lo_c, t_hi_c]` at supply `vdd` and body bias `vbb`, proven
+    /// from a lower bound on `PE` without any thermal solve. `false`
+    /// means "not proven", never "within budget".
+    ///
+    /// Each cell's `ln D(T)` has the derivative
+    /// `(mu_exp * od(T) + alpha * k1 * T_k) / (T_k * od(T))`, where
+    /// `od = Vdd - Vt` is the overdrive. The numerator is linear in `T`,
+    /// so when it has the same sign at both ends the cell's delay factor
+    /// is monotone over the range and smallest at the end that sign
+    /// picks (`TH` when non-negative, `TMAX` when non-positive). `PE`
+    /// rises with every cell's factor, so the product over those minima
+    /// bounds `PE` from below over the whole range. When the signs differ
+    /// (an interior minimum is possible) or `od <= 0` at either end (the
+    /// delay model is undefined there) the method gives no verdict.
+    ///
+    /// The comparison keeps a relative margin of `1e-6` on `cap`, far
+    /// above the rounding of the bound, so a point the method rejects
+    /// fails the exact `scale * pe_access(f, cond) > cap` test at every
+    /// temperature in the range. It never panics.
+    pub fn pe_exceeds_over(
+        &self,
+        f: GHz,
+        vdd: Volts,
+        vbb: Volts,
+        (t_lo_c, t_hi_c): (f64, f64),
+        scale: f64,
+        cap: f64,
+    ) -> bool {
+        let t = f.period_ns();
+        // Also rejects `f <= 0` (and NaN): no verdict.
+        if !(t > 0.0 && t.is_finite()) {
+            return false;
+        }
+        let d = &self.device;
+        let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
+        let (vdd, vbb) = (vdd.get(), vbb.get());
+        let lo = self.cond_terms(vdd, vbb, t_lo_c);
+        let hi = self.cond_terms(vdd, vbb, t_hi_c);
+        let (slope_lo, slope_hi) = (
+            d.alpha * d.k1_vt_per_kelvin * (t_lo_c + KELVIN),
+            d.alpha * d.k1_vt_per_kelvin * (t_hi_c + KELVIN),
+        );
+        // `PE > cap'` <=> `log_ok < ln(1 - cap'/scale)`; NaN or -inf when
+        // `cap' >= scale`, where no `PE <= 1` can exceed it: never true.
+        let log_cap = (-(cap * (1.0 + SCREEN_MARGIN) / scale)).ln_1p();
+        let mut log_ok = 0.0f64;
+        for cell in &self.cells {
+            let (od_lo, od_hi) = (
+                vdd - Self::cell_vt(cell, &lo),
+                vdd - Self::cell_vt(cell, &hi),
+            );
+            if !(od_lo > 0.0 && od_hi > 0.0) {
+                return false;
+            }
+            let (g_lo, g_hi) = (d.mu_exp * od_lo + slope_lo, d.mu_exp * od_hi + slope_hi);
+            let min_end = if g_lo >= 0.0 && g_hi >= 0.0 {
+                &lo
+            } else if g_lo <= 0.0 && g_hi <= 0.0 {
+                &hi
+            } else {
+                return false;
+            };
+            let q = self
+                .dist
+                .scaled(self.hoisted_factor(cell, min_end))
+                .single_path_miss(t);
+            if q >= 1.0 {
+                return log_cap > f64::NEG_INFINITY;
+            }
+            log_ok += per_cell_paths * (-q).ln_1p();
+            // Later cells only lower `log_ok`.
+            if log_ok < log_cap {
+                return true;
+            }
+        }
+        false
     }
 
     /// Maximum frequency at which the per-access error probability stays at
@@ -435,5 +590,104 @@ mod tests {
         let stage = test_stage(SubsystemKind::Memory, 2);
         let vt0 = stage.measured_vt0();
         assert!(vt0 > 0.05 && vt0 < 0.30, "vt0={vt0}");
+    }
+
+    #[test]
+    fn screen_gives_no_verdict_where_the_delay_model_is_undefined() {
+        // A supply at the threshold: `delay_factor` would assert, the
+        // screen must answer "not proven" instead.
+        let stage = test_stage(SubsystemKind::Logic, 4);
+        let vdd = Volts::raw(0.05);
+        for range in [(60.0, 85.0), (85.0, 85.0)] {
+            assert!(!stage.pe_exceeds_over(GHz::raw(5.6), vdd, Volts::raw(0.0), range, 1.0, 1e-9));
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random stage and condition, at the frequency where `PE`
+        /// crosses `10^log10_pe`.
+        fn scenario(
+            seed: u64,
+            kind: usize,
+            vdd: f64,
+            vbb: f64,
+            t_c: f64,
+            log10_pe: f64,
+        ) -> (StageTiming, OperatingConditions, GHz) {
+            let stage = test_stage(SubsystemKind::ALL[kind], seed);
+            let cond = OperatingConditions {
+                vdd: Volts::raw(vdd),
+                vbb: Volts::raw(vbb),
+                t_c,
+            };
+            let f = stage.max_frequency(&cond, 10f64.powf(log10_pe));
+            (stage, cond, f)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The hoisted kernel answers `None` exactly when
+            /// `scale * pe_access > cap`, and otherwise returns
+            /// `pe_access`'s bits, also at caps of `scale * pe` and one ulp
+            /// either side of it.
+            #[test]
+            fn prop_hoisted_bounded_kernel_matches_pe_access(
+                seed in 0u64..40,
+                kind in 0usize..3,
+                vdd in 0.8f64..1.2,
+                vbb in -0.5f64..0.5,
+                t_c in 40.0f64..130.0,
+                log10_pe in -16.0f64..-0.1,
+                scale in 0.05f64..2.5,
+                log10_cap in -14.0f64..-1.0,
+            ) {
+                let (stage, cond, f) = scenario(seed, kind, vdd, vbb, t_c, log10_pe);
+                let pe = stage.pe_access(f, &cond);
+                let exact = scale * pe;
+                for cap in [10f64.powf(log10_cap), exact, exact.next_down(), exact.next_up()] {
+                    let bounded = stage.pe_access_bounded(f, &cond, scale, cap);
+                    if scale * pe > cap {
+                        prop_assert!(bounded.is_none(), "cap {cap:e}: expected None, pe {pe:e}");
+                    } else {
+                        prop_assert_eq!(bounded.map(f64::to_bits), Some(pe.to_bits()));
+                    }
+                }
+            }
+
+            /// On a one-temperature range the screen's bound is the exact
+            /// `PE` there (same factors, same accumulation), so only the
+            /// margin on `cap` keeps rounding from rejecting a point the
+            /// exact test accepts: at `cap = scale * pe`, one ulp above,
+            /// or any cap the exact test meets, the screen must not
+            /// reject. Well over budget it must.
+            #[test]
+            fn prop_screen_on_one_temperature_never_rejects_a_within_budget_point(
+                seed in 0u64..40,
+                kind in 0usize..3,
+                vdd in 0.8f64..1.2,
+                vbb in -0.5f64..0.5,
+                t_c in 40.0f64..130.0,
+                log10_pe in -16.0f64..-0.1,
+                scale in 0.05f64..2.5,
+                log10_cap in -14.0f64..-1.0,
+            ) {
+                let (stage, cond, f) = scenario(seed, kind, vdd, vbb, t_c, log10_pe);
+                let pe = stage.pe_access(f, &cond);
+                let exact = scale * pe;
+                let range = (t_c, t_c);
+                for cap in [10f64.powf(log10_cap), exact, exact.next_up()] {
+                    if stage.pe_exceeds_over(f, cond.vdd, cond.vbb, range, scale, cap) {
+                        prop_assert!(scale * pe > cap, "cap {cap:e}: rejected, pe {pe:e}");
+                    }
+                }
+                if pe > 1e-300 {
+                    prop_assert!(stage.pe_exceeds_over(f, cond.vdd, cond.vbb, range, scale, 0.5 * exact));
+                }
+            }
+        }
     }
 }

@@ -128,8 +128,18 @@ impl LowerTriangular {
                 if i == j {
                     sum += jitter;
                 }
-                for k in 0..j {
-                    sum -= l[row_start(i) + k] * l[row_start(j) + k];
+                // Same products in the same order as indexing `k` in
+                // `0..j`. Written over two slices because the indexed
+                // form's speed depended on where the linker placed the
+                // loop: after an unrelated change elsewhere, chip set-up
+                // (mostly this factorization) ran up to a third slower.
+                // The slice form measured no slower than the indexed one
+                // at its best, but code layout can still move it:
+                // re-measure set-up time after unrelated changes before
+                // blaming the code that changed.
+                let (ri, rj) = (row_start(i), row_start(j));
+                for (a, b) in l[ri..ri + j].iter().zip(&l[rj..rj + j]) {
+                    sum -= a * b;
                 }
                 if i == j {
                     if sum <= 0.0 {
