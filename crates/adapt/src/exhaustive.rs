@@ -320,10 +320,6 @@ impl Optimizer for ExhaustiveOptimizer {
         if stats.slow_convergence > 0 {
             tracer.count_n(names::SOLVER_SLOW_CONVERGENCE, stats.slow_convergence);
         }
-        if stats.batch_calls > 0 {
-            tracer.count_n(names::SOLVER_BATCH_CALLS, stats.batch_calls);
-            tracer.count_n(names::SOLVER_BATCH_LANES, stats.batch_lanes);
-        }
     }
 }
 

@@ -9,8 +9,8 @@ use eval_core::{
     Environment, EvalConfig, OperatingConditions, SubsystemState, VariantSelection,
 };
 use eval_power::{
-    solve_thermal, solve_thermal_reference, BatchScratch, OperatingPoint, SolveCache,
-    SubsystemPowerParams, ThermalEnvironment, ThermalRunaway, FREQ_LADDER, MAX_BATCH,
+    solve_thermal, solve_thermal_reference, OperatingPoint, SolveCache, SubsystemPowerParams,
+    ThermalEnvironment, FREQ_LADDER,
 };
 use eval_timing::StageTiming;
 use eval_trace::Tracer;
@@ -188,61 +188,6 @@ impl<'a> SceneEval<'a> {
         self.timing
             .pe_access_bounded(GHz::raw(FREQ_LADDER.at(f_idx)), &cond, self.rho, self.pe_budget)?;
         Some((sol.total_w(), sol.t_c))
-    }
-
-    /// [`check_at`] for a whole slice of ladder candidates
-    /// `(f_idx, vdd, vbb)` at once: the thermal solves run as one
-    /// struct-of-arrays batch through the cache, then the constraint
-    /// checks apply per lane. `out[i]` receives exactly what
-    /// [`check_at`] would have returned for lane `i`, in lane order.
-    ///
-    /// [`check_at`]: SceneEval::check_at
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() > MAX_BATCH` or `out` is shorter than
-    /// `lanes`.
-    pub fn check_batch(
-        &self,
-        cache: &mut SolveCache,
-        lanes: &[(usize, f64, f64)],
-        scratch: &mut BatchScratch,
-        out: &mut [Option<(f64, f64)>],
-    ) {
-        assert!(lanes.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-        assert!(out.len() >= lanes.len(), "output slice too short");
-        let mut typed = [(0usize, Volts::raw(0.0), Volts::raw(0.0)); MAX_BATCH];
-        for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
-            typed[i] = (f_idx, Volts::raw(vdd), Volts::raw(vbb));
-        }
-        let mut solved = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
-        cache.solve_ladder_batch(
-            &self.params,
-            &self.tenv,
-            self.device,
-            &typed[..lanes.len()],
-            scratch,
-            &mut solved,
-        );
-        for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
-            out[i] = solved[i].ok().and_then(|sol| {
-                if sol.t_c > self.t_max_c {
-                    return None;
-                }
-                let cond = OperatingConditions {
-                    vdd: Volts::raw(vdd),
-                    vbb: Volts::raw(vbb),
-                    t_c: sol.t_c,
-                };
-                self.timing.pe_access_bounded(
-                    GHz::raw(FREQ_LADDER.at(f_idx)),
-                    &cond,
-                    self.rho,
-                    self.pe_budget,
-                )?;
-                Some((sol.total_w(), sol.t_c))
-            });
-        }
     }
 
     /// Whether `(f, vdd, vbb)` is proven infeasible by the error-rate

@@ -7,8 +7,8 @@ use eval_adapt::Scheme;
 use eval_bench::standard_campaign;
 use eval_core::Environment;
 
-fn main() -> Result<(), eval_adapt::CampaignError> {
-    let campaign = standard_campaign(6);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let campaign = standard_campaign(6)?;
     eprintln!(
         "# per-workload breakdown: {} chips x {} workloads (TS+ASV+Q+FU, Fuzzy-Dyn)",
         campaign.chips,

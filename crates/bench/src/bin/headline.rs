@@ -17,7 +17,7 @@ use eval_core::{AreaBreakdown, Environment};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceSession::from_env()?;
     let mut campaign = Campaign::new(chips_from_env(15));
-    campaign.workloads = workloads_from_env();
+    campaign.workloads = workloads_from_env()?;
     campaign.fail_chip = fail_chip_from_env();
     eprintln!(
         "# headline campaign: {} chips x {} workloads",

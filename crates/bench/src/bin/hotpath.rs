@@ -20,18 +20,15 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use eval_adapt::{
-    sample_bank, Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, SceneEval, Scheme,
-    SubsystemScene, TrainingBudget,
+    sample_bank, Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, Scheme, SubsystemScene,
+    TrainingBudget,
 };
 use eval_bench::{fail_chip_from_env, run_campaign, TraceSession};
 use eval_core::{
     ChipFactory, ChipModel, Environment, EvalConfig, OperatingConditions, SubsystemId,
     VariantSelection, N_SUBSYSTEMS,
 };
-use eval_power::{
-    solve_thermal, solve_thermal_reference, BatchScratch, OperatingPoint, SolveCache,
-    ThermalEnvironment, FREQ_LADDER, MAX_BATCH,
-};
+use eval_power::{solve_thermal, solve_thermal_reference, OperatingPoint, ThermalEnvironment};
 use eval_rng::ChaCha12Rng;
 use eval_uarch::Workload;
 use eval_trace::names;
@@ -235,8 +232,6 @@ fn campaign_metrics(
     let hits = registry.counter(names::SOLVER_CACHE_HITS);
     let misses = registry.counter(names::SOLVER_CACHE_MISSES);
     let cross_phase = registry.counter(names::SOLVER_CACHE_HITS_CROSS_PHASE);
-    let batch_calls = registry.counter(names::SOLVER_BATCH_CALLS);
-    let batch_lanes = registry.counter(names::SOLVER_BATCH_LANES);
     let mut out = vec![
         (names::SOLVER_CACHE_HITS, hits as f64),
         (names::SOLVER_CACHE_MISSES, misses as f64),
@@ -250,8 +245,6 @@ fn campaign_metrics(
         ),
         (names::SOLVER_CACHE_HITS_CROSS_PHASE, cross_phase as f64),
         (names::SOLVER_ITERATIONS, registry.counter(names::SOLVER_ITERATIONS) as f64),
-        (names::SOLVER_BATCH_CALLS, batch_calls as f64),
-        (names::SOLVER_BATCH_LANES, batch_lanes as f64),
         (names::DECISION_COUNT, registry.counter(names::DECISION_COUNT) as f64),
         (
             names::CAMPAIGN_INTRA_CHIP_THREADS,
@@ -264,12 +257,6 @@ fn campaign_metrics(
         out.push((
             names::SOLVER_CACHE_HIT_RATE_CROSS_PHASE,
             cross_phase as f64 / lookups,
-        ));
-    }
-    if batch_calls > 0 {
-        out.push((
-            names::SOLVER_BATCH_WIDTH,
-            batch_lanes as f64 / batch_calls as f64,
         ));
     }
     Ok(out)
@@ -458,44 +445,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(time_ns(
             || {
                 black_box(warm.freq_max(&config, black_box(&sc)));
-            },
-            5,
-            7,
-        )),
-    ));
-
-    // Whole-ladder feasibility through the batched SoA path vs the same
-    // 33 candidates checked one ladder point at a time. Separate caches
-    // so each side pays (and amortizes) its own probes.
-    let eval = SceneEval::new(&config, &sc);
-    let mut batch_cache = SolveCache::new();
-    let mut scalar_cache = SolveCache::new();
-    let mut scratch = BatchScratch::new();
-    let mut lanes = [(0usize, 1.0, 0.0); MAX_BATCH];
-    for (i, lane) in lanes.iter_mut().enumerate().take(FREQ_LADDER.len()) {
-        lane.0 = i;
-    }
-    let mut out = [None; MAX_BATCH];
-    rows.push(Row::new(
-        "batch_pe_ladder",
-        time_samples(
-            || {
-                eval.check_batch(
-                    &mut batch_cache,
-                    black_box(&lanes[..FREQ_LADDER.len()]),
-                    &mut scratch,
-                    &mut out,
-                );
-                black_box(&out);
-            },
-            5,
-            n(7),
-        ),
-        Some(time_ns(
-            || {
-                for i in 0..FREQ_LADDER.len() {
-                    black_box(eval.check_at(&mut scalar_cache, black_box(i), 1.0, 0.0));
-                }
             },
             5,
             7,

@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut t = Tournament::new(chips_from_env(4));
     t.holdout_chips = env_usize("EVAL_HOLDOUT_CHIPS").unwrap_or(t.chips);
     t.threads = env_usize("EVAL_THREADS").unwrap_or(0);
-    t.workloads = workloads_from_env();
+    t.workloads = workloads_from_env()?;
     eprintln!(
         "# tournament: {} schemes, {} training chips, {} holdout chips, {} workloads ({})",
         SCHEMES.len(),

@@ -1,8 +1,8 @@
 //! # eval-bench
 //!
 //! Experiment drivers for the EVAL reproduction: one binary per table or
-//! figure of the paper's evaluation (§6), plus Criterion micro-benchmarks
-//! of the building blocks.
+//! figure of the paper's evaluation (§6), plus the `hotpath` benchmark of
+//! the operating-point fast path.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -434,31 +434,74 @@ pub fn chips_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Workload subset for campaign binaries: `EVAL_WORKLOADS` (comma-separated
-/// names), else all 16.
-pub fn workloads_from_env() -> Vec<eval_uarch::Workload> {
-    match std::env::var("EVAL_WORKLOADS") {
-        Ok(list) => {
-            let ws: Vec<_> = list
-                .split(',')
-                .filter_map(|n| eval_uarch::Workload::by_name(n.trim()))
-                .collect();
-            if ws.is_empty() {
-                eval_uarch::Workload::all()
-            } else {
-                ws
-            }
-        }
-        Err(_) => eval_uarch::Workload::all(),
+/// An `EVAL_WORKLOADS` entry that names no workload.
+#[derive(Clone, PartialEq, Eq)]
+pub struct UnknownWorkload {
+    /// The offending entry, trimmed.
+    pub name: String,
+}
+
+// A binary's `main` prints a returned error with `Debug`: show the
+// message, which lists the valid names.
+impl std::fmt::Debug for UnknownWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(self, f)
     }
 }
 
+impl std::fmt::Display for UnknownWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let valid: Vec<&str> = eval_uarch::Workload::extended()
+            .iter()
+            .map(|w| w.name)
+            .collect();
+        write!(
+            f,
+            "EVAL_WORKLOADS: unknown workload \"{}\"; valid names: {}",
+            self.name,
+            valid.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownWorkload {}
+
+/// Workload subset for campaign binaries: `EVAL_WORKLOADS` (comma-separated
+/// names); unset or empty means all 16.
+///
+/// # Errors
+///
+/// Returns [`UnknownWorkload`] for the first entry that names no workload.
+pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, UnknownWorkload> {
+    let list = std::env::var("EVAL_WORKLOADS").unwrap_or_default();
+    let ws = list
+        .split(',')
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .map(|n| {
+            eval_uarch::Workload::by_name(n).ok_or_else(|| UnknownWorkload {
+                name: n.to_string(),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(if ws.is_empty() {
+        eval_uarch::Workload::all()
+    } else {
+        ws
+    })
+}
+
 /// Builds the standard Figures 10–12 campaign.
-pub fn standard_campaign(default_chips: usize) -> Campaign {
+///
+/// # Errors
+///
+/// Returns [`UnknownWorkload`] when `EVAL_WORKLOADS` names an unknown
+/// workload.
+pub fn standard_campaign(default_chips: usize) -> Result<Campaign, UnknownWorkload> {
     let mut c = Campaign::new(chips_from_env(default_chips));
-    c.workloads = workloads_from_env();
+    c.workloads = workloads_from_env()?;
     c.fail_chip = fail_chip_from_env();
-    c
+    Ok(c)
 }
 
 /// Runs the Figures 10–12 campaign (six environments, three schemes) and
@@ -466,14 +509,19 @@ pub fn standard_campaign(default_chips: usize) -> Campaign {
 pub fn run_figure10_campaign(
     default_chips: usize,
     session: &Option<TraceSession>,
-) -> Result<CampaignResult, eval_adapt::CampaignError> {
-    let campaign = standard_campaign(default_chips);
+) -> Result<CampaignResult, Box<dyn std::error::Error>> {
+    let campaign = standard_campaign(default_chips)?;
     eprintln!(
         "# campaign: {} chips x {} workloads x 6 environments x 3 schemes",
         campaign.chips,
         campaign.workloads.len()
     );
-    run_campaign(&campaign, &Environment::FIGURE10, &Scheme::ALL, session)
+    Ok(run_campaign(
+        &campaign,
+        &Environment::FIGURE10,
+        &Scheme::ALL,
+        session,
+    )?)
 }
 
 /// Prints a row-per-environment matrix with `Static`, `Fuzzy-Dyn` and
@@ -550,9 +598,26 @@ mod tests {
     #[test]
     fn workload_env_parsing() {
         std::env::set_var("EVAL_WORKLOADS", "swim, mcf");
-        let ws = workloads_from_env();
+        let ws = workloads_from_env().expect("known names");
         assert_eq!(ws.len(), 2);
+        // An unknown name is an error naming the bad token and the valid
+        // ones, not a silent fallback to the full suite.
+        std::env::set_var("EVAL_WORKLOADS", "swm");
+        let err = workloads_from_env().expect_err("unknown name");
+        assert_eq!(err.name, "swm");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("\"swm\"") && msg.contains("swim") && msg.contains("mcf"),
+            "{msg}"
+        );
+        assert_eq!(format!("{err:?}"), msg, "binaries print errors with Debug");
+        // One bad entry in a mixed list fails the whole list.
+        std::env::set_var("EVAL_WORKLOADS", "swim,doom,mcf");
+        assert_eq!(workloads_from_env().expect_err("mixed list").name, "doom");
+        // Unset or empty: all 16.
+        std::env::set_var("EVAL_WORKLOADS", "");
+        assert_eq!(workloads_from_env().expect("empty").len(), 16);
         std::env::remove_var("EVAL_WORKLOADS");
-        assert_eq!(workloads_from_env().len(), 16);
+        assert_eq!(workloads_from_env().expect("unset").len(), 16);
     }
 }

@@ -15,8 +15,9 @@
 //! * the nine *per-file* families — eight carried over from the
 //!   original single-file linter (unit-safety, determinism,
 //!   panic-safety, config-invariants, no-println, no-alloc-in-check,
-//!   sink-forward, atomic-artifacts) plus scalar-solve-in-loop —
-//!   matching shapes on one file's line view — see each family's
+//!   sink-forward, atomic-artifacts) plus
+//!   wall-clock-in-deterministic-path — matching shapes on one file's
+//!   line view — see each family's
 //!   module docs or `eval-lint --explain <rule>`;
 //! * three *cross-file* families over the merged [`facts::FactBase`]:
 //!   **metric-schema** (drift between metric emitters, the eval-obs
@@ -52,7 +53,7 @@ pub mod workspace;
 pub use schema::MetricSchema;
 pub use workspace::{context_for, Workspace};
 
-/// The thirteen rule families.
+/// The twelve rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Raw `f64` where a unit newtype is required.
@@ -77,15 +78,13 @@ pub enum Rule {
     HotPathReachability,
     /// `lint:allow` markers that suppress nothing.
     DeadSuppression,
-    /// Scalar per-candidate solver calls inside batch-eligible loops.
-    ScalarSolveInLoop,
     /// Clock reads outside the sanctioned `eval_trace::timing` module.
     WallClockInDeterministicPath,
 }
 
 impl Rule {
     /// All rule families, in report order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 12] = [
         Rule::UnitSafety,
         Rule::Determinism,
         Rule::PanicSafety,
@@ -97,7 +96,6 @@ impl Rule {
         Rule::MetricSchema,
         Rule::HotPathReachability,
         Rule::DeadSuppression,
-        Rule::ScalarSolveInLoop,
         Rule::WallClockInDeterministicPath,
     ];
 
@@ -115,12 +113,12 @@ impl Rule {
             Rule::MetricSchema => "metric-schema",
             Rule::HotPathReachability => "hot-path-reachability",
             Rule::DeadSuppression => "dead-suppression",
-            Rule::ScalarSolveInLoop => "scalar-solve-in-loop",
             Rule::WallClockInDeterministicPath => "wall-clock-in-deterministic-path",
         }
     }
 
-    /// The stable finding-code prefix (`EVL001`..`EVL013`).
+    /// The stable finding-code prefix (`EVL001`..`EVL013`; `EVL012` is
+    /// retired and never reissued).
     pub fn code(self) -> &'static str {
         match self {
             Rule::UnitSafety => "EVL001",
@@ -134,7 +132,6 @@ impl Rule {
             Rule::MetricSchema => "EVL009",
             Rule::HotPathReachability => "EVL010",
             Rule::DeadSuppression => "EVL011",
-            Rule::ScalarSolveInLoop => "EVL012",
             Rule::WallClockInDeterministicPath => "EVL013",
         }
     }
@@ -366,39 +363,6 @@ mod tests {
         let src = "// lint:hot-path\npub fn f(n: usize) -> usize { let v: Vec<u8> = Vec::new(); v.len() + n }\n";
         let d = lint_source("x.rs", src, &ctx("eval-power"));
         assert!(d.iter().any(|d| d.rule == Rule::NoAllocInCheck), "{d:?}");
-    }
-
-    #[test]
-    fn scalar_solve_in_a_hot_path_loop_is_flagged() {
-        let src = "// lint:hot-path\npub fn sweep(n: usize) {\n    for f in 0..n {\n        let _ = solve_thermal(f);\n    }\n}\n";
-        let d = lint_source("x.rs", src, &ctx("eval-power"));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, Rule::ScalarSolveInLoop);
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn scalar_solve_outside_a_loop_or_marker_is_fine() {
-        // No loop: a single seeded solve is the batch path's own tail.
-        let one = "// lint:hot-path\npub fn f() { let _ = solve_thermal_seeded(0); }\n";
-        assert!(lint_source("x.rs", one, &ctx("eval-power")).is_empty());
-        // A loop, but the file is not hot-path-marked.
-        let unmarked = "pub fn f(n: usize) { for i in 0..n { let _ = solve_thermal(i); } }\n";
-        assert!(lint_source("x.rs", unmarked, &ctx("eval-power")).is_empty());
-        // After the loop body closes, calls are free again.
-        let after = "// lint:hot-path\npub fn f(n: usize) {\n    while n > 0 {\n        step();\n    }\n    let _ = solve_thermal_reference(n);\n}\n";
-        assert!(lint_source("x.rs", after, &ctx("eval-power")).is_empty());
-    }
-
-    #[test]
-    fn scalar_solve_in_loop_skips_fn_defs_tests_and_allows() {
-        // A nested `fn` definition line is a definition, not a call.
-        let def = "// lint:hot-path\nfor x in y {\n    fn solve_thermal(z: u8) {}\n}\n";
-        assert!(lint_source("x.rs", def, &ctx("eval-power")).is_empty());
-        let tested = "// lint:hot-path\n#[cfg(test)]\nmod tests {\n    fn f(n: usize) { for i in 0..n { let _ = solve_thermal(i); } }\n}\n";
-        assert!(lint_source("x.rs", tested, &ctx("eval-power")).is_empty());
-        let allowed = "// lint:hot-path\npub fn f(n: usize) {\n    for i in 0..n {\n        // lint:allow(scalar-solve-in-loop): iterations chain seeds\n        let _ = solve_thermal_seeded(i);\n    }\n}\n";
-        assert!(lint_source("x.rs", allowed, &ctx("eval-power")).is_empty());
     }
 
     #[test]

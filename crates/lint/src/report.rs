@@ -131,9 +131,6 @@ pub fn explain(rule: Rule) -> &'static str {
         Rule::DeadSuppression => {
             "dead-suppression (EVL011)\n\nEvery `// lint:allow(<rule>)` marker must suppress at least one\nfinding this run. A marker that suppresses nothing is stale — the\ncode it justified was fixed or moved — and stale markers are how real\nviolations sneak in later. The rule also flags markers naming unknown\nrule families (typos never suppress anything). Dead-suppression\nfindings cannot themselves be suppressed; delete the marker instead."
         }
-        Rule::ScalarSolveInLoop => {
-            "scalar-solve-in-loop (EVL012)\n\nIn `lint:hot-path` modules, a scalar thermal-solver call\n(solve_thermal, solve_thermal_seeded, solve_thermal_reference)\nlexically inside a for/while body is a per-candidate solve in a\nbatch-eligible loop: the ladder sweep is exactly the shape the SoA\nbatch evaluator (solve_ladder_batch / SceneEval::check_batch) exists\nfor, and per-candidate calls re-pay the cache-probe and convergence\noverhead the batch amortizes across lanes. Loop extent is tracked\nlexically by brace depth; function definitions and #[cfg(test)]\nregions are exempt.\n\nSuppress with `// lint:allow(scalar-solve-in-loop): <why>` when a\nloop is genuinely not batchable (e.g. each iteration depends on the\nprevious solve)."
-        }
         Rule::WallClockInDeterministicPath => {
             "wall-clock-in-deterministic-path (EVL013)\n\nThe two-sink tracer guarantees the primary trace is byte-identical\nwhether wall-clock profiling is on or off, but only if clock reads\ncannot leak into library code through the back door. Direct\n`Instant::now()` / `SystemTime::now()` calls are therefore confined\nto the one sanctioned module, crates/trace/src/timing.rs; everything\nelse routes through eval_trace::timing::clock_now() /\nunix_time_secs(). Simulation crates are covered by the stricter\ndeterminism rule (EVL002) and are not double-flagged; tests and the\ntiming module itself are exempt.\n\nSuppress with `// lint:allow(wall-clock-in-deterministic-path): <why>`\nwhen a clock read provably never reaches a trace sink."
         }
@@ -154,7 +151,6 @@ pub fn summary(rule: Rule) -> &'static str {
         Rule::MetricSchema => "metric-name drift between emitters, eval-obs consumers, and the committed registry",
         Rule::HotPathReachability => "hot-path code calling allocating functions defined in unmarked modules",
         Rule::DeadSuppression => "`lint:allow` markers that suppress nothing or name unknown rules",
-        Rule::ScalarSolveInLoop => "scalar solver calls inside batch-eligible loops in `lint:hot-path` modules",
         Rule::WallClockInDeterministicPath => "direct `Instant::now`/`SystemTime::now` outside the sanctioned `eval_trace::timing` module",
     }
 }

@@ -1,9 +1,8 @@
 //! The rule families and the shared finding sink.
 //!
 //! Per-file rules (the eight ported families plus
-//! `scalar-solve-in-loop` and `wall-clock-in-deterministic-path`)
-//! match shapes on one file's stripped line
-//! view; cross-file rules (`metric-schema`,
+//! `wall-clock-in-deterministic-path`) match shapes on one file's
+//! stripped line view; cross-file rules (`metric-schema`,
 //! `hot-path-reachability`, `dead-suppression`) evaluate the merged
 //! [`crate::facts::FactBase`]. Both report through [`Sink`], which
 //! applies `lint:allow` suppression and **records which marker
@@ -23,7 +22,6 @@ pub mod metric_schema;
 pub mod no_alloc_in_check;
 pub mod no_println;
 pub mod panic_safety;
-pub mod scalar_solve_in_loop;
 pub mod sink_forward;
 pub mod unit_safety;
 pub mod wall_clock;
@@ -128,7 +126,7 @@ impl<'a> Sink<'a> {
     }
 }
 
-/// Runs the ten per-file rule families on one file under its
+/// Runs the nine per-file rule families on one file under its
 /// context, with the legacy dispatch conditions.
 pub fn run_file_rules(lexed: &LexedFile, path: &str, ctx: &FileContext, sink: &mut Sink<'_>) {
     if UNIT_CRATES.contains(&ctx.crate_name.as_str()) && !ctx.is_test_code {
@@ -150,7 +148,6 @@ pub fn run_file_rules(lexed: &LexedFile, path: &str, ctx: &FileContext, sink: &m
     }
     if lexed.hot_path && !ctx.is_test_code {
         no_alloc_in_check::run(lexed, path, sink);
-        scalar_solve_in_loop::run(lexed, path, sink);
     }
     if !ctx.is_test_code {
         sink_forward::run(lexed, path, sink);

@@ -29,7 +29,7 @@
 //! only from the query key and its anchor's value, never from whatever
 //! happened to be solved last. The cached value for a key is therefore a
 //! pure function of the key: query order, interleaving across subsystems,
-//! batching, and even evictions (the map and anchor table clear together
+//! and even evictions (the map and anchor table clear together
 //! on reaching [`MAX_ENTRIES`]) cannot change any returned value.
 //! `tests/hotpath_equivalence.rs` checks this bitwise across the full
 //! grid.
@@ -53,7 +53,6 @@ use std::collections::BTreeMap;
 use eval_units::{GHz, Volts};
 use eval_variation::DeviceParams;
 
-use crate::batch::{solve_columns, BatchScratch, MAX_BATCH};
 use crate::ladder::FREQ_LADDER;
 use crate::op::OperatingPoint;
 use crate::params::{SubsystemPowerParams, ThermalEnvironment};
@@ -68,6 +67,12 @@ pub const CANONICAL_ALPHA: f64 = 0.5;
 
 /// Canonical heat-sink temperature (Celsius) at which anchors are solved.
 pub const CANONICAL_TH_C: f64 = 55.0;
+
+/// The environment every anchor is solved in.
+const CANONICAL_ENV: ThermalEnvironment = ThermalEnvironment {
+    th_c: CANONICAL_TH_C,
+    alpha_f: CANONICAL_ALPHA,
+};
 
 /// Entry cap; reaching it clears the memo map *and* the anchor table
 /// (deterministically, and — because cached values are pure functions of
@@ -158,8 +163,7 @@ struct Anchor {
 /// Hit/miss, reuse-class and solver-effort counters, drained by
 /// optimizers into eval-trace metrics (`solver.cache.hits`,
 /// `solver.cache.hits.same_point` / `.cross_candidate` / `.cross_phase`,
-/// `solver.cache.misses`, `solver.iterations`, `solver.slow_convergence`,
-/// `solver.batch.width`).
+/// `solver.cache.misses`, `solver.iterations`, `solver.slow_convergence`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveCacheStats {
     /// Lookups answered from the memo map or warm-started from an
@@ -180,11 +184,6 @@ pub struct SolveCacheStats {
     /// Solves that exhausted the iteration budget (bounded slow
     /// convergence; the last iterate was accepted).
     pub slow_convergence: u64,
-    /// Batched lookups ([`SolveCache::solve_ladder_batch`] calls).
-    pub batch_calls: u64,
-    /// Total lanes across all batched lookups (`batch_lanes /
-    /// batch_calls` = mean batch width).
-    pub batch_lanes: u64,
 }
 
 impl SolveCacheStats {
@@ -197,17 +196,7 @@ impl SolveCacheStats {
         self.cross_phase += other.cross_phase;
         self.iterations += other.iterations;
         self.slow_convergence += other.slow_convergence;
-        self.batch_calls += other.batch_calls;
-        self.batch_lanes += other.batch_lanes;
     }
-}
-
-/// Outcome of the shared lookup front half: either the answer is already
-/// known (memo hit, or the query *is* the canonical anchor point and was
-/// just solved), or a seeded solve is still required.
-enum Prepared {
-    Done(Result<ThermalSolution, ThermalRunaway>),
-    Solve { seed: f64 },
 }
 
 /// The memoized ladder solver. One instance per optimizer (caches are
@@ -299,19 +288,15 @@ impl SolveCache {
         vbb: Volts,
         creator_alpha: u64,
     ) -> (Anchor, Result<ThermalSolution, ThermalRunaway>) {
-        let canon_env = ThermalEnvironment {
-            th_c: CANONICAL_TH_C,
-            alpha_f: CANONICAL_ALPHA,
-        };
         let f_idx = anchor_f_idx();
         let op = OperatingPoint::raw(FREQ_LADDER.at(f_idx), vdd.get(), vbb.get());
         let mut effort = SolveStats::default();
         let result = solve_thermal_seeded(
             params,
-            &canon_env,
+            &CANONICAL_ENV,
             &op,
             device,
-            cold_start_c(&canon_env, device),
+            cold_start_c(&CANONICAL_ENV, device),
             &mut effort,
         );
         self.stats.iterations += u64::from(effort.iterations);
@@ -323,59 +308,13 @@ impl SolveCache {
             creator_alpha,
         };
         self.make_room();
-        self.map
-            .insert(SolveKey::new(params, &canon_env, f_idx, vdd, vbb), result);
+        self.map.insert(
+            SolveKey::new(params, &CANONICAL_ENV, f_idx, vdd, vbb),
+            result,
+        );
         self.anchors
             .insert(AnchorKey::new(params, vdd, vbb), anchor);
         (anchor, result)
-    }
-
-    /// The shared front half of scalar and batched lookups: memo probe,
-    /// hit classification, anchor build on group miss, seed derivation.
-    /// Does *not* run the query's own solve or insert its result — the
-    /// caller does that (inline for the scalar path, via the column
-    /// kernel for batches).
-    #[allow(clippy::too_many_arguments)]
-    fn prepare(
-        &mut self,
-        params: &SubsystemPowerParams,
-        env: &ThermalEnvironment,
-        device: &DeviceParams,
-        f_idx: usize,
-        vdd: Volts,
-        vbb: Volts,
-        key: &SolveKey,
-    ) -> Prepared {
-        if let Some(&cached) = self.map.get(key) {
-            self.stats.hits += 1;
-            self.stats.same_point += 1;
-            return Prepared::Done(cached);
-        }
-        let akey = AnchorKey::new(params, vdd, vbb);
-        if let Some(&anchor) = self.anchors.get(&akey) {
-            if anchor.creator_alpha == env.alpha_f.to_bits() {
-                self.stats.cross_candidate += 1;
-            } else {
-                self.stats.cross_phase += 1;
-            }
-            self.stats.hits += 1;
-            let seed = self.seed_from_anchor(params, env, device, f_idx, vdd, &anchor);
-            return Prepared::Solve { seed };
-        }
-        self.stats.misses += 1;
-        let (anchor, canonical) =
-            self.build_anchor(params, device, vdd, vbb, env.alpha_f.to_bits());
-        // The query *is* the canonical point: the anchor build already
-        // solved and memoized it.
-        let canon_env = ThermalEnvironment {
-            th_c: CANONICAL_TH_C,
-            alpha_f: CANONICAL_ALPHA,
-        };
-        if *key == SolveKey::new(params, &canon_env, anchor_f_idx(), vdd, vbb) {
-            return Prepared::Done(canonical);
-        }
-        let seed = self.seed_from_anchor(params, env, device, f_idx, vdd, &anchor);
-        Prepared::Solve { seed }
     }
 
     /// Solves the thermal fixed point at frequency-ladder index `f_idx`
@@ -404,106 +343,44 @@ impl SolveCache {
         vbb: Volts,
     ) -> Result<ThermalSolution, ThermalRunaway> {
         let key = SolveKey::new(params, env, f_idx, vdd, vbb);
-        match self.prepare(params, env, device, f_idx, vdd, vbb, &key) {
-            Prepared::Done(result) => result,
-            Prepared::Solve { seed } => {
-                let op = OperatingPoint::raw(FREQ_LADDER.at(f_idx), vdd.get(), vbb.get());
-                let mut effort = SolveStats::default();
-                let result = solve_thermal_seeded(params, env, &op, device, seed, &mut effort);
-                self.stats.iterations += u64::from(effort.iterations);
-                if effort.slow_convergence {
-                    self.stats.slow_convergence += 1;
-                }
-                self.make_room();
-                self.map.insert(key, result);
-                result
-            }
+        if let Some(&cached) = self.map.get(&key) {
+            self.stats.hits += 1;
+            self.stats.same_point += 1;
+            return cached;
         }
-    }
-
-    /// Solves a whole slice of ladder candidates `(f_idx, vdd, vbb)` in
-    /// one struct-of-arrays batch, writing `out[i]` for lane `i`.
-    ///
-    /// Memo hits and duplicate lanes are answered without solver work;
-    /// the remaining distinct lanes run the column kernel in lockstep
-    /// (`crate::batch`). Results, memo contents and counters are
-    /// identical to calling [`solve_ladder`] per lane in order —
-    /// `tests/hotpath_equivalence.rs` pins the results bitwise.
-    ///
-    /// [`solve_ladder`]: SolveCache::solve_ladder
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() > MAX_BATCH`, `out` is shorter than
-    /// `lanes`, or any `f_idx` is outside the frequency ladder.
-    pub fn solve_ladder_batch(
-        &mut self,
-        params: &SubsystemPowerParams,
-        env: &ThermalEnvironment,
-        device: &DeviceParams,
-        lanes: &[(usize, Volts, Volts)],
-        scratch: &mut BatchScratch,
-        out: &mut [Result<ThermalSolution, ThermalRunaway>],
-    ) {
-        assert!(lanes.len() <= MAX_BATCH, "batch exceeds MAX_BATCH");
-        assert!(out.len() >= lanes.len(), "output slice too short");
-        self.stats.batch_calls += 1;
-        self.stats.batch_lanes += lanes.len() as u64;
-
-        // Pass 1 (lane order): memo probes, duplicate folding, anchor
-        // builds and seed derivation; distinct pending lanes become
-        // scratch slots.
-        const DONE: usize = usize::MAX;
-        let mut lane_slot = [DONE; MAX_BATCH];
-        let mut slot_keys = [None::<SolveKey>; MAX_BATCH];
-        let mut n_slots = 0usize;
-        for (i, &(f_idx, vdd, vbb)) in lanes.iter().enumerate() {
-            let key = SolveKey::new(params, env, f_idx, vdd, vbb);
-            if let Some(slot) = (0..n_slots).find(|&s| slot_keys[s] == Some(key)) {
-                // Duplicate of a pending lane: will be answered from that
-                // slot, exactly as a sequential memo hit would be.
+        let anchor = match self.anchors.get(&AnchorKey::new(params, vdd, vbb)) {
+            Some(&anchor) => {
+                if anchor.creator_alpha == env.alpha_f.to_bits() {
+                    self.stats.cross_candidate += 1;
+                } else {
+                    self.stats.cross_phase += 1;
+                }
                 self.stats.hits += 1;
-                self.stats.same_point += 1;
-                lane_slot[i] = slot;
-                continue;
+                anchor
             }
-            match self.prepare(params, env, device, f_idx, vdd, vbb, &key) {
-                Prepared::Done(result) => {
-                    out[i] = result;
+            None => {
+                self.stats.misses += 1;
+                let (anchor, canonical) =
+                    self.build_anchor(params, device, vdd, vbb, env.alpha_f.to_bits());
+                // The query *is* the canonical point: the anchor build
+                // already solved and memoized it.
+                if key == SolveKey::new(params, &CANONICAL_ENV, anchor_f_idx(), vdd, vbb) {
+                    return canonical;
                 }
-                Prepared::Solve { seed } => {
-                    slot_keys[n_slots] = Some(key);
-                    scratch.ops[n_slots] =
-                        OperatingPoint::raw(FREQ_LADDER.at(f_idx), vdd.get(), vbb.get());
-                    scratch.seed[n_slots] = seed;
-                    lane_slot[i] = n_slots;
-                    n_slots += 1;
-                }
+                anchor
             }
+        };
+        let seed = self.seed_from_anchor(params, env, device, f_idx, vdd, &anchor);
+        let op = OperatingPoint::raw(FREQ_LADDER.at(f_idx), vdd.get(), vbb.get());
+        let mut effort = SolveStats::default();
+        let result = solve_thermal_seeded(params, env, &op, device, seed, &mut effort);
+        self.stats.iterations += u64::from(effort.iterations);
+        if effort.slow_convergence {
+            self.stats.slow_convergence += 1;
         }
-
-        // Pass 2: lockstep column solve of the distinct pending lanes.
-        if n_slots > 0 {
-            solve_columns(params, env, device, scratch, n_slots);
-        }
-
-        // Pass 3 (slot order, which is first-occurrence lane order):
-        // effort accounting and memo inserts; then fan results out.
-        for (slot, key) in slot_keys.iter().enumerate().take(n_slots) {
-            self.stats.iterations += u64::from(scratch.iters[slot]);
-            if scratch.slow[slot] {
-                self.stats.slow_convergence += 1;
-            }
-            self.make_room();
-            if let Some(key) = key {
-                self.map.insert(*key, scratch.result[slot]);
-            }
-        }
-        for (i, &slot) in lane_slot.iter().enumerate().take(lanes.len()) {
-            if slot != DONE {
-                out[i] = scratch.result[slot];
-            }
-        }
+        self.make_room();
+        self.map.insert(key, result);
+        result
     }
 }
 
@@ -669,46 +546,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_lookup_matches_scalar_lookups_bitwise() {
+    fn canonical_point_is_answered_by_its_own_anchor_build() {
         let device = DeviceParams::micro08();
-        let lanes: Vec<(usize, Volts, Volts)> = (0..FREQ_LADDER.len())
-            .map(|i| (i, Volts::raw(1.1), Volts::raw(0.05)))
-            // A duplicate lane and a cross-bias lane exercise folding and
-            // multi-group batches.
-            .chain([(4, Volts::raw(1.1), Volts::raw(0.05)), (9, Volts::raw(0.9), Volts::raw(0.0))])
-            .collect();
+        let canon = ThermalEnvironment {
+            th_c: CANONICAL_TH_C,
+            alpha_f: CANONICAL_ALPHA,
+        };
+        let f_idx = FREQ_LADDER.len() / 2;
+        let (vdd, vbb) = (Volts::raw(1.05), Volts::raw(0.05));
+        let mut cache = SolveCache::new();
+        let first = cache
+            .solve_ladder(&params(), &canon, &device, f_idx, vdd, vbb)
+            .expect("feasible point");
+        // The anchor build is the query's own solve: one miss, no hit,
+        // and only the canonical entry in the memo.
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 0);
+        assert_eq!(cache.len(), 1);
+        let op = OperatingPoint::raw(FREQ_LADDER.at(f_idx), vdd.get(), vbb.get());
+        let cold = crate::solve_thermal(&params(), &canon, &op, &device).expect("feasible point");
+        assert_eq!(first.t_c.to_bits(), cold.t_c.to_bits());
+        assert_eq!(first.vt.to_bits(), cold.vt.to_bits());
+        assert_eq!(first.pdyn_w.to_bits(), cold.pdyn_w.to_bits());
+        assert_eq!(first.psta_w.to_bits(), cold.psta_w.to_bits());
 
-        let mut scalar = SolveCache::new();
-        let scalar_results: Vec<_> = lanes
-            .iter()
-            .map(|&(i, vdd, vbb)| scalar.solve_ladder(&params(), &env(), &device, i, vdd, vbb))
-            .collect();
-
-        let mut batched = SolveCache::new();
-        let mut scratch = BatchScratch::new();
-        let mut out = [Err(ThermalRunaway { t_c: 0.0 }); MAX_BATCH];
-        batched.solve_ladder_batch(&params(), &env(), &device, &lanes, &mut scratch, &mut out);
-
-        for (i, scalar_result) in scalar_results.iter().enumerate() {
-            match (out[i], *scalar_result) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.t_c.to_bits(), b.t_c.to_bits(), "lane {i}");
-                    assert_eq!(a.psta_w.to_bits(), b.psta_w.to_bits(), "lane {i}");
-                    assert_eq!(a.pdyn_w.to_bits(), b.pdyn_w.to_bits(), "lane {i}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a.t_c.to_bits(), b.t_c.to_bits(), "lane {i}"),
-                (a, b) => panic!("lane {i}: batch {a:?} vs scalar {b:?}"),
-            }
-        }
-        // Same cache contents and identical counters (batch bookkeeping
-        // aside).
-        assert_eq!(batched.len(), scalar.len());
-        let mut bstats = batched.stats();
-        assert_eq!(bstats.batch_calls, 1);
-        assert_eq!(bstats.batch_lanes, lanes.len() as u64);
-        bstats.batch_calls = 0;
-        bstats.batch_lanes = 0;
-        assert_eq!(bstats, scalar.stats());
+        let again = cache
+            .solve_ladder(&params(), &canon, &device, f_idx, vdd, vbb)
+            .expect("feasible point");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.same_point, stats.misses), (1, 1, 1));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(again.t_c.to_bits(), first.t_c.to_bits());
     }
 
     #[test]

@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod constraints;
 pub mod ladder;
@@ -53,7 +52,6 @@ pub mod op;
 pub mod params;
 pub mod solve;
 
-pub use batch::{BatchScratch, MAX_BATCH};
 pub use cache::{SolveCache, SolveCacheStats};
 pub use constraints::Constraints;
 pub use ladder::{freq_steps, vbb_steps, vdd_steps, Ladder, FREQ_LADDER, VBB_LADDER, VDD_LADDER};

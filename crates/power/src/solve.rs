@@ -78,10 +78,10 @@ impl std::error::Error for ThermalRunaway {}
 pub(crate) const T_RUNAWAY_C: f64 = 250.0;
 
 /// Iteration budget shared by both solvers.
-pub(crate) const MAX_ITERS: u32 = 200;
+const MAX_ITERS: u32 = 200;
 
 /// Step tolerance of the production (undamped) solver, Celsius.
-pub(crate) const FAST_TOL_C: f64 = 1e-7;
+const FAST_TOL_C: f64 = 1e-7;
 
 /// Per-solve effort accounting, accumulated into the caller's counters
 /// (flushed as `solver.*` metrics through eval-trace by the cache layer).
@@ -95,10 +95,8 @@ pub struct SolveStats {
 }
 
 /// `(Vt, Psta)` at one temperature — the body of the fixed-point map.
-/// Shared with the batched column solver (`crate::batch`), which must
-/// replicate the scalar iteration's exact floating-point op sequence.
 #[inline]
-pub(crate) fn vt_psta(
+fn vt_psta(
     params: &SubsystemPowerParams,
     op: &OperatingPoint,
     device: &DeviceParams,
@@ -113,7 +111,7 @@ pub(crate) fn vt_psta(
 /// temperature exactly once and packages the solution. Every exit of both
 /// solvers funnels through here, so no exit recomputes the pair twice.
 #[inline]
-pub(crate) fn finish(
+fn finish(
     params: &SubsystemPowerParams,
     op: &OperatingPoint,
     device: &DeviceParams,
