@@ -22,7 +22,7 @@ use crate::checkpoint::{
     self, capture_metrics, CheckpointError, CheckpointOptions, CheckpointWriter, ChipRecord,
     RecordedOutcome,
 };
-use crate::controller::{decide_phase_traced, AdaptationTimeline, DecisionContext, PhaseDecision};
+use crate::controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::optimizer::Optimizer;
@@ -300,25 +300,8 @@ impl Campaign {
         self.base_seed.wrapping_add(chip_idx as u64 * 0x9E37)
     }
 
-    /// Runs the campaign over the given environments and schemes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError`] if a reference or statically provisioned
-    /// operating point turns out to be thermally infeasible on some chip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips`, `workloads` or `cores_per_chip` is empty/zero.
-    pub fn run(
-        &self,
-        envs: &[Environment],
-        schemes: &[Scheme],
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_traced(envs, schemes, Tracer::noop())
-    }
-
-    /// [`Campaign::run`] with tracing: emits a `campaign-start` event,
+    /// Runs the campaign over the given environments and schemes, tracing
+    /// into `tracer`: emits a `campaign-start` event,
     /// per-chip `chip-start` markers plus tester/training/decision events,
     /// a live `campaign.chips_done` counter (recorded by workers as each
     /// chip completes, for progress decorators), and span timings into
@@ -866,7 +849,7 @@ impl Campaign {
             // core, so the controller trains inside its own unit (the
             // former per-core reuse map never actually hit).
             Scheme::FuzzyDyn => {
-                let fuzzy = FuzzyOptimizer::train_traced(
+                let fuzzy = FuzzyOptimizer::train(
                     &self.config,
                     chip,
                     core_idx,
@@ -924,7 +907,14 @@ impl Campaign {
             for core_idx in 0..self.cores_per_chip {
                 let core = chip.core(core_idx);
                 let fuzzy = matches!(scheme, Scheme::FuzzyDyn).then(|| {
-                    FuzzyOptimizer::train(&self.config, &chip, core_idx, env, &self.training)
+                    FuzzyOptimizer::train(
+                        &self.config,
+                        &chip,
+                        core_idx,
+                        env,
+                        &self.training,
+                        Tracer::noop(),
+                    )
                 });
                 let exhaustive = ExhaustiveOptimizer::new();
                 for (profile, (_, acc)) in profiles.iter().zip(out.iter_mut()) {
@@ -1040,7 +1030,7 @@ impl Campaign {
                     workload: profile.name,
                     phase: ph.index as u64,
                 };
-                let d = decide_phase_traced(
+                let d = decide_phase(
                     &self.config,
                     core,
                     optimizer,
@@ -1090,7 +1080,7 @@ impl Campaign {
             // A static configuration cannot react to conditions, so it is
             // provisioned for the hottest heat sink the spec allows
             // (TH_MAX), not the currently sensed one.
-            let d = decide_phase_traced(
+            let d = decide_phase(
                 &self.config,
                 core,
                 &exhaustive,
@@ -1414,7 +1404,9 @@ mod tests {
     #[test]
     fn baseline_is_slower_than_novar_and_ts_beats_baseline() {
         let c = tiny_campaign();
-        let r = c.run(&[Environment::TS], &[Scheme::ExhDyn]).expect("campaign runs");
+        let r = c
+            .run_traced(&[Environment::TS], &[Scheme::ExhDyn], Tracer::noop())
+            .expect("campaign runs");
         assert!(r.baseline.freq_rel < 0.95, "baseline {}", r.baseline.freq_rel);
         assert!((r.novar.freq_rel - 1.0).abs() < 1e-9);
         let ts = r.cell(Environment::TS, Scheme::ExhDyn).unwrap();
@@ -1429,10 +1421,13 @@ mod tests {
     #[test]
     fn asv_improves_on_ts_and_power_stays_within_pmax() {
         let c = tiny_campaign();
-        let r = c.run(
-            &[Environment::TS, Environment::TS_ASV],
-            &[Scheme::ExhDyn],
-        ).expect("campaign runs");
+        let r = c
+            .run_traced(
+                &[Environment::TS, Environment::TS_ASV],
+                &[Scheme::ExhDyn],
+                Tracer::noop(),
+            )
+            .expect("campaign runs");
         let ts = r.cell(Environment::TS, Scheme::ExhDyn).unwrap();
         let asv = r.cell(Environment::TS_ASV, Scheme::ExhDyn).unwrap();
         assert!(asv.freq_rel > ts.freq_rel);
@@ -1443,7 +1438,9 @@ mod tests {
     #[test]
     fn static_is_no_faster_than_dynamic() {
         let c = tiny_campaign();
-        let r = c.run(&[Environment::TS_ASV], &[Scheme::Static, Scheme::ExhDyn]).expect("campaign runs");
+        let r = c
+            .run_traced(&[Environment::TS_ASV], &[Scheme::Static, Scheme::ExhDyn], Tracer::noop())
+            .expect("campaign runs");
         let st = r.cell(Environment::TS_ASV, Scheme::Static).unwrap();
         let dy = r.cell(Environment::TS_ASV, Scheme::ExhDyn).unwrap();
         assert!(
@@ -1460,7 +1457,7 @@ mod tests {
         let c = tiny_campaign();
         let envs = [Environment::TS];
         let schemes = [Scheme::Static, Scheme::ExhDyn];
-        let plain = c.run(&envs, &schemes).expect("campaign runs");
+        let plain = c.run_traced(&envs, &schemes, Tracer::noop()).expect("campaign runs");
 
         let sink_a = Collector::new();
         let timing_a = Collector::new();
@@ -1594,7 +1591,9 @@ mod tests {
     #[test]
     fn dynamic_cells_record_outcomes() {
         let c = tiny_campaign();
-        let r = c.run(&[Environment::TS], &[Scheme::ExhDyn]).expect("campaign runs");
+        let r = c
+            .run_traced(&[Environment::TS], &[Scheme::ExhDyn], Tracer::noop())
+            .expect("campaign runs");
         let ts = r.cell(Environment::TS, Scheme::ExhDyn).unwrap();
         assert!(ts.outcomes.total() > 0);
     }

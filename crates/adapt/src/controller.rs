@@ -13,7 +13,7 @@ use eval_trace::{names, DecisionEvent, Event, RejectedCandidate, Tracer};
 
 use crate::choice::{choose_fu, choose_queue};
 use crate::optimizer::{Optimizer, SubsystemScene};
-use crate::retune::{retune_traced, Outcome};
+use crate::retune::{retune, Outcome};
 
 /// The chosen configuration for one phase and its measured consequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,41 +119,17 @@ fn queue_label(choice: QueueChoice) -> &'static str {
 /// 4. `f_core` = min over subsystems; run the `Power` algorithm at
 ///    `f_core`.
 /// 5. Run the retuning cycles and return the final configuration.
+///
+/// With an enabled `tracer` the decision also records a `decide` span,
+/// aggregate and per-scheme `decision.latency*_us` timers, per-scheme
+/// decision counters, frequency/error-rate histogram observations, and
+/// one [`Decision`](Event::Decision) event carrying the chosen operating
+/// point, the binding constraint, the rejected retune candidates, and
+/// the Equation-5 CPI breakdown, all labelled from `ctx`. The decision
+/// itself never depends on the tracer or on `ctx`.
 // The argument list mirrors the controller's inputs (§4.1).
 #[allow(clippy::too_many_arguments)]
 pub fn decide_phase(
-    config: &EvalConfig,
-    core: &CoreModel,
-    optimizer: &dyn Optimizer,
-    env: Environment,
-    phase: &PhaseProfile,
-    class: WorkloadClass,
-    rp_cycles: f64,
-    th_c: f64,
-) -> PhaseDecision {
-    decide_phase_traced(
-        config,
-        core,
-        optimizer,
-        env,
-        phase,
-        class,
-        rp_cycles,
-        th_c,
-        &DecisionContext::UNTRACED,
-        Tracer::noop(),
-    )
-}
-
-/// [`decide_phase`] with full observability: a `decide` span, aggregate
-/// and per-scheme `decision.latency*_us` timers, per-scheme decision counters,
-/// frequency/error-rate histogram observations, and one
-/// [`Decision`](Event::Decision) event carrying the chosen operating
-/// point, the binding constraint, the rejected retune candidates, and
-/// the Equation-5 CPI breakdown. The untraced path is bit-identical to
-/// [`decide_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn decide_phase_traced(
     config: &EvalConfig,
     core: &CoreModel,
     optimizer: &dyn Optimizer,
@@ -282,7 +258,7 @@ pub fn decide_phase_traced(
         .collect();
 
     // --- retuning cycles ---
-    let result = retune_traced(
+    let result = retune(
         config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
     );
 
@@ -403,14 +379,8 @@ impl Default for AdaptationTimeline {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
-    use eval_core::ChipFactory;
+    use crate::test_support::factory;
     use eval_uarch::{profile_workload, Workload};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
 
     fn decide(workload: &str, env: Environment, seed: u64) -> PhaseDecision {
         let cfg = factory().config().clone();
@@ -426,6 +396,8 @@ mod tests {
             w.class,
             profile.rp_cycles,
             cfg.th_c,
+            &DecisionContext::UNTRACED,
+            Tracer::noop(),
         )
     }
 
@@ -482,6 +454,8 @@ mod tests {
             w.class,
             profile.rp_cycles,
             cfg.th_c,
+            &DecisionContext::UNTRACED,
+            Tracer::noop(),
         );
         let collector = eval_trace::Collector::new();
         let timing = eval_trace::Collector::new();
@@ -490,7 +464,7 @@ mod tests {
             workload: "swim",
             phase: 0,
         };
-        let traced = decide_phase_traced(
+        let traced = decide_phase(
             &cfg,
             chip.core(0),
             &ExhaustiveOptimizer::new(),

@@ -326,15 +326,8 @@ impl Optimizer for ExhaustiveOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_core::{
-        ChipFactory, Environment, EvalConfig, SubsystemId, VariantSelection, N_SUBSYSTEMS,
-    };
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
+    use crate::test_support::factory;
+    use eval_core::{Environment, SubsystemId, VariantSelection, N_SUBSYSTEMS};
 
     fn scene<'a>(
         state: &'a eval_core::SubsystemState,

@@ -7,6 +7,7 @@ use eval_core::{
 };
 use eval_uarch::SubsystemId;
 use eval_rng::ChaCha12Rng;
+use eval_trace::Tracer;
 
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
@@ -59,7 +60,7 @@ pub fn fidelity_table(
             let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xF1DE);
             for chip_idx in 0..chips {
                 let chip = factory.chip(seed.wrapping_add(chip_idx as u64 * 0x51));
-                let fuzzy = FuzzyOptimizer::train(config, &chip, 0, env, training);
+                let fuzzy = FuzzyOptimizer::train(config, &chip, 0, env, training, Tracer::noop());
                 for _ in 0..queries {
                     let id = SubsystemId::from_index(rng.gen_range(0..N_SUBSYSTEMS));
                     let state = chip.core(0).subsystem(id);

@@ -21,6 +21,7 @@ use eval_core::{
 };
 use eval_fuzzy::{FuzzyController, Normalizer, TrainingConfig};
 use eval_rng::ChaCha12Rng;
+use eval_trace::Tracer;
 
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::optimizer::{Optimizer, SubsystemScene};
@@ -66,7 +67,7 @@ impl Trained {
 
 /// Controllers for one (subsystem, variant) pair.
 #[derive(Debug, Clone)]
-pub(crate) struct SubsystemControllers {
+struct SubsystemControllers {
     freq: Trained,
     vdd: Trained,
     vbb: Trained,
@@ -74,10 +75,8 @@ pub(crate) struct SubsystemControllers {
 
 /// Trains one fuzzy bank (`Freq`, `Vdd`, `Vbb`) from a teacher example
 /// set, returning the bank and the `Freq` controller's RMS error on its
-/// normalized training set (0 unless `want_rms`). Shared between
-/// [`FuzzyOptimizer::train_traced`] and the controller zoo, so both
-/// produce bit-identical controllers from the same examples.
-pub(crate) fn train_bank(
+/// normalized training set (0 unless `want_rms`).
+fn train_bank(
     ex: &TeacherExamples,
     budget: &TrainingBudget,
     id: SubsystemId,
@@ -114,46 +113,44 @@ pub struct FuzzyOptimizer {
 }
 
 impl FuzzyOptimizer {
-    /// Assembles a deployable optimizer from pre-trained banks (the
-    /// controller zoo trains all families from one teacher sweep and
-    /// hands the fuzzy banks here).
-    pub(crate) fn from_banks(
-        env: Environment,
-        controllers: Vec<[Option<SubsystemControllers>; 2]>,
-    ) -> Self {
-        Self { env, controllers }
-    }
-
     /// Trains the per-subsystem controllers for `core` under `env` by
     /// querying the exhaustive oracle on randomly sampled sensed inputs
-    /// (heat-sink temperature, activity, exercise rate, core frequency).
+    /// (heat-sink temperature, activity, exercise rate, core frequency),
+    /// under a `train` span.
     ///
     /// This models the manufacturer-site training of §4.3.1; it is the
     /// expensive step (seconds per core), after which deployment queries
-    /// cost microseconds.
+    /// cost microseconds. Emits one
+    /// [`ControllerTrained`](eval_trace::Event::ControllerTrained) event
+    /// per (subsystem, variant) bank with the `Freq` controller's RMS
+    /// error on its normalized training set.
     pub fn train(
         config: &EvalConfig,
         chip: &ChipModel,
         core_index: usize,
         env: Environment,
         budget: &TrainingBudget,
+        tracer: Tracer<'_>,
     ) -> Self {
-        Self::train_traced(config, chip, core_index, env, budget, eval_trace::Tracer::noop())
+        let _span = tracer.span("train");
+        Self::sweep(config, chip, core_index, env, budget, tracer, |_, _, _| {})
     }
 
-    /// [`FuzzyOptimizer::train`] under a `train` span, emitting one
-    /// [`ControllerTrained`](eval_trace::Event::ControllerTrained) event
-    /// per (subsystem, variant) bank with the `Freq` controller's RMS
-    /// error on its normalized training set.
-    pub fn train_traced(
+    /// The teacher sweep every trained family shares: seeds the teacher
+    /// RNG from `budget.seed ^ chip.seed()`, labels each (subsystem,
+    /// variant) bank with the exhaustive oracle in a fixed order, fits
+    /// the fuzzy bank, emits its `ControllerTrained` event, then hands
+    /// the examples to `on_bank` (the controller zoo fits its other
+    /// families there). Drains the oracle's cache counters at the end.
+    pub(crate) fn sweep(
         config: &EvalConfig,
         chip: &ChipModel,
         core_index: usize,
         env: Environment,
         budget: &TrainingBudget,
-        tracer: eval_trace::Tracer<'_>,
+        tracer: Tracer<'_>,
+        mut on_bank: impl FnMut(SubsystemId, bool, &TeacherExamples),
     ) -> Self {
-        let _span = tracer.span("train");
         let oracle = ExhaustiveOptimizer::new();
         let core = chip.core(core_index);
         let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
@@ -190,6 +187,7 @@ impl FuzzyOptimizer {
                     freq_rms,
                 });
                 slot[alt as usize] = Some(bank);
+                on_bank(id, alt, &ex);
             }
             controllers.push(slot);
         }
@@ -252,30 +250,18 @@ impl Optimizer for FuzzyOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_core::{ChipFactory, FuChoice, VariantSelection};
-    use std::sync::OnceLock;
+    use crate::test_support::{factory, small_budget};
+    use eval_core::{FuChoice, VariantSelection};
 
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
-
-    fn small_budget() -> TrainingBudget {
-        TrainingBudget {
-            examples: 160,
-            config: TrainingConfig {
-                epochs: 3,
-                ..TrainingConfig::micro08()
-            },
-            seed: 7,
-        }
+    fn train(chip: &ChipModel, env: Environment) -> FuzzyOptimizer {
+        FuzzyOptimizer::train(factory().config(), chip, 0, env, &small_budget(), Tracer::noop())
     }
 
     #[test]
     fn fuzzy_tracks_exhaustive_frequency_within_a_few_steps() {
         let cfg = factory().config().clone();
         let chip = factory().chip(1);
-        let fuzzy = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV, &small_budget());
+        let fuzzy = train(&chip, Environment::TS_ASV);
         let oracle = ExhaustiveOptimizer::new();
         let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
         let mut worst = 0.0f64;
@@ -304,8 +290,7 @@ mod tests {
     fn outputs_land_on_ladders() {
         let cfg = factory().config().clone();
         let chip = factory().chip(2);
-        let fuzzy =
-            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ABB_ASV, &small_budget());
+        let fuzzy = train(&chip, Environment::TS_ABB_ASV);
         let scene = SubsystemScene {
             state: chip.core(0).subsystem(SubsystemId::Dcache),
             variants: VariantSelection::default(),
@@ -337,8 +322,16 @@ mod tests {
             examples: 40,
             ..small_budget()
         };
-        let q = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q, &budget);
-        let q_fu = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q_FU, &budget);
+        let q =
+            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q, &budget, Tracer::noop());
+        let q_fu = FuzzyOptimizer::train(
+            &cfg,
+            &chip,
+            0,
+            Environment::TS_ASV_Q_FU,
+            &budget,
+            Tracer::noop(),
+        );
         assert_ne!(q.environment(), q_fu.environment());
         assert_eq!(
             format!("{:?}", q.controllers),
@@ -350,8 +343,7 @@ mod tests {
     fn variant_controllers_differ_for_replicated_fus() {
         let cfg = factory().config().clone();
         let chip = factory().chip(3);
-        let fuzzy =
-            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q_FU, &small_budget());
+        let fuzzy = train(&chip, Environment::TS_ASV_Q_FU);
         let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
         let mk = |fu: FuChoice| SubsystemScene {
             state: chip.core(0).subsystem(SubsystemId::IntAlu),

@@ -105,13 +105,8 @@ impl Optimizer for GlobalDvfsOptimizer {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
-    use eval_core::{ChipFactory, Environment, SubsystemId, VariantSelection, N_SUBSYSTEMS};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
+    use crate::test_support::factory;
+    use eval_core::{Environment, SubsystemId, VariantSelection, N_SUBSYSTEMS};
 
     fn scenes(chip: &eval_core::ChipModel) -> Vec<SubsystemScene<'_>> {
         let cfg = factory().config();

@@ -38,6 +38,8 @@ pub mod retune;
 pub mod runtime;
 pub mod surface;
 pub mod teacher;
+#[cfg(test)]
+mod test_support;
 pub mod tournament;
 pub mod zoo;
 
@@ -46,7 +48,7 @@ pub use campaign::{
 };
 pub use checkpoint::{committed_chips, fingerprint, CheckpointError, CheckpointOptions};
 pub use choice::{choose_fu, choose_queue};
-pub use controller::{decide_phase, AdaptationTimeline, PhaseDecision};
+pub use controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
 pub use exhaustive::ExhaustiveOptimizer;
 pub use fidelity::{fidelity_table, FidelityRow};
 pub use fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};

@@ -10,7 +10,7 @@ use eval_core::{
 };
 use eval_power::{
     solve_thermal, solve_thermal_reference, OperatingPoint, SolveCache, SubsystemPowerParams,
-    ThermalEnvironment, FREQ_LADDER,
+    ThermalEnvironment, ThermalRunaway, ThermalSolution, FREQ_LADDER,
 };
 use eval_timing::StageTiming;
 use eval_trace::Tracer;
@@ -44,28 +44,7 @@ impl<'a> SubsystemScene<'a> {
     /// constraints for this subsystem, and if so at what cost.
     /// Returns `Some((power_w, t_c))` when feasible.
     pub fn check(&self, config: &EvalConfig, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {
-        // Candidates come off the actuator ladders (validated once at
-        // construction), so the unchecked constructor is safe here.
-        let op = OperatingPoint::raw(f_ghz, vdd, vbb);
-        let env = ThermalEnvironment {
-            th_c: self.th_c,
-            alpha_f: self.alpha_f,
-        };
-        let params = self.state.power_params(&self.variants);
-        let sol = solve_thermal(&params, &env, &op, &config.device).ok()?;
-        if sol.t_c > config.constraints.t_max_c {
-            return None;
-        }
-        let cond = OperatingConditions {
-            vdd: Volts::raw(vdd),
-            vbb: Volts::raw(vbb),
-            t_c: sol.t_c,
-        };
-        let pe = self.rho * self.state.timing(&self.variants).pe_access(GHz::raw(f_ghz), &cond);
-        if pe > self.pe_budget {
-            return None;
-        }
-        Some((sol.total_w(), sol.t_c))
+        SceneEval::new(config, self).check_free(f_ghz, vdd, vbb)
     }
 
     /// [`check`] evaluated with the original damped reference solver and
@@ -167,27 +146,15 @@ impl<'a> SceneEval<'a> {
         vdd: f64,
         vbb: f64,
     ) -> Option<(f64, f64)> {
-        let sol = cache
-            .solve_ladder(
-                &self.params,
-                &self.tenv,
-                self.device,
-                f_idx,
-                Volts::raw(vdd),
-                Volts::raw(vbb),
-            )
-            .ok()?;
-        if sol.t_c > self.t_max_c {
-            return None;
-        }
-        let cond = OperatingConditions {
-            vdd: Volts::raw(vdd),
-            vbb: Volts::raw(vbb),
-            t_c: sol.t_c,
-        };
-        self.timing
-            .pe_access_bounded(GHz::raw(FREQ_LADDER.at(f_idx)), &cond, self.rho, self.pe_budget)?;
-        Some((sol.total_w(), sol.t_c))
+        let sol = cache.solve_ladder(
+            &self.params,
+            &self.tenv,
+            self.device,
+            f_idx,
+            Volts::raw(vdd),
+            Volts::raw(vbb),
+        );
+        self.admit(sol, FREQ_LADDER.at(f_idx), vdd, vbb)
     }
 
     /// Whether `(f, vdd, vbb)` is proven infeasible by the error-rate
@@ -220,8 +187,24 @@ impl<'a> SceneEval<'a> {
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
     /// frequency: a direct canonical cold-start solve, no memoization.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {
+        // Candidates come off the actuator ladders (validated once at
+        // construction), so the unchecked constructor is safe here.
         let op = OperatingPoint::raw(f_ghz, vdd, vbb);
-        let sol = solve_thermal(&self.params, &self.tenv, &op, self.device).ok()?;
+        let sol = solve_thermal(&self.params, &self.tenv, &op, self.device);
+        self.admit(sol, f_ghz, vdd, vbb)
+    }
+
+    /// The feasibility test shared by every check: a solved point is
+    /// admitted when it stays at or below `TMAX` and meets the error-rate
+    /// budget (`rho * PE <= budget`); returns `(power_w, t_c)`.
+    fn admit(
+        &self,
+        sol: Result<ThermalSolution, ThermalRunaway>,
+        f_ghz: f64,
+        vdd: f64,
+        vbb: f64,
+    ) -> Option<(f64, f64)> {
+        let sol = sol.ok()?;
         if sol.t_c > self.t_max_c {
             return None;
         }

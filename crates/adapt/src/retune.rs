@@ -153,37 +153,14 @@ fn evaluate(
 /// probe distinguishes `NoChange` from `LowFreq`.
 ///
 /// A thermally infeasible (runaway) point counts as a `Temp` violation.
+///
+/// With an enabled `tracer`, every frequency the loop checks is recorded
+/// in [`RetuneResult::probes`] and emitted as a
+/// [`RetuneStep`](Event::RetuneStep) event; with a disabled one the
+/// probe history stays empty and nothing extra is allocated. The result
+/// is otherwise the same either way.
 #[allow(clippy::too_many_arguments)]
 pub fn retune(
-    config: &EvalConfig,
-    core: &CoreModel,
-    th_c: f64,
-    f0_ghz: f64,
-    settings: &[(f64, f64)],
-    alpha: &[f64; N_SUBSYSTEMS],
-    rho: &[f64; N_SUBSYSTEMS],
-    variants: &VariantSelection,
-) -> RetuneResult {
-    retune_traced(
-        config,
-        core,
-        th_c,
-        f0_ghz,
-        settings,
-        alpha,
-        rho,
-        variants,
-        Tracer::noop(),
-    )
-}
-
-/// [`retune`] with per-probe observability: when the tracer is enabled,
-/// every frequency the loop checks is recorded in
-/// [`RetuneResult::probes`] and emitted as a
-/// [`RetuneStep`](Event::RetuneStep) event. The untraced path is
-/// bit-identical to [`retune`] and allocates nothing extra.
-#[allow(clippy::too_many_arguments)]
-pub fn retune_traced(
     config: &EvalConfig,
     core: &CoreModel,
     th_c: f64,
@@ -366,13 +343,7 @@ fn floor_evaluation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_core::{ChipFactory, EvalConfig};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
+    use crate::test_support::factory;
 
     fn run(f0: f64, vdd: f64) -> RetuneResult {
         let cfg = factory().config().clone();
@@ -387,6 +358,7 @@ mod tests {
             &[0.5; N_SUBSYSTEMS],
             &[0.5; N_SUBSYSTEMS],
             &VariantSelection::default(),
+            Tracer::noop(),
         )
     }
 
@@ -441,11 +413,12 @@ mod tests {
             &[0.5; N_SUBSYSTEMS],
             &[0.5; N_SUBSYSTEMS],
             &VariantSelection::default(),
+            Tracer::noop(),
         );
         assert!(plain.probes.is_empty());
 
         let collector = eval_trace::Collector::new();
-        let traced = retune_traced(
+        let traced = retune(
             &cfg,
             chip.core(0),
             cfg.th_c,
@@ -485,14 +458,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use eval_core::{ChipFactory, FuChoice, QueueChoice};
+    use crate::test_support::factory;
+    use eval_core::{FuChoice, QueueChoice};
     use proptest::prelude::*;
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -519,7 +487,7 @@ mod proptests {
             };
             let r = retune(
                 &cfg, chip.core(0), cfg.th_c, f0, &settings,
-                &[alpha; N_SUBSYSTEMS], &[alpha; N_SUBSYSTEMS], &variants,
+                &[alpha; N_SUBSYSTEMS], &[alpha; N_SUBSYSTEMS], &variants, Tracer::noop(),
             );
             prop_assert!(FREQ_LADDER.contains(r.f_ghz), "off-ladder {}", r.f_ghz);
             if r.f_ghz > FREQ_LADDER.min + 1e-9 {

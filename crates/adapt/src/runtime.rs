@@ -11,7 +11,7 @@ use eval_trace::{names, Event, Tracer};
 use eval_uarch::profile::PhaseProfile;
 use eval_uarch::{PhaseDetector, WorkloadClass};
 
-use crate::controller::{decide_phase_traced, AdaptationTimeline, DecisionContext, PhaseDecision};
+use crate::controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
 use crate::optimizer::Optimizer;
 use crate::retune::Outcome;
 
@@ -156,7 +156,7 @@ impl<'a> AdaptiveSystem<'a> {
             workload: "runtime",
             phase: u64::from(event.id.0),
         };
-        let decision = decide_phase_traced(
+        let decision = decide_phase(
             self.config,
             self.core,
             self.optimizer,
@@ -218,14 +218,8 @@ impl std::fmt::Debug for AdaptiveSystem<'_> {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
-    use eval_core::ChipFactory;
+    use crate::test_support::factory;
     use eval_uarch::{profile_workload, TraceGenerator, Workload};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
 
     #[test]
     fn controller_runs_once_per_distinct_phase_then_reuses() {

@@ -104,13 +104,8 @@ pub fn pe_power_frequency_surface(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_core::{ChipFactory, SubsystemId};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
+    use crate::test_support::factory;
+    use eval_core::SubsystemId;
 
     fn surface() -> Vec<SurfacePoint> {
         let cfg = factory().config().clone();

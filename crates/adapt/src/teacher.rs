@@ -4,13 +4,15 @@
 //! regression tree, fixed-point MLP — is trained at "manufacturing
 //! test" time against the same teacher: the [`ExhaustiveOptimizer`]
 //! queried on randomly sampled sensed inputs (§4.3.1). This module owns
-//! that sampling step so one oracle sweep labels one
-//! [`TeacherExamples`] set that every family trains from.
+//! the per-bank sampling step; the one sweep over banks that calls it
+//! (RNG seeding, bank order, the fuzzy fit) is `FuzzyOptimizer::sweep`,
+//! which `FuzzyOptimizer::train` and `ControllerZoo::train_traced` share,
+//! so one oracle sweep labels one [`TeacherExamples`] set per bank that
+//! every family trains from.
 //!
 //! The RNG draw order inside [`sample_bank`] is part of the
-//! trained-artifact contract: `FuzzyOptimizer::train` consumed draws in
-//! exactly this order before the zoo existed, and golden traces pin the
-//! resulting controllers. Do not reorder the draws.
+//! trained-artifact contract: golden traces pin the resulting
+//! controllers. Do not reorder the draws.
 //!
 //! [`ExhaustiveOptimizer`]: crate::exhaustive::ExhaustiveOptimizer
 

@@ -11,7 +11,7 @@
 //!   relative to the oracle's decision;
 //! * **latency** — per-decision wall time, recorded automatically by the
 //!   `decision.latency.<scheme>_us` timers inside
-//!   [`decide_phase_traced`](crate::controller::decide_phase_traced)
+//!   [`decide_phase`](crate::controller::decide_phase)
 //!   whenever a timing sink is attached (the PR's profiling sidecar);
 //! * **robustness** — the same accuracy scores on holdout chips driven
 //!   by controllers trained on a *different* chip (round-robin), so a
@@ -174,11 +174,6 @@ impl Tournament {
             profile_seed: 5,
             training: TrainingBudget::default(),
         }
-    }
-
-    /// [`Tournament::run_traced`] without tracing.
-    pub fn run(&self) -> TournamentResult {
-        self.run_traced(Tracer::noop())
     }
 
     /// Runs both passes and emits one
@@ -387,8 +382,7 @@ fn fan_out<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzzy_ctl::TrainingBudget;
-    use eval_fuzzy::TrainingConfig;
+    use crate::test_support::small_budget;
     use eval_trace::Collector;
 
     fn small() -> Tournament {
@@ -397,21 +391,14 @@ mod tests {
         t.workloads = vec![Workload::by_name("gzip").unwrap(), Workload::by_name("swim").unwrap()];
         t.threads = 1;
         t.profile_budget = 3_000;
-        t.training = TrainingBudget {
-            examples: 160,
-            config: TrainingConfig {
-                epochs: 3,
-                ..TrainingConfig::micro08()
-            },
-            seed: 7,
-        };
+        t.training = small_budget();
         t
     }
 
     #[test]
     fn tournament_scores_all_six_schemes_with_exhaustive_anchored() {
         let t = small();
-        let result = t.run();
+        let result = t.run_traced(Tracer::noop());
         assert_eq!(result.scores.len(), SCHEMES.len());
         for (score, scheme) in result.scores.iter().zip(SCHEMES) {
             assert_eq!(score.scheme, scheme);

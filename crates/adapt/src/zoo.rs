@@ -9,29 +9,27 @@
 //! temperature, [`StaticController`] wraps the exhaustive oracle at
 //! worst-case `TH_MAX` (a static configuration cannot react to
 //! conditions). The learned families from [`crate::learned`] arrive via
-//! [`ControllerZoo::train_traced`], which samples the exhaustive
-//! teacher once per (subsystem, variant) bank and trains the fuzzy,
-//! nearest-neighbor, tree, and MLP banks from the *same* examples — so
-//! every family sees an identical curriculum and the fuzzy controllers
-//! stay bit-identical to [`FuzzyOptimizer::train_traced`].
+//! [`ControllerZoo::train_traced`], which runs the fuzzy trainer's own
+//! teacher sweep and fits the nearest-neighbor, tree, and MLP banks from
+//! each bank's examples as it goes — so every family sees an identical
+//! curriculum and the fuzzy controllers stay bit-identical to
+//! [`FuzzyOptimizer::train`].
 
-use eval_core::{ChipModel, Environment, EvalConfig, CoreModel, SubsystemId, N_SUBSYSTEMS};
-use eval_rng::ChaCha12Rng;
+use eval_core::{ChipModel, CoreModel, Environment, EvalConfig, N_SUBSYSTEMS};
 use eval_trace::Tracer;
 use eval_uarch::profile::PhaseProfile;
 use eval_uarch::WorkloadClass;
 
-use crate::controller::{decide_phase_traced, DecisionContext, PhaseDecision};
+use crate::controller::{decide_phase, DecisionContext, PhaseDecision};
 use crate::exhaustive::ExhaustiveOptimizer;
-use crate::fuzzy_ctl::{self, FuzzyOptimizer, TrainingBudget};
+use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree};
 use crate::optimizer::Optimizer;
-use crate::teacher;
 
 /// A per-phase operating-point decision maker: the scheme label it
 /// traces under, the optimizer backend it consults, and the heat-sink
 /// temperature it provisions for. `decide` is a provided method so
-/// every implementation routes through [`decide_phase_traced`] with a
+/// every implementation routes through [`decide_phase`] with a
 /// consistently-labeled [`DecisionContext`].
 pub trait Controller {
     /// Stable scheme label for traces and rollups.
@@ -68,7 +66,7 @@ pub trait Controller {
             workload,
             phase: phase_idx,
         };
-        decide_phase_traced(
+        decide_phase(
             config,
             core,
             self.optimizer(),
@@ -153,7 +151,7 @@ impl Controller for StaticController<'_> {
 #[derive(Debug, Clone)]
 pub struct ControllerZoo {
     /// The paper's fuzzy controller (bit-identical to
-    /// [`FuzzyOptimizer::train_traced`] with the same budget).
+    /// [`FuzzyOptimizer::train`] with the same budget).
     pub fuzzy: FuzzyOptimizer,
     /// Nearest-neighbor table over the teacher examples.
     pub nn: LearnedOptimizer<NnTable>,
@@ -175,13 +173,12 @@ impl ControllerZoo {
         Self::train_traced(config, chip, core_index, env, budget, Tracer::noop())
     }
 
-    /// Trains all four families for `core` under `env`. The teacher
-    /// sweep (RNG stream, oracle queries, bank order) is exactly the
-    /// one [`FuzzyOptimizer::train_traced`] runs, so the fuzzy member
-    /// is bit-identical to a standalone fuzzy training at the same
-    /// budget; the learned families train from the same examples with
-    /// per-family seeds. Emits the fuzzy trainer's
-    /// `ControllerTrained` events plus a `controller.zoo.trained`
+    /// Trains all four families for `core` under `env` from one
+    /// [`FuzzyOptimizer`] teacher sweep, under a `train-zoo` span. The
+    /// fuzzy member is therefore bit-identical to a standalone
+    /// [`FuzzyOptimizer::train`] at the same budget; the learned
+    /// families fit the same examples with per-bank seeds. Emits the
+    /// sweep's `ControllerTrained` events plus a `controller.zoo.trained`
     /// count of 3 learned banks per (subsystem, variant).
     pub fn train_traced(
         config: &EvalConfig,
@@ -192,73 +189,32 @@ impl ControllerZoo {
         tracer: Tracer<'_>,
     ) -> Self {
         let _span = tracer.span("train-zoo");
-        let oracle = ExhaustiveOptimizer::new();
-        let core = chip.core(core_index);
-        let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
-        let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
-
-        let mut fuzzy_banks = Vec::with_capacity(N_SUBSYSTEMS);
-        let mut nn_banks: Vec<[Option<LearnedBank<NnTable>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        let mut tree_banks: Vec<[Option<LearnedBank<RegressionTree>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        let mut mlp_banks: Vec<[Option<LearnedBank<MlpQ16>>; 2]> =
-            Vec::with_capacity(N_SUBSYSTEMS);
-        for id in SubsystemId::ALL {
-            let state = core.subsystem(id);
-            let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue)
-            {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            let mut fz: [Option<_>; 2] = [None, None];
-            let mut nn: [Option<_>; 2] = [None, None];
-            let mut tr: [Option<_>; 2] = [None, None];
-            let mut ml: [Option<_>; 2] = [None, None];
-            for &alt in variants {
-                let vsel = teacher::variant_selection_for(id, alt);
-                let ex = teacher::sample_bank(
-                    &oracle,
-                    config,
-                    state,
-                    vsel,
-                    env,
-                    pe_budget,
-                    budget.examples,
-                    &mut rng,
-                );
-                let (bank, freq_rms) = fuzzy_ctl::train_bank(&ex, budget, id, tracer.enabled());
-                tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
-                tracer.event(|| eval_trace::Event::ControllerTrained {
-                    subsystem: id.to_string(),
-                    variant: if alt { "alt" } else { "normal" },
-                    examples: budget.examples as u64,
-                    freq_rms,
-                });
-                fz[alt as usize] = Some(bank);
-                // The learned families train from the same teacher
-                // examples with a per-bank seed (models with no
-                // stochastic training ignore it).
-                let seed = budget.seed ^ ((id.index() as u64) << 8) ^ ((alt as u64) << 16);
-                nn[alt as usize] = Some(LearnedBank::train(&ex, seed));
-                tr[alt as usize] = Some(LearnedBank::train(&ex, seed));
-                ml[alt as usize] = Some(LearnedBank::train(&ex, seed));
-                tracer.count_n(eval_trace::names::CONTROLLER_ZOO_TRAINED, 3);
-            }
-            fuzzy_banks.push(fz);
-            nn_banks.push(nn);
-            tree_banks.push(tr);
-            mlp_banks.push(ml);
+        fn slots<T>() -> Vec<[Option<T>; 2]> {
+            (0..N_SUBSYSTEMS).map(|_| [None, None]).collect()
         }
-        // Metrics only (never golden event lines): oracle cache counters
-        // accumulated across the whole training sweep.
-        oracle.flush_metrics(tracer);
+        let (mut nn, mut tree, mut mlp) = (slots(), slots(), slots());
+        let fuzzy = FuzzyOptimizer::sweep(
+            config,
+            chip,
+            core_index,
+            env,
+            budget,
+            tracer,
+            |id, alt, ex| {
+                // Models with no stochastic training ignore the seed.
+                let seed = budget.seed ^ ((id.index() as u64) << 8) ^ ((alt as u64) << 16);
+                let (i, a) = (id.index(), alt as usize);
+                nn[i][a] = Some(LearnedBank::train(ex, seed));
+                tree[i][a] = Some(LearnedBank::train(ex, seed));
+                mlp[i][a] = Some(LearnedBank::train(ex, seed));
+                tracer.count_n(eval_trace::names::CONTROLLER_ZOO_TRAINED, 3);
+            },
+        );
         Self {
-            fuzzy: FuzzyOptimizer::from_banks(env, fuzzy_banks),
-            nn: LearnedOptimizer::from_banks(env, nn_banks),
-            tree: LearnedOptimizer::from_banks(env, tree_banks),
-            mlp: LearnedOptimizer::from_banks(env, mlp_banks),
+            fuzzy,
+            nn: LearnedOptimizer::from_banks(env, nn),
+            tree: LearnedOptimizer::from_banks(env, tree),
+            mlp: LearnedOptimizer::from_banks(env, mlp),
         }
     }
 }
@@ -266,28 +222,10 @@ impl ControllerZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzzy_ctl::TrainingBudget;
-    use eval_core::{ChipFactory, FREQ_LADDER, VariantSelection, VBB_LADDER, VDD_LADDER};
-    use eval_fuzzy::TrainingConfig;
     use crate::optimizer::SubsystemScene;
+    use crate::test_support::{factory, small_budget};
+    use eval_core::{SubsystemId, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
     use eval_uarch::{profile_workload, Workload};
-    use std::sync::OnceLock;
-
-    fn factory() -> &'static ChipFactory {
-        static F: OnceLock<ChipFactory> = OnceLock::new();
-        F.get_or_init(|| ChipFactory::new(EvalConfig::micro08()))
-    }
-
-    fn small_budget() -> TrainingBudget {
-        TrainingBudget {
-            examples: 160,
-            config: TrainingConfig {
-                epochs: 3,
-                ..TrainingConfig::micro08()
-            },
-            seed: 7,
-        }
-    }
 
     #[test]
     fn zoo_fuzzy_is_bit_identical_to_standalone_fuzzy_training() {
@@ -296,7 +234,7 @@ mod tests {
         let budget = small_budget();
         let zoo = ControllerZoo::train(&cfg, &chip, 0, Environment::TS_ASV, &budget);
         let standalone =
-            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV, &budget);
+            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV, &budget, Tracer::noop());
         // Identical RNG stream and training seeds mean identical
         // controllers; compare through inference on a grid of scenes.
         let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);

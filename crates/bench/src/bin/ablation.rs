@@ -13,7 +13,7 @@ use eval_adapt::{
     fidelity_table, ExhaustiveOptimizer, GlobalDvfsOptimizer, Optimizer, SubsystemScene,
     TrainingBudget,
 };
-use eval_bench::chips_from_env;
+use eval_bench::{chips_from_env, BadEnv};
 use eval_core::{
     ChipFactory, Environment, EvalConfig, SubsystemId, VariantSelection, N_SUBSYSTEMS,
 };
@@ -28,8 +28,8 @@ fn mean_fvar(config: &EvalConfig, chips: usize, seed: u64) -> f64 {
         / chips as f64
 }
 
-fn main() {
-    let chips = chips_from_env(10);
+fn main() -> Result<(), BadEnv> {
+    let chips = chips_from_env(10)?;
 
     println!("# Ablation 1: variation amount (Vt sigma/mu) vs baseline frequency");
     println!("csv,vt_sigma_over_mu,mean_fvar_rel");
@@ -114,4 +114,5 @@ fn main() {
         100.0 * (sum_f / sum_g - 1.0)
     );
     println!("# fine-grain control is the paper's §7 advantage over whole-chip DVFS.");
+    Ok(())
 }

@@ -30,8 +30,8 @@ use eval_core::{
 };
 use eval_power::{solve_thermal, solve_thermal_reference, OperatingPoint, ThermalEnvironment};
 use eval_rng::ChaCha12Rng;
+use eval_trace::{names, Tracer};
 use eval_uarch::Workload;
-use eval_trace::names;
 use eval_units::{GHz, Volts};
 
 /// Per-iteration nanoseconds for `body`, one entry per sample in
@@ -170,28 +170,16 @@ fn teacher_bank_abb(oracle: &dyn Optimizer, config: &EvalConfig, chip: &ChipMode
     ));
 }
 
-fn small_campaign(intra_chip_threads: usize) {
+/// The 2-chip ExhDyn campaign: the body of the `campaign_exhdyn_2chips`
+/// rows (untraced, serial or with intra-chip workers) and of the
+/// `trace_overhead` row, which compares `--timing` on (spans + latency
+/// samples streaming to a real sidecar) against tracing alone.
+fn small_campaign(intra_chip_threads: usize, tracer: Tracer<'_>) {
     let mut campaign = Campaign::new(2);
     campaign.profile_budget = 3_000;
     campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
     campaign.threads = 1;
     campaign.intra_chip_threads = intra_chip_threads;
-    black_box(
-        campaign
-            .run(&[Environment::TS_ASV], &[Scheme::ExhDyn])
-            .expect("campaign runs"),
-    );
-}
-
-/// The 2-chip campaign under an explicit tracer — the body of the
-/// `trace_overhead` row, which compares `--timing` on (spans + latency
-/// samples streaming to a real sidecar) against tracing alone.
-fn small_campaign_traced(tracer: eval_trace::Tracer<'_>) {
-    let mut campaign = Campaign::new(2);
-    campaign.profile_budget = 3_000;
-    campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
-    campaign.threads = 1;
-    campaign.intra_chip_threads = 1;
     black_box(
         campaign
             .run_traced(&[Environment::TS_ASV], &[Scheme::ExhDyn], tracer)
@@ -212,7 +200,7 @@ fn campaign_metrics(
     campaign.profile_budget = 3_000;
     campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
     campaign.threads = 1;
-    campaign.fail_chip = fail_chip_from_env();
+    campaign.fail_chip = fail_chip_from_env()?;
     let local;
     let registry = match session {
         Some(s) => {
@@ -224,7 +212,7 @@ fn campaign_metrics(
             campaign.run_traced(
                 &[Environment::TS_ASV],
                 &[Scheme::ExhDyn],
-                eval_trace::Tracer::new(&local),
+                Tracer::new(&local),
             )?;
             local.registry()
         }
@@ -453,7 +441,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     rows.push(Row::new(
         "campaign_exhdyn_2chips",
-        time_samples(|| small_campaign(1), 1, n(3)),
+        time_samples(|| small_campaign(1, Tracer::noop()), 1, n(3)),
         None,
     ));
 
@@ -461,7 +449,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // available cores (identical results and traces by construction).
     rows.push(Row::new(
         "campaign_exhdyn_2chips_par",
-        time_samples(|| small_campaign(0), 1, n(3)),
+        time_samples(|| small_campaign(0, Tracer::noop()), 1, n(3)),
         None,
     ));
 
@@ -478,7 +466,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         time_samples(
             || {
                 let primary = eval_trace::Collector::new();
-                small_campaign_traced(eval_trace::Tracer::with_timing(&primary, &timing_sidecar));
+                small_campaign(1, Tracer::with_timing(&primary, &timing_sidecar));
             },
             1,
             n(3),
@@ -486,7 +474,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(time_ns(
             || {
                 let primary = eval_trace::Collector::new();
-                small_campaign_traced(eval_trace::Tracer::new(&primary));
+                small_campaign(1, Tracer::new(&primary));
             },
             1,
             3,

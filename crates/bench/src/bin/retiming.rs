@@ -8,15 +8,16 @@
 //!
 //! Protocol knobs: `EVAL_CHIPS` (default 12).
 
-use eval_adapt::{decide_phase, ExhaustiveOptimizer};
-use eval_bench::chips_from_env;
+use eval_adapt::{decide_phase, DecisionContext, ExhaustiveOptimizer};
+use eval_bench::{chips_from_env, BadEnv};
 use eval_core::{retime_core, ChipFactory, Environment, EvalConfig};
+use eval_trace::Tracer;
 use eval_uarch::{profile_workload, Workload};
 
-fn main() {
+fn main() -> Result<(), BadEnv> {
     let config = EvalConfig::micro08();
     let factory = ChipFactory::new(config.clone());
-    let chips = chips_from_env(12);
+    let chips = chips_from_env(12)?;
 
     let workload = Workload::by_name("gcc").expect("gcc exists");
     let profile = profile_workload(&workload, 6_000, 17);
@@ -46,6 +47,8 @@ fn main() {
                     workload.class,
                     profile.rp_cycles,
                     config.th_c,
+                    &DecisionContext::UNTRACED,
+                    Tracer::noop(),
                 )
                 .f_ghz
             })
@@ -80,4 +83,5 @@ fn main() {
         100.0 * (sums[3] / sums[0] - 1.0)
     );
     println!("# paper: retiming recovers 10-20%; EVAL recovers far more.");
+    Ok(())
 }

@@ -6,16 +6,13 @@
 //! `EVAL_QUERIES` (default 60 random scenes per chip and environment).
 
 use eval_adapt::{fidelity_table, TrainingBudget};
-use eval_bench::chips_from_env;
+use eval_bench::{chips_from_env, usize_from_env, BadEnv};
 use eval_core::{Environment, EvalConfig};
 
-fn main() {
+fn main() -> Result<(), BadEnv> {
     let config = EvalConfig::micro08();
-    let chips = chips_from_env(3);
-    let queries: usize = std::env::var("EVAL_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60);
+    let chips = chips_from_env(3)?;
+    let queries = usize_from_env("EVAL_QUERIES", 0)?.unwrap_or(60);
     eprintln!("# fidelity: {chips} chips x {queries} scenes x 4 environments");
 
     let rows = fidelity_table(
@@ -72,4 +69,5 @@ fn main() {
     println!();
     println!("# paper shape: frequency errors of ~135-450 MHz (3-11% of nominal),");
     println!("# Vdd errors of ~14-24 mV, Vbb errors of ~69-129 mV.");
+    Ok(())
 }

@@ -20,14 +20,12 @@ use eval_adapt::{
     Controller, ControllerZoo, ExhaustiveOptimizer, OptimizerController, StaticController,
     Tournament,
 };
-use eval_bench::{chips_from_env, session_tracer, workloads_from_env, TraceSession};
+use eval_bench::{
+    chips_from_env, session_tracer, usize_from_env, workloads_from_env, TraceSession,
+};
 use eval_core::ChipFactory;
 use eval_trace::Tracer;
 use eval_uarch::{profile_workload, WorkloadProfile};
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
 
 /// Mean wall time per decision for one contestant: best of three passes
 /// over every phase of every profile (the first pass doubles as warmup).
@@ -96,9 +94,9 @@ fn measure_latencies(t: &Tournament) -> [f64; SCHEMES.len()] {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceSession::from_env()?;
-    let mut t = Tournament::new(chips_from_env(4));
-    t.holdout_chips = env_usize("EVAL_HOLDOUT_CHIPS").unwrap_or(t.chips);
-    t.threads = env_usize("EVAL_THREADS").unwrap_or(0);
+    let mut t = Tournament::new(chips_from_env(4)?);
+    t.holdout_chips = usize_from_env("EVAL_HOLDOUT_CHIPS", 0)?.unwrap_or(t.chips);
+    t.threads = usize_from_env("EVAL_THREADS", 0)?.unwrap_or(0);
     t.workloads = workloads_from_env()?;
     eprintln!(
         "# tournament: {} schemes, {} training chips, {} holdout chips, {} workloads ({})",

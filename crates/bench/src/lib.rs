@@ -418,69 +418,103 @@ pub fn run_campaign(
     Ok(result)
 }
 
-/// Fault-injection knob for quarantine/crash testing: `EVAL_FAIL_CHIP=<n>`
-/// makes chip `n` fail instead of running (see `Campaign::fail_chip`).
-pub fn fail_chip_from_env() -> Option<usize> {
-    std::env::var("EVAL_FAIL_CHIP").ok()?.parse().ok()
-}
-
-/// Number of chips for campaign binaries: `EVAL_CHIPS` env var, else
-/// `default`. The paper's protocol is 100.
-pub fn chips_from_env(default: usize) -> usize {
-    std::env::var("EVAL_CHIPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// An `EVAL_WORKLOADS` entry that names no workload.
+/// An `EVAL_*` variable set to a value the binaries cannot use.
 #[derive(Clone, PartialEq, Eq)]
-pub struct UnknownWorkload {
-    /// The offending entry, trimmed.
-    pub name: String,
+pub struct BadEnv {
+    /// The environment variable.
+    pub var: &'static str,
+    /// The offending value (for `EVAL_WORKLOADS`, the first bad entry).
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: String,
 }
 
 // A binary's `main` prints a returned error with `Debug`: show the
-// message, which lists the valid names.
-impl std::fmt::Debug for UnknownWorkload {
+// message.
+impl std::fmt::Debug for BadEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Display::fmt(self, f)
     }
 }
 
-impl std::fmt::Display for UnknownWorkload {
+impl std::fmt::Display for BadEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let valid: Vec<&str> = eval_uarch::Workload::extended()
-            .iter()
-            .map(|w| w.name)
-            .collect();
         write!(
             f,
-            "EVAL_WORKLOADS: unknown workload \"{}\"; valid names: {}",
-            self.name,
-            valid.join(", ")
+            "{}: expected {}, got \"{}\"",
+            self.var, self.expected, self.value
         )
     }
 }
 
-impl std::error::Error for UnknownWorkload {}
+impl std::error::Error for BadEnv {}
+
+/// Reads the integer knob `var`: `None` when it is unset, else its value.
+///
+/// # Errors
+///
+/// Returns [`BadEnv`] when `var` is set to anything but an integer of at
+/// least `min`.
+pub fn usize_from_env(var: &'static str, min: usize) -> Result<Option<usize>, BadEnv> {
+    let Some(raw) = std::env::var_os(var) else {
+        return Ok(None);
+    };
+    let value = raw.to_string_lossy().into_owned();
+    match value.parse() {
+        Ok(n) if n >= min => Ok(Some(n)),
+        _ => Err(BadEnv {
+            var,
+            value,
+            expected: format!("an integer >= {min}"),
+        }),
+    }
+}
+
+/// Fault-injection knob for quarantine/crash testing: `EVAL_FAIL_CHIP=<n>`
+/// makes chip `n` fail instead of running (see `Campaign::fail_chip`).
+///
+/// # Errors
+///
+/// Returns [`BadEnv`] when the variable is set but is not an integer.
+pub fn fail_chip_from_env() -> Result<Option<usize>, BadEnv> {
+    usize_from_env("EVAL_FAIL_CHIP", 0)
+}
+
+/// Number of chips for campaign binaries: `EVAL_CHIPS` env var, else
+/// `default`. The paper's protocol is 100.
+///
+/// # Errors
+///
+/// Returns [`BadEnv`] when the variable is set but is not a positive
+/// integer.
+pub fn chips_from_env(default: usize) -> Result<usize, BadEnv> {
+    Ok(usize_from_env("EVAL_CHIPS", 1)?.unwrap_or(default))
+}
 
 /// Workload subset for campaign binaries: `EVAL_WORKLOADS` (comma-separated
 /// names); unset or empty means all 16.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownWorkload`] for the first entry that names no workload.
-pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, UnknownWorkload> {
+/// Returns [`BadEnv`] for the first entry that names no workload; its
+/// message lists the valid names.
+pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, BadEnv> {
     let list = std::env::var("EVAL_WORKLOADS").unwrap_or_default();
     let ws = list
         .split(',')
         .map(str::trim)
         .filter(|n| !n.is_empty())
         .map(|n| {
-            eval_uarch::Workload::by_name(n).ok_or_else(|| UnknownWorkload {
-                name: n.to_string(),
+            eval_uarch::Workload::by_name(n).ok_or_else(|| {
+                let valid: Vec<&str> = eval_uarch::Workload::extended()
+                    .iter()
+                    .map(|w| w.name)
+                    .collect();
+                BadEnv {
+                    var: "EVAL_WORKLOADS",
+                    value: n.to_string(),
+                    expected: format!("a workload name ({})", valid.join(", ")),
+                }
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -495,12 +529,12 @@ pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, UnknownWorkload
 ///
 /// # Errors
 ///
-/// Returns [`UnknownWorkload`] when `EVAL_WORKLOADS` names an unknown
-/// workload.
-pub fn standard_campaign(default_chips: usize) -> Result<Campaign, UnknownWorkload> {
-    let mut c = Campaign::new(chips_from_env(default_chips));
+/// Returns [`BadEnv`] when `EVAL_WORKLOADS`, `EVAL_CHIPS` or
+/// `EVAL_FAIL_CHIP` holds a value it cannot use.
+pub fn standard_campaign(default_chips: usize) -> Result<Campaign, BadEnv> {
+    let mut c = Campaign::new(chips_from_env(default_chips)?);
     c.workloads = workloads_from_env()?;
-    c.fail_chip = fail_chip_from_env();
+    c.fail_chip = fail_chip_from_env()?;
     Ok(c)
 }
 
@@ -585,14 +619,31 @@ mod tests {
 
     #[test]
     fn chips_env_parsing_defaults() {
-        // No env var in the test environment (or unparseable): default.
+        // Unset: default.
         std::env::remove_var("EVAL_CHIPS");
-        assert_eq!(chips_from_env(7), 7);
+        assert_eq!(chips_from_env(7), Ok(7));
         std::env::set_var("EVAL_CHIPS", "12");
-        assert_eq!(chips_from_env(7), 12);
-        std::env::set_var("EVAL_CHIPS", "0");
-        assert_eq!(chips_from_env(7), 7);
+        assert_eq!(chips_from_env(7), Ok(12));
+        // Zero, text and negatives are errors naming the variable and
+        // the value, not a silent fallback to the default.
+        for bad in ["0", "abc", "-3"] {
+            std::env::set_var("EVAL_CHIPS", bad);
+            let err = chips_from_env(7).expect_err(bad);
+            assert_eq!((err.var, err.value.as_str()), ("EVAL_CHIPS", bad));
+            let msg = err.to_string();
+            assert!(msg.contains("EVAL_CHIPS") && msg.contains(bad), "{msg}");
+            assert_eq!(format!("{err:?}"), msg, "binaries print errors with Debug");
+        }
         std::env::remove_var("EVAL_CHIPS");
+        // EVAL_FAIL_CHIP: unset is no fault, 0 is chip 0, text is an error
+        // (a fault-injection smoke must not run without its fault).
+        std::env::remove_var("EVAL_FAIL_CHIP");
+        assert_eq!(fail_chip_from_env(), Ok(None));
+        std::env::set_var("EVAL_FAIL_CHIP", "0");
+        assert_eq!(fail_chip_from_env(), Ok(Some(0)));
+        std::env::set_var("EVAL_FAIL_CHIP", "x");
+        assert_eq!(fail_chip_from_env().expect_err("x").var, "EVAL_FAIL_CHIP");
+        std::env::remove_var("EVAL_FAIL_CHIP");
     }
 
     #[test]
@@ -604,7 +655,7 @@ mod tests {
         // ones, not a silent fallback to the full suite.
         std::env::set_var("EVAL_WORKLOADS", "swm");
         let err = workloads_from_env().expect_err("unknown name");
-        assert_eq!(err.name, "swm");
+        assert_eq!(err.value, "swm");
         let msg = err.to_string();
         assert!(
             msg.contains("\"swm\"") && msg.contains("swim") && msg.contains("mcf"),
@@ -613,7 +664,7 @@ mod tests {
         assert_eq!(format!("{err:?}"), msg, "binaries print errors with Debug");
         // One bad entry in a mixed list fails the whole list.
         std::env::set_var("EVAL_WORKLOADS", "swim,doom,mcf");
-        assert_eq!(workloads_from_env().expect_err("mixed list").name, "doom");
+        assert_eq!(workloads_from_env().expect_err("mixed list").value, "doom");
         // Unset or empty: all 16.
         std::env::set_var("EVAL_WORKLOADS", "");
         assert_eq!(workloads_from_env().expect("empty").len(), 16);

@@ -52,7 +52,7 @@ pub use layout::Floorplan;
 pub use perf::{CpiBreakdown, PerfModel};
 pub use retiming::{retime_core, RetimingResult};
 pub use subsystem::SubsystemDescriptor;
-pub use tester::{measure_vt0, measure_vt0_traced};
+pub use tester::measure_vt0;
 
 // Re-export the vocabulary types users need alongside this crate.
 pub use eval_power::{Constraints, Ladder, OperatingPoint, FREQ_LADDER, VBB_LADDER, VDD_LADDER};

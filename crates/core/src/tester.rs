@@ -12,7 +12,6 @@
 //! point.
 
 use eval_timing::StageTiming;
-use eval_trace::{names, Event, Tracer};
 use eval_variation::{leakage_factor, DeviceParams};
 
 /// Simulated tester measurement: powers the subsystem at a known
@@ -50,24 +49,6 @@ pub fn measure_vt0(timing: &StageTiming, device: &DeviceParams) -> f64 {
         }
     }
     0.5 * (lo + hi)
-}
-
-/// [`measure_vt0`] with a [`TesterMeasurement`](Event::TesterMeasurement)
-/// event per call, labelled with the subsystem being probed.
-pub fn measure_vt0_traced(
-    timing: &StageTiming,
-    device: &DeviceParams,
-    label: &str,
-    tracer: Tracer<'_>,
-) -> f64 {
-    let vt0_eff = measure_vt0(timing, device);
-    tracer.count(names::TESTER_MEASUREMENTS);
-    tracer.event(|| Event::TesterMeasurement {
-        subsystem: label.to_string(),
-        vt0_eff,
-        vt0_mean: timing.measured_vt0(),
-    });
-    vt0_eff
 }
 
 #[cfg(test)]

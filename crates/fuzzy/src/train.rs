@@ -129,31 +129,6 @@ impl FuzzyController {
         }
         Ok(fc)
     }
-
-    /// [`FuzzyController::train`] with a [`FuzzyTrained`](eval_trace::Event::FuzzyTrained)
-    /// event on success (rule count, example count, epochs, final
-    /// training-set RMS).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FuzzyController::train`].
-    pub fn train_traced(
-        examples: &[(Vec<f64>, f64)],
-        config: &TrainingConfig,
-        seed: u64,
-        tracer: eval_trace::Tracer<'_>,
-    ) -> Result<FuzzyController, TrainError> {
-        let _span = tracer.span("train-matrix");
-        let fc = FuzzyController::train(examples, config, seed)?;
-        tracer.count(eval_trace::names::FUZZY_MATRICES_TRAINED);
-        tracer.event(|| eval_trace::Event::FuzzyTrained {
-            rules: config.rules as u64,
-            examples: examples.len() as u64,
-            epochs: config.epochs as u64,
-            rms: fc.rms_error(examples),
-        });
-        Ok(fc)
-    }
 }
 
 #[cfg(test)]
@@ -212,25 +187,6 @@ mod tests {
         let a = FuzzyController::train(&ex, &cfg, 9).unwrap();
         let b = FuzzyController::train(&ex, &cfg, 9).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn traced_training_matches_untraced_and_emits_event() {
-        let ex = grid_examples(|a, b| a + b);
-        let cfg = TrainingConfig::micro08();
-        let collector = eval_trace::Collector::new();
-        let traced =
-            FuzzyController::train_traced(&ex, &cfg, 9, eval_trace::Tracer::new(&collector))
-                .unwrap();
-        let plain = FuzzyController::train(&ex, &cfg, 9).unwrap();
-        assert_eq!(traced, plain);
-        let events = collector.events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0],
-            eval_trace::Event::FuzzyTrained { rules: 25, epochs: 6, .. }
-        ));
-        assert_eq!(collector.registry().counter("fuzzy.matrices_trained"), 1);
     }
 
     #[test]

@@ -22,11 +22,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
-use eval_trace::json::JsonObject;
+use eval_trace::json::{Json, JsonObject};
 use eval_trace::provenance::Provenance;
 use eval_trace::{names, Histogram};
-
-use crate::json::Json;
 
 /// Chosen-frequency digest boundaries — the retuning ladder in 250 MHz
 /// steps, mirroring the collector's `decision.f_ghz` histogram.

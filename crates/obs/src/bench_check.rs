@@ -38,11 +38,10 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-use eval_trace::json::{f64_array, JsonObject};
+use eval_trace::json::{f64_array, Json, JsonObject};
 use eval_trace::names;
 use eval_trace::provenance::Provenance;
 
-use crate::json::Json;
 use crate::stats::{effect_size, quantile_gate, GateConfig, MIN_SAMPLES};
 
 /// Allowed `solver.cache.hit_rate` drop before the gate fails.

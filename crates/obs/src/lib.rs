@@ -29,9 +29,9 @@
 //!   (`eval-obs postmortem`).
 //!
 //! Everything is std-only: the consume side honors the same
-//! offline-build constraint as the emit side, including the local JSON
-//! parser in [`json`] (the `eval-rng` dependency behind the permutation
-//! test is workspace-local).
+//! offline-build constraint as the emit side, including the JSON parser
+//! it shares with the emit side, [`eval_trace::json`] (the `eval-rng`
+//! dependency behind the permutation test is workspace-local).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +39,6 @@
 pub mod analyze;
 pub mod bench_check;
 pub mod expose;
-pub mod json;
 pub mod postmortem;
 pub mod profile;
 pub mod progress;
@@ -51,8 +50,8 @@ pub use bench_check::{
     append_history, check, check_distribution, load_history, parse_history, BenchFile,
     CheckReport, GateMode, GateOptions, HistoryRecord, Tolerances,
 };
+pub use eval_trace::json::{Json, JsonError};
 pub use expose::{prometheus, write_prometheus, MetricsServer};
-pub use json::{Json, JsonError};
 pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;
 pub use progress::ProgressSink;

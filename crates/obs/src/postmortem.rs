@@ -12,9 +12,8 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use eval_trace::json::Json;
 use eval_trace::provenance::Provenance;
-
-use crate::json::Json;
 
 /// One parsed `"kind":"flight"` line.
 #[derive(Debug, Clone, PartialEq)]

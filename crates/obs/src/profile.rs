@@ -335,7 +335,7 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::analyze::analyze_reader;
-    use crate::json::Json;
+    use eval_trace::json::Json;
 
     fn mini_sidecar() -> String {
         [

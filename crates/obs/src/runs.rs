@@ -21,9 +21,8 @@
 
 use std::path::Path;
 
+use eval_trace::json::Json;
 use eval_trace::provenance::Provenance;
-
-use crate::json::Json;
 
 /// One journaled artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -125,17 +125,6 @@ pub enum Event {
         /// Arithmetic mean threshold over the footprint, V.
         vt0_mean: f64,
     },
-    /// One fuzzy rule matrix finished gradient training (Appendix A).
-    FuzzyTrained {
-        /// Rule count.
-        rules: u64,
-        /// Training examples.
-        examples: u64,
-        /// Gradient passes.
-        epochs: u64,
-        /// RMS error on the (normalized) training set.
-        rms: f64,
-    },
     /// A per-(subsystem, variant) controller bank finished training
     /// (§4.3.1).
     ControllerTrained {
@@ -185,7 +174,6 @@ impl Event {
             Event::RetuneStep { .. } => "retune-step",
             Event::Infeasible { .. } => "infeasible",
             Event::TesterMeasurement { .. } => "tester-measurement",
-            Event::FuzzyTrained { .. } => "fuzzy-trained",
             Event::ControllerTrained { .. } => "controller-trained",
             Event::TournamentScore { .. } => "tournament-score",
         }
@@ -269,17 +257,6 @@ impl Event {
                 .str("subsystem", subsystem)
                 .f64("vt0_eff", *vt0_eff)
                 .f64("vt0_mean", *vt0_mean)
-                .finish(),
-            Event::FuzzyTrained {
-                rules,
-                examples,
-                epochs,
-                rms,
-            } => JsonObject::new()
-                .u64("rules", *rules)
-                .u64("examples", *examples)
-                .u64("epochs", *epochs)
-                .f64("rms", *rms)
                 .finish(),
             Event::ControllerTrained {
                 subsystem,

@@ -122,8 +122,6 @@ pub const CAMPAIGN_INTRA_CHIP_THREADS: &str = "campaign.intra_chip_threads";
 /// Ladder probes evaluated by the retuning loop (counter).
 pub const RETUNE_PROBES: &str = "retune.probes";
 
-/// Fuzzy rule matrices trained (counter, one per `train` call).
-pub const FUZZY_MATRICES_TRAINED: &str = "fuzzy.matrices_trained";
 /// Complete fuzzy controllers trained (counter, one per variant slot).
 pub const FUZZY_CONTROLLERS_TRAINED: &str = "fuzzy.controllers_trained";
 
@@ -196,7 +194,6 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_BATCH_LANES,
     CAMPAIGN_INTRA_CHIP_THREADS,
     RETUNE_PROBES,
-    FUZZY_MATRICES_TRAINED,
     FUZZY_CONTROLLERS_TRAINED,
     CONTROLLER_ZOO_TRAINED,
     CONTROLLER_TOURNAMENT_DECISIONS,

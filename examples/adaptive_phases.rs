@@ -26,6 +26,7 @@ fn main() {
         0,
         Environment::TS_ASV,
         &TrainingBudget::default(),
+        Tracer::noop(),
     );
 
     // The deployed system: detector + controller + configuration cache.

@@ -41,6 +41,8 @@ fn main() {
                     workload.class,
                     profile.rp_cycles,
                     config.th_c,
+                    &DecisionContext::UNTRACED,
+                    Tracer::noop(),
                 )
                 .f_ghz
             })

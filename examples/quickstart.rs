@@ -45,6 +45,8 @@ fn main() {
             workload.class,
             profile.rp_cycles,
             config.th_c,
+            &DecisionContext::UNTRACED,
+            Tracer::noop(),
         );
         println!(
             "phase {}: f = {:.2} GHz ({:+.0}% vs baseline), PE = {:.1e} err/inst, \

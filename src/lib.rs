@@ -40,6 +40,8 @@
 //!     w.class,
 //!     profile.rp_cycles,
 //!     config.th_c,
+//!     &DecisionContext::UNTRACED,
+//!     Tracer::noop(),
 //! );
 //! assert!(decision.f_ghz > fvar);
 //! ```
@@ -60,9 +62,9 @@ pub use eval_variation as variation;
 pub mod prelude {
     pub use eval_adapt::{
         decide_phase, fidelity_table, retune, AdaptationTimeline, AdaptiveSystem, Campaign,
-        CampaignResult, CellResult, ExhaustiveOptimizer, FuzzyOptimizer, Optimizer, Outcome,
-        GlobalDvfsOptimizer, PhaseDecision, RetuneResult, RuntimeEvent, Scheme, SubsystemScene,
-        TrainingBudget,
+        CampaignResult, CellResult, DecisionContext, ExhaustiveOptimizer, FuzzyOptimizer,
+        GlobalDvfsOptimizer, Optimizer, Outcome, PhaseDecision, RetuneResult, RuntimeEvent, Scheme,
+        SubsystemScene, TrainingBudget,
     };
     pub use eval_core::{
         AreaBreakdown, ChipFactory, ChipModel, Constraints, CoreModel, Environment, EvalConfig,
@@ -70,6 +72,7 @@ pub mod prelude {
         SubsystemKind, VariantSelection, FREQ_LADDER, N_SUBSYSTEMS, VBB_LADDER, VDD_LADDER,
     };
     pub use eval_fuzzy::{FuzzyController, Normalizer, TrainingConfig};
+    pub use eval_trace::Tracer;
     pub use eval_uarch::{
         profile_workload, Checker, PhaseDetector, PhaseProfile, TraceGenerator, Workload,
         WorkloadClass, WorkloadProfile,

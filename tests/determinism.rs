@@ -11,7 +11,7 @@ fn campaign_is_identical_across_thread_counts() {
         c.profile_budget = 3_000;
         c.workloads = vec![Workload::by_name("gzip").expect("exists")];
         c.threads = threads;
-        c.run(&[Environment::TS], &[Scheme::ExhDyn]).expect("campaign runs")
+        c.run_traced(&[Environment::TS], &[Scheme::ExhDyn], Tracer::noop()).expect("campaign runs")
     };
     let serial = run(1);
     let chunked = run(3);
@@ -24,7 +24,9 @@ fn campaign_is_identical_across_invocations() {
         let mut c = Campaign::new(2);
         c.profile_budget = 3_000;
         c.workloads = vec![Workload::by_name("mesa").expect("exists")];
-        c.run(&[Environment::TS_ASV], &[Scheme::Static]).expect("campaign runs")
+        c
+            .run_traced(&[Environment::TS_ASV], &[Scheme::Static], Tracer::noop())
+            .expect("campaign runs")
     };
     assert_eq!(run(), run());
 }
@@ -38,8 +40,8 @@ fn fuzzy_training_is_deterministic_end_to_end() {
         examples: 50,
         ..TrainingBudget::default()
     };
-    let a = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS, &budget);
-    let b = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS, &budget);
+    let a = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS, &budget, Tracer::noop());
+    let b = FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS, &budget, Tracer::noop());
     // Same queries, same answers.
     let profile = profile_workload(&Workload::by_name("gzip").expect("exists"), 3_000, 1);
     let scene_args = &profile.phases[0];
@@ -52,6 +54,8 @@ fn fuzzy_training_is_deterministic_end_to_end() {
         WorkloadClass::Int,
         profile.rp_cycles,
         cfg.th_c,
+        &DecisionContext::UNTRACED,
+        Tracer::noop(),
     );
     let d_b = decide_phase(
         &cfg,
@@ -62,6 +66,8 @@ fn fuzzy_training_is_deterministic_end_to_end() {
         WorkloadClass::Int,
         profile.rp_cycles,
         cfg.th_c,
+        &DecisionContext::UNTRACED,
+        Tracer::noop(),
     );
     assert_eq!(d_a, d_b);
 }
@@ -87,7 +93,7 @@ fn four_chip_population_is_bit_identical_across_runs() {
             examples: 60,
             ..TrainingBudget::default()
         };
-        c.run(&[Environment::TS_ASV], &[Scheme::FuzzyDyn, Scheme::ExhDyn])
+        c.run_traced(&[Environment::TS_ASV], &[Scheme::FuzzyDyn, Scheme::ExhDyn], Tracer::noop())
             .expect("campaign runs")
     };
     let bits = |r: &CampaignResult| -> Vec<u64> {

@@ -41,6 +41,8 @@ fn variation_costs_frequency_and_adaptation_wins_it_back() {
         w.class,
         profile.rp_cycles,
         cfg.th_c,
+        &DecisionContext::UNTRACED,
+        Tracer::noop(),
     );
     assert!(
         d.f_ghz > fvar,
@@ -72,6 +74,8 @@ fn environment_capability_ordering_holds_per_phase() {
             w.class,
             profile.rp_cycles,
             cfg.th_c,
+            &DecisionContext::UNTRACED,
+            Tracer::noop(),
         )
         .f_ghz
     };

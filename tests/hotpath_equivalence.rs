@@ -1,8 +1,9 @@
 //! Hot-path equivalence: the memoized, warm-started operating-point
 //! evaluator (`SceneEval::check_at` over a `SolveCache`) must be
 //! bit-identical to a cold evaluation of the same ladder point, must agree
-//! with the damped reference solver path to physical tolerance, and must
-//! return values that do not depend on query order.
+//! (as must the uncached off-ladder `SceneEval::check_free`) with the
+//! damped reference solver path to physical tolerance, and must return
+//! values that do not depend on query order.
 
 use eval::adapt::SceneEval;
 use eval::power::{
@@ -74,7 +75,8 @@ fn warm_cache_matches_fresh_cache_bitwise_across_the_grid() {
 /// The fast path agrees with the independent reference implementation
 /// (damped solver + unbounded error-rate evaluation): identical
 /// feasibility classification away from constraint boundaries, and tight
-/// numeric agreement whenever both sides are feasible.
+/// numeric agreement whenever both sides are feasible. Both the cached
+/// ladder-point check and the uncached off-ladder check are compared.
 #[test]
 fn fast_path_matches_reference_solver_across_the_grid() {
     let cfg = factory().config().clone();
@@ -91,44 +93,55 @@ fn fast_path_matches_reference_solver_across_the_grid() {
     let mut cache = SolveCache::new();
     let mut compared = 0usize;
     for f_idx in 0..freq_steps().len() {
-        let f_ghz = freq_steps()[f_idx];
+        let ladder_f = freq_steps()[f_idx];
+        // The midpoint to the next ladder step is off-ladder, so the
+        // uncached `check_free` answers it (as it does for every teacher
+        // `Power` label and for `SubsystemScene::check`).
+        let midpoint = freq_steps().get(f_idx + 1).map(|next| 0.5 * (ladder_f + next));
         for &vdd in vdd_steps() {
             for &vbb in vbb_steps() {
-                let fast = eval.check_at(&mut cache, f_idx, vdd, vbb);
-                let reference = sc.check_reference(&cfg, f_ghz, vdd, vbb);
-                // Near a constraint boundary the two solvers' tolerance
-                // difference (1e-7 vs 1e-6) may legitimately flip the
-                // classification; skip only those points.
-                let op = OperatingPoint::raw(f_ghz, vdd, vbb);
-                let boundary = match solve_thermal_reference(&params, &tenv, &op, &cfg.device) {
-                    Err(_) => false,
-                    Ok(sol) => {
-                        let cond = OperatingConditions {
-                            vdd: eval::units::Volts::raw(vdd),
-                            vbb: eval::units::Volts::raw(vbb),
-                            t_c: sol.t_c,
-                        };
-                        let pe = sc.rho * timing.pe_access(eval::units::GHz::raw(f_ghz), &cond);
-                        (sol.t_c - cfg.constraints.t_max_c).abs() < 1e-3
-                            || (pe - sc.pe_budget).abs() < 0.01 * sc.pe_budget
-                    }
-                };
-                if boundary {
-                    continue;
+                let mut probes = vec![(ladder_f, eval.check_at(&mut cache, f_idx, vdd, vbb))];
+                if let Some(f_mid) = midpoint {
+                    probes.push((f_mid, eval.check_free(f_mid, vdd, vbb)));
                 }
-                compared += 1;
-                assert_eq!(
-                    fast.is_some(),
-                    reference.is_some(),
-                    "classification differs at f={f_ghz} vdd={vdd} vbb={vbb}: \
-                     fast {fast:?} vs reference {reference:?}"
-                );
-                if let (Some((p_f, t_f)), Some((p_r, t_r))) = (fast, reference) {
-                    assert!(
-                        (p_f - p_r).abs() < 1e-3 && (t_f - t_r).abs() < 1e-3,
-                        "fast ({p_f}, {t_f}) vs reference ({p_r}, {t_r}) \
-                         at f={f_ghz} vdd={vdd} vbb={vbb}"
+                for (f_ghz, fast) in probes {
+                    let reference = sc.check_reference(&cfg, f_ghz, vdd, vbb);
+                    // Near a constraint boundary the two solvers' tolerance
+                    // difference (1e-7 vs 1e-6) may legitimately flip the
+                    // classification; skip only those points.
+                    let op = OperatingPoint::raw(f_ghz, vdd, vbb);
+                    let solved = solve_thermal_reference(&params, &tenv, &op, &cfg.device);
+                    let boundary = match solved {
+                        Err(_) => false,
+                        Ok(sol) => {
+                            let cond = OperatingConditions {
+                                vdd: eval::units::Volts::raw(vdd),
+                                vbb: eval::units::Volts::raw(vbb),
+                                t_c: sol.t_c,
+                            };
+                            let pe = sc.rho
+                                * timing.pe_access(eval::units::GHz::raw(f_ghz), &cond);
+                            (sol.t_c - cfg.constraints.t_max_c).abs() < 1e-3
+                                || (pe - sc.pe_budget).abs() < 0.01 * sc.pe_budget
+                        }
+                    };
+                    if boundary {
+                        continue;
+                    }
+                    compared += 1;
+                    assert_eq!(
+                        fast.is_some(),
+                        reference.is_some(),
+                        "classification differs at f={f_ghz} vdd={vdd} vbb={vbb}: \
+                         fast {fast:?} vs reference {reference:?}"
                     );
+                    if let (Some((p_f, t_f)), Some((p_r, t_r))) = (fast, reference) {
+                        assert!(
+                            (p_f - p_r).abs() < 1e-3 && (t_f - t_r).abs() < 1e-3,
+                            "fast ({p_f}, {t_f}) vs reference ({p_r}, {t_r}) \
+                             at f={f_ghz} vdd={vdd} vbb={vbb}"
+                        );
+                    }
                 }
             }
         }
@@ -218,11 +231,11 @@ fn intra_chip_parallel_sweep_is_bit_identical_to_serial() {
     serial.intra_chip_threads = 1;
     let envs = [Environment::TS, Environment::TS_ABB_ASV];
     let schemes = [Scheme::Static, Scheme::ExhDyn];
-    let base = serial.run(&envs, &schemes).expect("serial campaign runs");
+    let base = serial.run_traced(&envs, &schemes, Tracer::noop()).expect("serial campaign runs");
     for workers in [2usize, 3, 0] {
         let mut par = serial.clone();
         par.intra_chip_threads = workers;
-        let r = par.run(&envs, &schemes).expect("parallel campaign runs");
+        let r = par.run_traced(&envs, &schemes, Tracer::noop()).expect("parallel campaign runs");
         assert_eq!(base, r, "results drifted at {workers} intra-chip workers");
     }
 }

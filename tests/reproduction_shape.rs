@@ -23,7 +23,9 @@ fn mini_campaign() -> Campaign {
 #[test]
 fn figure10_shape_baseline_ts_asv_ordering() {
     let c = mini_campaign();
-    let r = c.run(&[Environment::TS, Environment::TS_ASV], &[Scheme::ExhDyn]).expect("campaign runs");
+    let r = c
+        .run_traced(&[Environment::TS, Environment::TS_ASV], &[Scheme::ExhDyn], Tracer::noop())
+        .expect("campaign runs");
 
     // Baseline loses a large fraction of nominal frequency (paper: 22%).
     assert!(
@@ -50,7 +52,9 @@ fn figure10_shape_baseline_ts_asv_ordering() {
 #[test]
 fn figure12_shape_power_ordering_and_cap() {
     let c = mini_campaign();
-    let r = c.run(&[Environment::TS_ASV], &[Scheme::ExhDyn]).expect("campaign runs");
+    let r = c
+        .run_traced(&[Environment::TS_ASV], &[Scheme::ExhDyn], Tracer::noop())
+        .expect("campaign runs");
     let asv = r.cell(Environment::TS_ASV, Scheme::ExhDyn).expect("cell");
     // Baseline runs slower, hence cooler and cheaper than NoVar.
     assert!(r.baseline.power_w < r.novar.power_w);
@@ -65,7 +69,9 @@ fn fuzzy_dyn_tracks_exh_dyn() {
     // trades accuracy for test speed).
     let mut c = mini_campaign();
     c.training = TrainingBudget::default();
-    let r = c.run(&[Environment::TS_ASV], &[Scheme::FuzzyDyn, Scheme::ExhDyn]).expect("campaign runs");
+    let r = c
+        .run_traced(&[Environment::TS_ASV], &[Scheme::FuzzyDyn, Scheme::ExhDyn], Tracer::noop())
+        .expect("campaign runs");
     let fz = r.cell(Environment::TS_ASV, Scheme::FuzzyDyn).expect("cell");
     let ex = r.cell(Environment::TS_ASV, Scheme::ExhDyn).expect("cell");
     // "The difference between using a fuzzy adaptation scheme instead of
@@ -84,7 +90,9 @@ fn fuzzy_dyn_tracks_exh_dyn() {
 #[test]
 fn static_is_conservative() {
     let c = mini_campaign();
-    let r = c.run(&[Environment::TS_ASV], &[Scheme::Static, Scheme::ExhDyn]).expect("campaign runs");
+    let r = c
+        .run_traced(&[Environment::TS_ASV], &[Scheme::Static, Scheme::ExhDyn], Tracer::noop())
+        .expect("campaign runs");
     let st = r.cell(Environment::TS_ASV, Scheme::Static).expect("cell");
     let dy = r.cell(Environment::TS_ASV, Scheme::ExhDyn).expect("cell");
     assert!(
@@ -98,7 +106,9 @@ fn static_is_conservative() {
 #[test]
 fn outcomes_cover_the_figure13_vocabulary() {
     let c = mini_campaign();
-    let r = c.run(&[Environment::TS_ASV], &[Scheme::ExhDyn]).expect("campaign runs");
+    let r = c
+        .run_traced(&[Environment::TS_ASV], &[Scheme::ExhDyn], Tracer::noop())
+        .expect("campaign runs");
     let cell = r.cell(Environment::TS_ASV, Scheme::ExhDyn).expect("cell");
     assert!(cell.outcomes.total() > 0);
     let covered: f64 = Outcome::ALL

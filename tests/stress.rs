@@ -26,6 +26,8 @@ fn decide_under(
         w.class,
         profile.rp_cycles,
         th_c,
+        &DecisionContext::UNTRACED,
+        Tracer::noop(),
     );
     (cfg, d)
 }
@@ -95,6 +97,8 @@ fn worst_chip_of_a_population_still_gains_from_adaptation() {
         w.class,
         profile.rp_cycles,
         cfg.th_c,
+        &DecisionContext::UNTRACED,
+        Tracer::noop(),
     );
     assert!(
         d.f_ghz > fvar * 1.1,
@@ -133,6 +137,7 @@ fn retune_survives_malicious_settings() {
         &[1.0; N_SUBSYSTEMS],
         &[1.0; N_SUBSYSTEMS],
         &VariantSelection::default(),
+        Tracer::noop(),
     );
     assert!(FREQ_LADDER.contains(r.f_ghz));
     assert!(matches!(

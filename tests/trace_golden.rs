@@ -79,7 +79,7 @@ fn event_stream_shape_is_parseable_and_ordered() {
 fn traced_and_untraced_campaigns_agree() {
     let c = mini_campaign();
     let plain = c
-        .run(&[Environment::TS], &[Scheme::Static, Scheme::ExhDyn])
+        .run_traced(&[Environment::TS], &[Scheme::Static, Scheme::ExhDyn], Tracer::noop())
         .expect("campaign runs");
     let (traced, _) = traced_event_lines(0);
     assert_eq!(plain, traced, "tracing must not perturb results");
