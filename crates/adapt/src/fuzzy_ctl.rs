@@ -9,22 +9,27 @@
 //! variant — the variant changes both the timing model and `Kdyn`, so it
 //! is part of the function being learned.
 //!
+//! The fuzzy controller is one [`PhaseModel`] family among four:
+//! [`FuzzyOptimizer`] is `LearnedOptimizer<FuzzyController>`, so bank
+//! lookup, ladder snapping, `asv`/`abb` gating and persistence are the
+//! same code the learned families use. What this module adds is the
+//! fit, which needs a [`TrainingConfig`], and the one teacher sweep that
+//! every family trains from.
+//!
 //! Of the paper's six inputs, `Rth`, `Kdyn`, `Ksta` and `Vt0` are constants
 //! for a given subsystem on a given chip, so the trained controllers take
 //! the inputs that actually vary at run time: the sensed heat-sink
 //! temperature, the counter-measured activity factor and exercise rate,
 //! and (for the `Power` controllers) the core frequency.
 
-use eval_core::{
-    ChipModel, Environment, EvalConfig, SubsystemId, FREQ_LADDER, N_SUBSYSTEMS, VBB_LADDER,
-    VDD_LADDER,
-};
-use eval_fuzzy::{FuzzyController, Normalizer, TrainingConfig};
+use eval_core::{ChipModel, Environment, EvalConfig, SubsystemId, N_SUBSYSTEMS};
+use eval_fuzzy::{FuzzyController, PersistError, TrainingConfig};
 use eval_rng::ChaCha12Rng;
 use eval_trace::Tracer;
 
 use crate::exhaustive::ExhaustiveOptimizer;
-use crate::optimizer::{Optimizer, SubsystemScene};
+use crate::learned::{LearnedBank, LearnedOptimizer, PhaseModel};
+use crate::optimizer::Optimizer;
 use crate::teacher::{self, TeacherExamples};
 
 /// How much offline training to give each fuzzy controller.
@@ -51,68 +56,29 @@ impl Default for TrainingBudget {
     }
 }
 
-/// One trained controller with its input/output normalization.
-#[derive(Debug, Clone)]
-struct Trained {
-    norm: Normalizer,
-    fc: FuzzyController,
-}
+/// The paper's controller as a [`PhaseModel`] family: inference and
+/// persistence forward to `eval_fuzzy` (inherent methods win over the
+/// trait's in path resolution, so these calls do not recurse).
+impl PhaseModel for FuzzyController {
+    const KIND: &'static str = "fuzzy";
 
-impl Trained {
-    fn infer(&self, raw: &[f64]) -> f64 {
-        let x = self.norm.normalize(raw);
-        self.norm.denormalize_output(self.fc.infer(&x))
+    fn infer_norm(&self, x: &[f64]) -> f64 {
+        self.infer(x)
+    }
+
+    fn to_text(&self) -> String {
+        FuzzyController::to_text(self)
+    }
+
+    fn from_text(text: &str) -> Result<Self, PersistError> {
+        FuzzyController::from_text(text)
     }
 }
 
-/// Controllers for one (subsystem, variant) pair.
-#[derive(Debug, Clone)]
-struct SubsystemControllers {
-    freq: Trained,
-    vdd: Trained,
-    vbb: Trained,
-}
-
-/// Trains one fuzzy bank (`Freq`, `Vdd`, `Vbb`) from a teacher example
-/// set, returning the bank and the `Freq` controller's RMS error on its
-/// normalized training set (0 unless `want_rms`).
-fn train_bank(
-    ex: &TeacherExamples,
-    budget: &TrainingBudget,
-    id: SubsystemId,
-    want_rms: bool,
-) -> (SubsystemControllers, f64) {
-    let train_one = |examples: &[(Vec<f64>, f64)], salt: u64| -> (Trained, f64) {
-        let norm = Normalizer::fit(examples);
-        let normalized = norm.apply(examples);
-        let fc = FuzzyController::train(
-            &normalized,
-            &budget.config,
-            budget.seed ^ salt ^ (id.index() as u64) << 8,
-        )
-        // lint:allow(panic-safety): TrainingBudget::default
-        // sizes the example set well above the rule count, and
-        // train() only fails when it is smaller.
-        .expect("training set is larger than the rule count");
-        let rms = if want_rms { fc.rms_error(&normalized) } else { 0.0 };
-        (Trained { norm, fc }, rms)
-    };
-    let (freq, freq_rms) = train_one(&ex.freq, 0x11);
-    let (vdd, _) = train_one(&ex.vdd, 0x22);
-    let (vbb, _) = train_one(&ex.vbb, 0x33);
-    (SubsystemControllers { freq, vdd, vbb }, freq_rms)
-}
-
 /// The deployable fuzzy optimizer for one core in one environment.
-#[derive(Debug, Clone)]
-pub struct FuzzyOptimizer {
-    env: Environment,
-    /// `[subsystem][variant_enabled]`; the variant slot is `None` for
-    /// subsystems without an alternate structure.
-    controllers: Vec<[Option<SubsystemControllers>; 2]>,
-}
+pub type FuzzyOptimizer = LearnedOptimizer<FuzzyController>;
 
-impl FuzzyOptimizer {
+impl LearnedOptimizer<FuzzyController> {
     /// Trains the per-subsystem controllers for `core` under `env` by
     /// querying the exhaustive oracle on randomly sampled sensed inputs
     /// (heat-sink temperature, activity, exercise rate, core frequency),
@@ -156,7 +122,7 @@ impl FuzzyOptimizer {
         let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
         let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
 
-        let mut controllers = Vec::with_capacity(N_SUBSYSTEMS);
+        let mut banks = Vec::with_capacity(N_SUBSYSTEMS);
         for id in SubsystemId::ALL {
             let state = core.subsystem(id);
             let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue)
@@ -165,7 +131,8 @@ impl FuzzyOptimizer {
             } else {
                 &[false]
             };
-            let mut slot: [Option<SubsystemControllers>; 2] = [None, None];
+            let seed = budget.seed ^ ((id.index() as u64) << 8);
+            let mut slot = [None, None];
             for &alt in variants {
                 let vsel = teacher::variant_selection_for(id, alt);
                 let ex = teacher::sample_bank(
@@ -178,80 +145,38 @@ impl FuzzyOptimizer {
                     budget.examples,
                     &mut rng,
                 );
-                let (bank, freq_rms) = train_bank(&ex, budget, id, tracer.enabled());
+                let bank = LearnedBank::fit(&ex, |normalized, salt| {
+                    FuzzyController::train(normalized, &budget.config, seed ^ salt)
+                        // lint:allow(panic-safety): TrainingBudget::default
+                        // sizes the example set well above the rule count, and
+                        // train() only fails when it is smaller.
+                        .expect("training set is larger than the rule count")
+                });
                 tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
                 tracer.event(|| eval_trace::Event::ControllerTrained {
                     subsystem: id.to_string(),
                     variant: if alt { "alt" } else { "normal" },
                     examples: budget.examples as u64,
-                    freq_rms,
+                    freq_rms: bank.freq.model.rms_error(&bank.freq.norm.apply(&ex.freq)),
                 });
                 slot[alt as usize] = Some(bank);
                 on_bank(id, alt, &ex);
             }
-            controllers.push(slot);
+            banks.push(slot);
         }
         // Metrics only (never golden event lines): oracle cache counters
         // accumulated across the whole training sweep.
         oracle.flush_metrics(tracer);
-        Self { env, controllers }
-    }
-
-    /// The environment these controllers were trained for.
-    pub fn environment(&self) -> Environment {
-        self.env
-    }
-
-    fn lookup(&self, scene: &SubsystemScene<'_>) -> &SubsystemControllers {
-        let id = scene.state.id();
-        let alt = teacher::scene_alt(scene);
-        self.controllers[id.index()][alt as usize]
-            .as_ref()
-            .or(self.controllers[id.index()][0].as_ref())
-            // lint:allow(panic-safety): the constructor trains slot 0 for
-            // every subsystem id before FuzzyOptimizer is handed out.
-            .expect("controller trained for every subsystem")
-    }
-}
-
-impl Optimizer for FuzzyOptimizer {
-    fn name(&self) -> &'static str {
-        "fuzzy"
-    }
-
-    fn freq_max(&self, _config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
-        let t = self.lookup(scene);
-        let raw = t.freq.infer(&[scene.th_c, scene.alpha_f, scene.rho]);
-        FREQ_LADDER.nearest(raw)
-    }
-
-    fn power_settings(
-        &self,
-        _config: &EvalConfig,
-        scene: &SubsystemScene<'_>,
-        f_core: f64,
-    ) -> (f64, f64) {
-        let t = self.lookup(scene);
-        let inputs = [scene.th_c, scene.alpha_f, scene.rho, f_core];
-        let vdd = if scene.env.asv {
-            VDD_LADDER.nearest(t.vdd.infer(&inputs))
-        } else {
-            1.0
-        };
-        let vbb = if scene.env.abb {
-            VBB_LADDER.nearest(t.vbb.infer(&inputs))
-        } else {
-            0.0
-        };
-        (vdd, vbb)
+        Self::from_banks(env, banks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::SubsystemScene;
     use crate::test_support::{factory, small_budget};
-    use eval_core::{FuChoice, VariantSelection};
+    use eval_core::{FuChoice, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
 
     fn train(chip: &ChipModel, env: Environment) -> FuzzyOptimizer {
         FuzzyOptimizer::train(factory().config(), chip, 0, env, &small_budget(), Tracer::noop())
@@ -333,10 +258,7 @@ mod tests {
             Tracer::noop(),
         );
         assert_ne!(q.environment(), q_fu.environment());
-        assert_eq!(
-            format!("{:?}", q.controllers),
-            format!("{:?}", q_fu.controllers)
-        );
+        assert_eq!(q.banks, q_fu.banks);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Learned per-phase controllers: alternatives to the fuzzy controller
-//! trained against the same exhaustive teacher.
+//! Trained per-phase controllers: one bank type and one optimizer type
+//! for every model family fitted against the exhaustive teacher.
 //!
-//! Three model families implement [`PhaseModel`]:
+//! Four model families implement [`PhaseModel`]:
 //!
+//! * [`FuzzyController`](eval_fuzzy::FuzzyController) — the paper's
+//!   controller (fitted in [`crate::fuzzy_ctl`], since its fit needs a
+//!   [`TrainingConfig`](eval_fuzzy::TrainingConfig));
 //! * [`NnTable`] — a nearest-neighbor table over the normalized teacher
 //!   examples (no training beyond memorization; inference is a scan);
 //! * [`RegressionTree`] — a small greedy variance-reduction tree
@@ -11,14 +14,16 @@
 //!   quantized to `i32` Q16.16 fixed point, so deployed inference is
 //!   integer-only and bitwise reproducible on any host.
 //!
-//! A [`LearnedBank`] pairs each model with the [`Normalizer`] it was
-//! trained under (one bank per (subsystem, variant), exactly like the
-//! fuzzy controller), and [`LearnedOptimizer`] assembles banks into a
-//! deployable [`Optimizer`]. Everything persists through the
-//! eval-fuzzy-style versioned text formats, and a whole optimizer
+//! The last three also implement [`Trainable`] (fit from examples and a
+//! seed alone). A [`LearnedBank`] pairs each of a (subsystem, variant)'s
+//! three models with the [`Normalizer`] it was trained under, and
+//! [`LearnedOptimizer`] assembles banks into a deployable [`Optimizer`].
+//! Everything persists through versioned text formats built on the row
+//! helpers of [`eval_fuzzy::persist`], and a whole optimizer
 //! fingerprints via FNV-1a for provenance.
 
-use eval_core::{Environment, EvalConfig, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
+use eval_core::{Environment, EvalConfig, FREQ_LADDER, N_SUBSYSTEMS, VBB_LADDER, VDD_LADDER};
+use eval_fuzzy::persist::{dump_floats, expect_header, parse_row, read_dims, read_row};
 use eval_fuzzy::{Normalizer, PersistError};
 use eval_rng::ChaCha12Rng;
 use eval_trace::provenance::{fnv1a64, hex64};
@@ -26,20 +31,14 @@ use eval_trace::provenance::{fnv1a64, hex64};
 use crate::optimizer::{Optimizer, SubsystemScene};
 use crate::teacher::{self, TeacherExamples};
 
-/// A trainable, persistable regression model over normalized inputs.
+/// A persistable regression model over normalized inputs.
 /// Models map the unit cube to a normalized output in `[0, 1]`-ish
 /// range; the surrounding [`LearnedBank`] owns denormalization.
 pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized {
-    /// Stable scheme label (`nn-table`, `tree`, `mlp`): used for the
-    /// optimizer name, the persist header, and trace scheme rollups.
+    /// Stable scheme label (`fuzzy`, `nn-table`, `tree`, `mlp`): used
+    /// for the optimizer name, the persist header, and trace scheme
+    /// rollups.
     const KIND: &'static str;
-
-    /// Fits the model to normalized `(input, target)` examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `examples` is empty or dimensions are inconsistent.
-    fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self;
 
     /// Predicts the normalized output for a normalized input.
     fn infer_norm(&self, x: &[f64]) -> f64;
@@ -55,67 +54,23 @@ pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized 
     fn from_text(text: &str) -> Result<Self, PersistError>;
 }
 
+/// A [`PhaseModel`] that fits from normalized examples and a seed
+/// alone. (The fuzzy controller also needs a
+/// [`TrainingConfig`](eval_fuzzy::TrainingConfig), so it is fitted
+/// through [`crate::FuzzyOptimizer::train`] instead.)
+pub trait Trainable: PhaseModel {
+    /// Fits the model to normalized `(input, target)` examples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `examples` is empty or dimensions are inconsistent.
+    fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self;
+}
+
 fn parse_usize(token: Option<&str>) -> Result<usize, PersistError> {
     token
         .and_then(|t| t.parse::<usize>().ok())
         .ok_or(PersistError::BadDimensions)
-}
-
-fn parse_floats(line: &str, want: usize) -> Result<Vec<f64>, PersistError> {
-    let vals: Result<Vec<f64>, _> = line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<f64>().map_err(|_| PersistError::BadNumber {
-                token: t.to_string(),
-            })
-        })
-        .collect();
-    let vals = vals?;
-    if vals.len() != want {
-        return Err(PersistError::BadDimensions);
-    }
-    Ok(vals)
-}
-
-fn parse_ints(line: &str, want: usize) -> Result<Vec<i32>, PersistError> {
-    let vals: Result<Vec<i32>, _> = line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<i32>().map_err(|_| PersistError::BadNumber {
-                token: t.to_string(),
-            })
-        })
-        .collect();
-    let vals = vals?;
-    if vals.len() != want {
-        return Err(PersistError::BadDimensions);
-    }
-    Ok(vals)
-}
-
-fn expect_header(
-    lines: &mut dyn Iterator<Item = &str>,
-    header: &'static str,
-) -> Result<(), PersistError> {
-    match lines.next() {
-        Some(l) if l.trim() == header => Ok(()),
-        _ => Err(PersistError::BadHeader),
-    }
-}
-
-fn next_line<'a>(
-    lines: &mut dyn Iterator<Item = &'a str>,
-    expected: &'static str,
-) -> Result<&'a str, PersistError> {
-    lines.next().ok_or(PersistError::UnexpectedEnd { expected })
-}
-
-fn dump_floats(out: &mut String, prefix: &str, vals: &[f64]) {
-    out.push_str(prefix);
-    for v in vals {
-        out.push_str(&format!(" {v:e}"));
-    }
-    out.push('\n');
 }
 
 // ---------------------------------------------------------------------
@@ -133,9 +88,7 @@ pub struct NnTable {
     outputs: Vec<f64>,
 }
 
-impl PhaseModel for NnTable {
-    const KIND: &'static str = "nn-table";
-
+impl Trainable for NnTable {
     fn train(examples: &[(Vec<f64>, f64)], _seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let dim = examples[0].0.len();
@@ -148,6 +101,10 @@ impl PhaseModel for NnTable {
         }
         Self { dim, points, outputs }
     }
+}
+
+impl PhaseModel for NnTable {
+    const KIND: &'static str = "nn-table";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
@@ -179,28 +136,12 @@ impl PhaseModel for NnTable {
     fn from_text(text: &str) -> Result<Self, PersistError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         expect_header(&mut lines, "nn-table v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("rows"), n, Some("inputs"), m) => (parse_usize(n)?, parse_usize(m)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
-        let mut points = Vec::with_capacity(n * m);
+        let (n, m) = read_dims(&mut lines, "rows", "inputs")?;
+        let mut points = Vec::new();
         for _ in 0..n {
-            let line = next_line(&mut lines, "x row")?;
-            let rest = line
-                .strip_prefix('x')
-                .ok_or(PersistError::UnexpectedEnd { expected: "x row" })?;
-            points.extend(parse_floats(rest, m)?);
+            points.extend(read_row::<f64>(&mut lines, "x", m)?);
         }
-        let y_line = next_line(&mut lines, "outputs")?;
-        let rest = y_line
-            .strip_prefix('y')
-            .ok_or(PersistError::UnexpectedEnd { expected: "outputs" })?;
-        let outputs = parse_floats(rest, n)?;
+        let outputs = read_row(&mut lines, "y", n)?;
         Ok(Self {
             dim: m,
             points,
@@ -313,9 +254,7 @@ impl RegressionTree {
     }
 }
 
-impl PhaseModel for RegressionTree {
-    const KIND: &'static str = "tree";
-
+impl Trainable for RegressionTree {
     fn train(examples: &[(Vec<f64>, f64)], _seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let dim = examples[0].0.len();
@@ -327,6 +266,10 @@ impl PhaseModel for RegressionTree {
         Self::grow(&mut nodes, examples, &indices, 0);
         Self { dim, nodes }
     }
+}
+
+impl PhaseModel for RegressionTree {
+    const KIND: &'static str = "tree";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "input dimension mismatch");
@@ -367,41 +310,37 @@ impl PhaseModel for RegressionTree {
     fn from_text(text: &str) -> Result<Self, PersistError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         expect_header(&mut lines, "tree v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("nodes"), n, Some("inputs"), m) => (parse_usize(n)?, parse_usize(m)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = next_line(&mut lines, "node")?;
+        let (n, m) = read_dims(&mut lines, "nodes", "inputs")?;
+        let mut nodes = Vec::new();
+        for at in 0..n {
+            let line = lines
+                .next()
+                .ok_or(PersistError::UnexpectedEnd { expected: "node" })?;
             let mut tok = line.split_whitespace();
-            match tok.next() {
+            let node = match tok.next() {
                 Some("split") => {
                     let feature = parse_usize(tok.next())?;
-                    let threshold = parse_floats(tok.next().unwrap_or(""), 1)?[0];
+                    let threshold = parse_row(tok.next().unwrap_or(""), 1)?[0];
                     let left = parse_usize(tok.next())?;
                     let right = parse_usize(tok.next())?;
-                    if feature >= m || left >= n || right >= n {
+                    // Children follow their parent (`grow` writes nodes
+                    // in preorder), so inference always reaches a leaf.
+                    if feature >= m || left.min(right) <= at || left.max(right) >= n {
                         return Err(PersistError::BadDimensions);
                     }
-                    nodes.push(TreeNode::Split {
+                    TreeNode::Split {
                         feature,
                         threshold,
                         left,
                         right,
-                    });
+                    }
                 }
-                Some("leaf") => {
-                    let value = parse_floats(tok.next().unwrap_or(""), 1)?[0];
-                    nodes.push(TreeNode::Leaf { value });
-                }
+                Some("leaf") => TreeNode::Leaf {
+                    value: parse_row(tok.next().unwrap_or(""), 1)?[0],
+                },
                 _ => return Err(PersistError::UnexpectedEnd { expected: "node" }),
-            }
+            };
+            nodes.push(node);
         }
         Ok(Self { dim: m, nodes })
     }
@@ -437,9 +376,7 @@ fn quantize(v: f64) -> i32 {
     q.clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32
 }
 
-impl PhaseModel for MlpQ16 {
-    const KIND: &'static str = "mlp";
-
+impl Trainable for MlpQ16 {
     fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
         let m = examples[0].0.len();
@@ -504,6 +441,10 @@ impl PhaseModel for MlpQ16 {
             b2: quantize(b2),
         }
     }
+}
+
+impl PhaseModel for MlpQ16 {
+    const KIND: &'static str = "mlp";
 
     fn infer_norm(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.inputs, "input dimension mismatch");
@@ -531,13 +472,6 @@ impl PhaseModel for MlpQ16 {
         let mut out = String::with_capacity(64 + MLP_HIDDEN * (m + 2) * 12);
         out.push_str("mlp v1\n");
         out.push_str(&format!("inputs {m} hidden {MLP_HIDDEN}\n"));
-        for row in self.w1.chunks_exact(m) {
-            out.push_str("w1");
-            for v in row {
-                out.push_str(&format!(" {v}"));
-            }
-            out.push('\n');
-        }
         let dump_ints = |out: &mut String, prefix: &str, vals: &[i32]| {
             out.push_str(prefix);
             for v in vals {
@@ -545,6 +479,9 @@ impl PhaseModel for MlpQ16 {
             }
             out.push('\n');
         };
+        for row in self.w1.chunks_exact(m) {
+            dump_ints(&mut out, "w1", row);
+        }
         dump_ints(&mut out, "b1", &self.b1);
         dump_ints(&mut out, "w2", &self.w2);
         dump_ints(&mut out, "b2", &[self.b2]);
@@ -554,29 +491,17 @@ impl PhaseModel for MlpQ16 {
     fn from_text(text: &str) -> Result<Self, PersistError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         expect_header(&mut lines, "mlp v1")?;
-        let dims = next_line(&mut lines, "dimensions")?;
-        let mut it = dims.split_whitespace();
-        let (m, h) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("inputs"), m, Some("hidden"), h) => (parse_usize(m)?, parse_usize(h)?),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if m == 0 || h != MLP_HIDDEN {
+        let (m, h) = read_dims(&mut lines, "inputs", "hidden")?;
+        if h != MLP_HIDDEN {
             return Err(PersistError::BadDimensions);
         }
-        let mut read_row = |prefix: &'static str, want: usize| -> Result<Vec<i32>, PersistError> {
-            let line = next_line(&mut lines, prefix)?;
-            let rest = line
-                .strip_prefix(prefix)
-                .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
-            parse_ints(rest, want)
-        };
-        let mut w1 = Vec::with_capacity(h * m);
+        let mut w1 = Vec::new();
         for _ in 0..h {
-            w1.extend(read_row("w1", m)?);
+            w1.extend(read_row::<i32>(&mut lines, "w1", m)?);
         }
-        let b1 = read_row("b1", h)?;
-        let w2 = read_row("w2", h)?;
-        let b2 = read_row("b2", 1)?[0];
+        let b1 = read_row(&mut lines, "b1", h)?;
+        let w2 = read_row(&mut lines, "w2", h)?;
+        let b2 = read_row(&mut lines, "b2", 1)?[0];
         Ok(Self {
             inputs: m,
             w1,
@@ -591,16 +516,28 @@ impl PhaseModel for MlpQ16 {
 // Banks and the deployable optimizer
 // ---------------------------------------------------------------------
 
+/// One role of a bank (`Freq`, `Vdd` or `Vbb`): a model and the
+/// normalizer it was fitted under.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Fitted<M> {
+    pub(crate) norm: Normalizer,
+    pub(crate) model: M,
+}
+
+impl<M: PhaseModel> Fitted<M> {
+    fn infer(&self, raw: &[f64]) -> f64 {
+        let x = self.norm.normalize(raw);
+        self.norm.denormalize_output(self.model.infer_norm(&x))
+    }
+}
+
 /// One (subsystem, variant) bank: a `Freq` model and two `Power`
 /// models, each with the normalizer it was trained under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedBank<M> {
-    norm_freq: Normalizer,
-    freq: M,
-    norm_vdd: Normalizer,
-    vdd: M,
-    norm_vbb: Normalizer,
-    vbb: M,
+    pub(crate) freq: Fitted<M>,
+    vdd: Fitted<M>,
+    vbb: Fitted<M>,
 }
 
 /// Section separator inside serialized banks.
@@ -627,58 +564,35 @@ fn split_sections(text: &str, want: usize) -> Result<Vec<String>, PersistError> 
 }
 
 impl<M: PhaseModel> LearnedBank<M> {
-    /// Trains all three models of one bank from a teacher example set.
-    /// The salts mirror the fuzzy trainer's per-role seeds.
-    pub fn train(ex: &TeacherExamples, seed: u64) -> Self {
-        let fit = |examples: &[(Vec<f64>, f64)], salt: u64| -> (Normalizer, M) {
+    /// Fits each role's normalizer to its teacher examples, then the
+    /// model via `fit_model(normalized, salt)`, with salts `0x11`,
+    /// `0x22`, `0x33` for `Freq`, `Vdd`, `Vbb`.
+    pub(crate) fn fit(
+        ex: &TeacherExamples,
+        mut fit_model: impl FnMut(&[(Vec<f64>, f64)], u64) -> M,
+    ) -> Self {
+        let mut role = |examples: &[(Vec<f64>, f64)], salt: u64| {
             let norm = Normalizer::fit(examples);
-            let normalized = norm.apply(examples);
-            let model = M::train(&normalized, seed ^ salt);
-            (norm, model)
+            let model = fit_model(&norm.apply(examples), salt);
+            Fitted { norm, model }
         };
-        let (norm_freq, freq) = fit(&ex.freq, 0x11);
-        let (norm_vdd, vdd) = fit(&ex.vdd, 0x22);
-        let (norm_vbb, vbb) = fit(&ex.vbb, 0x33);
         Self {
-            norm_freq,
-            freq,
-            norm_vdd,
-            vdd,
-            norm_vbb,
-            vbb,
+            freq: role(&ex.freq, 0x11),
+            vdd: role(&ex.vdd, 0x22),
+            vbb: role(&ex.vbb, 0x33),
         }
-    }
-
-    fn infer_freq(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_freq.normalize(raw);
-        self.norm_freq.denormalize_output(self.freq.infer_norm(&x))
-    }
-
-    fn infer_vdd(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_vdd.normalize(raw);
-        self.norm_vdd.denormalize_output(self.vdd.infer_norm(&x))
-    }
-
-    fn infer_vbb(&self, raw: &[f64]) -> f64 {
-        let x = self.norm_vbb.normalize(raw);
-        self.norm_vbb.denormalize_output(self.vbb.infer_norm(&x))
     }
 
     /// Serializes the bank: six `%%`-terminated sections (normalizer
     /// then model, for `Freq`, `Vdd`, `Vbb`).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for section in [
-            self.norm_freq.to_text(),
-            self.freq.to_text(),
-            self.norm_vdd.to_text(),
-            self.vdd.to_text(),
-            self.norm_vbb.to_text(),
-            self.vbb.to_text(),
-        ] {
-            out.push_str(&section);
-            out.push_str(SECTION_MARK);
-            out.push('\n');
+        for role in [&self.freq, &self.vdd, &self.vbb] {
+            for section in [role.norm.to_text(), role.model.to_text()] {
+                out.push_str(&section);
+                out.push_str(SECTION_MARK);
+                out.push('\n');
+            }
         }
         out
     }
@@ -690,31 +604,41 @@ impl<M: PhaseModel> LearnedBank<M> {
     /// Returns [`PersistError`] on malformed input.
     pub fn from_text(text: &str) -> Result<Self, PersistError> {
         let s = split_sections(text, 6)?;
+        let role = |i: usize| -> Result<Fitted<M>, PersistError> {
+            Ok(Fitted {
+                norm: Normalizer::from_text(&s[2 * i])?,
+                model: M::from_text(&s[2 * i + 1])?,
+            })
+        };
         Ok(Self {
-            norm_freq: Normalizer::from_text(&s[0])?,
-            freq: M::from_text(&s[1])?,
-            norm_vdd: Normalizer::from_text(&s[2])?,
-            vdd: M::from_text(&s[3])?,
-            norm_vbb: Normalizer::from_text(&s[4])?,
-            vbb: M::from_text(&s[5])?,
+            freq: role(0)?,
+            vdd: role(1)?,
+            vbb: role(2)?,
         })
     }
 }
 
-/// A deployable learned optimizer: one [`LearnedBank`] per (subsystem,
-/// variant), inference identical in shape to the fuzzy optimizer's
-/// (ladder snapping, `asv`/`abb` gating, slot-0 fallback).
+impl<M: Trainable> LearnedBank<M> {
+    /// Trains all three models of one bank from a teacher example set.
+    pub fn train(ex: &TeacherExamples, seed: u64) -> Self {
+        Self::fit(ex, |normalized, salt| M::train(normalized, seed ^ salt))
+    }
+}
+
+/// A deployable trained optimizer: one [`LearnedBank`] per (subsystem,
+/// variant), with ladder snapping, `asv`/`abb` gating and the slot-0
+/// fallback shared by every [`PhaseModel`] family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedOptimizer<M> {
     env: Environment,
     /// `[subsystem][variant_enabled]`; the variant slot is `None` for
     /// subsystems without an alternate structure.
-    banks: Vec<[Option<LearnedBank<M>>; 2]>,
+    pub(crate) banks: Vec<[Option<LearnedBank<M>>; 2]>,
 }
 
 impl<M: PhaseModel> LearnedOptimizer<M> {
-    /// Assembles an optimizer from pre-trained banks (the controller
-    /// zoo trains them from one shared teacher sweep).
+    /// Assembles an optimizer from pre-trained banks (one teacher sweep
+    /// trains them for every family).
     pub(crate) fn from_banks(
         env: Environment,
         banks: Vec<[Option<LearnedBank<M>>; 2]>,
@@ -733,8 +657,8 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
         self.banks[id.index()][alt as usize]
             .as_ref()
             .or(self.banks[id.index()][0].as_ref())
-            // lint:allow(panic-safety): the zoo trains slot 0 for every
-            // subsystem id before a LearnedOptimizer is handed out.
+            // lint:allow(panic-safety): training and `from_text` both
+            // fill slot 0 for every subsystem id.
             .expect("bank trained for every subsystem")
     }
 
@@ -763,26 +687,18 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
 
     /// Parses a serialized optimizer. `env` must match the recorded
     /// environment name (the environment table is compiled in; the text
-    /// format only records which one was used).
+    /// format only records which one was used). The file must hold
+    /// exactly one bank row per subsystem and nothing after the last.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError`] on malformed input or an environment
     /// mismatch.
     pub fn from_text(env: Environment, text: &str) -> Result<Self, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
-        match lines.next() {
-            Some(l) if l.trim() == "learned-optimizer v1" => {}
-            _ => return Err(PersistError::BadHeader),
-        }
-        let scheme = lines.next().ok_or(PersistError::BadHeader)?;
-        if scheme.trim() != format!("scheme {}", M::KIND) {
-            return Err(PersistError::BadHeader);
-        }
-        let env_line = lines.next().ok_or(PersistError::BadHeader)?;
-        if env_line.trim() != format!("env {}", env.name) {
-            return Err(PersistError::BadHeader);
-        }
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        expect_header(&mut lines, "learned-optimizer v1")?;
+        expect_header(&mut lines, &format!("scheme {}", M::KIND))?;
+        expect_header(&mut lines, &format!("env {}", env.name))?;
         let banks_line = lines.next().ok_or(PersistError::UnexpectedEnd {
             expected: "bank count",
         })?;
@@ -792,10 +708,10 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
                 .map_err(|_| PersistError::BadDimensions)?,
             None => return Err(PersistError::BadDimensions),
         };
-        if n == 0 {
+        if n != N_SUBSYSTEMS {
             return Err(PersistError::BadDimensions);
         }
-        let mut banks: Vec<[Option<LearnedBank<M>>; 2]> = Vec::with_capacity(n);
+        let mut banks: Vec<[Option<LearnedBank<M>>; 2]> = Vec::with_capacity(N_SUBSYSTEMS);
         for i in 0..n {
             let mut slots: [Option<LearnedBank<M>>; 2] = [None, None];
             for (s, slot) in slots.iter_mut().enumerate() {
@@ -839,7 +755,7 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
             }
             banks.push(slots);
         }
-        if banks.iter().any(|s| s[0].is_none()) {
+        if lines.next().is_some() || banks.iter().any(|s| s[0].is_none()) {
             return Err(PersistError::BadDimensions);
         }
         Ok(Self { env, banks })
@@ -858,8 +774,7 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
     }
 
     fn freq_max(&self, _config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
-        let bank = self.lookup(scene);
-        let raw = bank.infer_freq(&[scene.th_c, scene.alpha_f, scene.rho]);
+        let raw = self.lookup(scene).freq.infer(&[scene.th_c, scene.alpha_f, scene.rho]);
         FREQ_LADDER.nearest(raw)
     }
 
@@ -872,12 +787,12 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
         let bank = self.lookup(scene);
         let inputs = [scene.th_c, scene.alpha_f, scene.rho, f_core];
         let vdd = if scene.env.asv {
-            VDD_LADDER.nearest(bank.infer_vdd(&inputs))
+            VDD_LADDER.nearest(bank.vdd.infer(&inputs))
         } else {
             1.0
         };
         let vbb = if scene.env.abb {
-            VBB_LADDER.nearest(bank.infer_vbb(&inputs))
+            VBB_LADDER.nearest(bank.vbb.infer(&inputs))
         } else {
             0.0
         };
@@ -888,6 +803,7 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eval_fuzzy::FuzzyController;
 
     fn toy_examples(n: usize) -> Vec<(Vec<f64>, f64)> {
         (0..n)
@@ -900,7 +816,7 @@ mod tests {
             .collect()
     }
 
-    fn check_fit<M: PhaseModel>(tol: f64) {
+    fn check_fit<M: Trainable>(tol: f64) {
         let ex = toy_examples(200);
         let model = M::train(&ex, 42);
         let mut sse = 0.0;
@@ -927,7 +843,7 @@ mod tests {
         check_fit::<MlpQ16>(0.12);
     }
 
-    fn check_round_trip<M: PhaseModel>() {
+    fn check_round_trip<M: Trainable>() {
         let ex = toy_examples(120);
         let model = M::train(&ex, 7);
         let back = M::from_text(&model.to_text()).expect("parses");
@@ -965,6 +881,16 @@ mod tests {
         if bad != good {
             assert_eq!(RegressionTree::from_text(&bad), Err(PersistError::BadDimensions));
         }
+        // So are links back up the tree, which would loop inference.
+        let cyclic = "tree v1\nnodes 2 inputs 1\nsplit 0 5e-1 0 1\nleaf 1e0\n";
+        assert_eq!(RegressionTree::from_text(cyclic), Err(PersistError::BadDimensions));
+        // A forged count fails as a short read, never as an allocation.
+        let huge = "2305843009213693952";
+        assert!(NnTable::from_text(&format!("nn-table v1\nrows {huge} inputs 1\n")).is_err());
+        assert!(RegressionTree::from_text(&format!("tree v1\nnodes {huge} inputs 1\n")).is_err());
+        let fuzzy = format!("fuzzy-controller v1\nrules {huge} inputs 1\n");
+        assert!(<FuzzyController as PhaseModel>::from_text(&fuzzy).is_err());
+        assert!(MlpQ16::from_text(&format!("mlp v1\ninputs {huge} hidden 8\n")).is_err());
     }
 
     #[test]
@@ -1004,5 +930,141 @@ mod tests {
         let back = LearnedBank::<MlpQ16>::from_text(&bank.to_text()).expect("parses");
         assert_eq!(bank, back);
         assert!(LearnedBank::<MlpQ16>::from_text("junk\n%%\n").is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use std::panic::catch_unwind;
+
+    use super::*;
+    use eval_fuzzy::{FuzzyController, TrainingConfig};
+    use proptest::prelude::*;
+
+    /// Tokens a damaged file may carry: a count too large to allocate, a
+    /// negative, a non-finite value and a non-number.
+    const BAD_TOKENS: [&str; 4] = ["2305843009213693952", "-1", "nan", "x"];
+
+    /// Damaged copies of `text` at one drawn line and at one of its
+    /// first four lines (where the counts live): cut before the line,
+    /// one token of it replaced by each of [`BAD_TOKENS`], the line
+    /// duplicated, the line dropped.
+    fn damage(text: &str, line: usize, token: usize) -> Vec<String> {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut out = Vec::new();
+        for at in [line % lines.len(), line % lines.len().min(4)] {
+            let edit = |f: &dyn Fn(&mut Vec<String>)| {
+                let mut copy: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+                f(&mut copy);
+                copy.join("\n")
+            };
+            out.push(edit(&|c| c.truncate(at)));
+            for bad in BAD_TOKENS {
+                out.push(edit(&|c| {
+                    let mut toks: Vec<&str> = lines[at].split_whitespace().collect();
+                    let k = token % toks.len().max(1);
+                    if k < toks.len() {
+                        toks[k] = bad;
+                    }
+                    c[at] = toks.join(" ");
+                }));
+            }
+            out.push(edit(&|c| c.insert(at, lines[at].to_string())));
+            out.push(edit(&|c| {
+                c.remove(at);
+            }));
+        }
+        out
+    }
+
+    /// Seeded teacher-shaped examples: 3 inputs for `Freq`, 4 for the
+    /// `Power` roles, smooth targets on raw (unnormalized) scales.
+    fn examples(seed: u64) -> TeacherExamples {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut set = |dim: usize, scale: f64| -> Vec<(Vec<f64>, f64)> {
+            (0..32)
+                .map(|_| {
+                    let x: Vec<f64> = (0..dim)
+                        .map(|j| rng.gen_range(0.0..1.0) * (j + 1) as f64)
+                        .collect();
+                    let t = scale * (0.2 + 0.5 * x[0] - 0.3 * x[1] + 0.1 * x[dim - 1] * x[dim - 1]);
+                    (x, t)
+                })
+                .collect()
+        };
+        TeacherExamples {
+            freq: set(3, 5.0),
+            vdd: set(4, 1.2),
+            vbb: set(4, -0.4),
+        }
+    }
+
+    /// Checks `from_text(to_text(x)) == x` for one model and for an
+    /// optimizer built from its banks, then requires every damaged copy
+    /// of each text to parse to `Ok` or `Err`, never a panic.
+    fn check_family<M: PhaseModel>(
+        seed: u64,
+        fit: impl Fn(&[(Vec<f64>, f64)], u64) -> M,
+        line: usize,
+        token: usize,
+    ) -> Result<(), TestCaseError> {
+        let bank = LearnedBank::fit(&examples(seed), &fit);
+        let model = bank.freq.model.clone();
+        let text = model.to_text();
+        prop_assert_eq!(M::from_text(&text), Ok(model.clone()));
+        for damaged in damage(&text, line, token) {
+            let parsed = catch_unwind(|| M::from_text(&damaged).is_ok());
+            let head: Vec<&str> = damaged.lines().take(3).collect();
+            prop_assert!(parsed.is_ok(), "{} parser panicked on {head:?}", M::KIND);
+        }
+
+        let mut banks: Vec<[Option<LearnedBank<M>>; 2]> =
+            (0..N_SUBSYSTEMS).map(|_| [Some(bank.clone()), None]).collect();
+        banks[0][1] = Some(bank);
+        let opt = LearnedOptimizer::from_banks(Environment::TS_ASV, banks);
+        let text = opt.to_text();
+        let parse = |t: &str| LearnedOptimizer::<M>::from_text(Environment::TS_ASV, t);
+        prop_assert!(parse(&text) == Ok(opt), "{} optimizer round trip drifted", M::KIND);
+        for damaged in damage(&text, line, token) {
+            let parsed = catch_unwind(|| parse(&damaged).is_ok());
+            prop_assert!(parsed.is_ok(), "{} optimizer parser panicked", M::KIND);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_fuzzy_text_round_trips_and_survives_damage(
+            seed in 0u64..1_000_000, line in 0usize..100_000, token in 0usize..64,
+        ) {
+            let config = TrainingConfig { rules: 6, epochs: 2, ..TrainingConfig::micro08() };
+            let fit = |n: &[(Vec<f64>, f64)], s: u64| {
+                FuzzyController::train(n, &config, s).expect("more examples than rules")
+            };
+            check_family(seed, fit, line, token)?;
+        }
+
+        #[test]
+        fn prop_nn_table_text_round_trips_and_survives_damage(
+            seed in 0u64..1_000_000, line in 0usize..100_000, token in 0usize..64,
+        ) {
+            check_family(seed, NnTable::train, line, token)?;
+        }
+
+        #[test]
+        fn prop_tree_text_round_trips_and_survives_damage(
+            seed in 0u64..1_000_000, line in 0usize..100_000, token in 0usize..64,
+        ) {
+            check_family(seed, RegressionTree::train, line, token)?;
+        }
+
+        #[test]
+        fn prop_mlp_text_round_trips_and_survives_damage(
+            seed in 0u64..1_000_000, line in 0usize..100_000, token in 0usize..64,
+        ) {
+            check_family(seed, MlpQ16::train, line, token)?;
+        }
     }
 }

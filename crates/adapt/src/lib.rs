@@ -13,7 +13,8 @@
 //! * [`ExhaustiveOptimizer`] — grid search over the actuator ladders (the
 //!   oracle used offline by the manufacturer);
 //! * [`FuzzyOptimizer`] — per-subsystem fuzzy controllers trained against
-//!   the exhaustive oracle (the deployable software controller).
+//!   the exhaustive oracle (the deployable software controller), one of
+//!   the four [`LearnedOptimizer`] families of the controller zoo.
 //!
 //! On top of those sit the structure-choice rules of §4.2 (FU replication
 //! per Figure 4, issue-queue resizing by estimated performance), the
@@ -53,7 +54,9 @@ pub use exhaustive::ExhaustiveOptimizer;
 pub use fidelity::{fidelity_table, FidelityRow};
 pub use fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 pub use global_dvfs::GlobalDvfsOptimizer;
-pub use learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, PhaseModel, RegressionTree};
+pub use learned::{
+    LearnedBank, LearnedOptimizer, MlpQ16, NnTable, PhaseModel, RegressionTree, Trainable,
+};
 pub use optimizer::{Optimizer, SceneEval, SubsystemScene};
 pub use retune::{retune, Outcome, RetuneResult};
 pub use runtime::{AdaptiveSystem, RuntimeEvent, RuntimeStats};

@@ -8,12 +8,13 @@
 //! [`OptimizerController`] wraps any optimizer at the sensed
 //! temperature, [`StaticController`] wraps the exhaustive oracle at
 //! worst-case `TH_MAX` (a static configuration cannot react to
-//! conditions). The learned families from [`crate::learned`] arrive via
-//! [`ControllerZoo::train_traced`], which runs the fuzzy trainer's own
-//! teacher sweep and fits the nearest-neighbor, tree, and MLP banks from
-//! each bank's examples as it goes — so every family sees an identical
-//! curriculum and the fuzzy controllers stay bit-identical to
-//! [`FuzzyOptimizer::train`].
+//! conditions). The four trained families — fuzzy, nearest-neighbor,
+//! tree, MLP — are each a [`LearnedOptimizer`] over the same bank type
+//! and arrive via [`ControllerZoo::train_traced`], which runs the fuzzy
+//! trainer's own teacher sweep and fits the nearest-neighbor, tree, and
+//! MLP banks from each bank's examples as it goes — so every family
+//! sees an identical curriculum and the fuzzy controllers stay
+//! bit-identical to [`FuzzyOptimizer::train`].
 
 use eval_core::{ChipModel, CoreModel, Environment, EvalConfig, N_SUBSYSTEMS};
 use eval_trace::Tracer;
@@ -361,5 +362,20 @@ mod tests {
                 .expect("parses"),
             zoo.tree
         );
+        // So does the fuzzy member, which rejects another family's file.
+        let f = zoo.fuzzy.to_text();
+        let fuzzy = FuzzyOptimizer::from_text(Environment::TS_ASV, &f).expect("parses");
+        assert_eq!(fuzzy, zoo.fuzzy);
+        assert_eq!(fuzzy.fingerprint(), zoo.fuzzy.fingerprint());
+        assert!(FuzzyOptimizer::from_text(Environment::TS_ASV, &text).is_err());
+        // A file must hold exactly one bank row per subsystem: a forged
+        // count, a short count, or lines after the last bank are errors.
+        let banks = format!("banks {N_SUBSYSTEMS}\n");
+        for count in ["banks 2305843009213693952\n", "banks 1\n"] {
+            let forged = text.replacen(&banks, count, 1);
+            assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &forged).is_err());
+        }
+        let trailing = format!("{text}bank {N_SUBSYSTEMS} 0 absent\n");
+        assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &trailing).is_err());
     }
 }

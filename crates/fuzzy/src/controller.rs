@@ -17,8 +17,10 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzyController {
     inputs: usize,
-    mu: Vec<f64>,
-    sigma: Vec<f64>,
+    /// Row-major `rules × inputs` membership centers.
+    pub(crate) mu: Vec<f64>,
+    /// Row-major `rules × inputs` membership widths.
+    pub(crate) sigma: Vec<f64>,
     y: Vec<f64>,
 }
 

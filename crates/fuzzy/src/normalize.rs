@@ -10,7 +10,7 @@
 //! round trip is bit-exact and a trained controller can be shipped with
 //! the exact normalization it was trained under.
 
-use crate::persist::{parse_floats, PersistError};
+use crate::persist::{dump_floats, expect_header, read_row, PersistError};
 
 /// An affine `[min, max] -> [0, 1]` mapper for input vectors (plus the
 /// scalar output).
@@ -122,16 +122,9 @@ impl Normalizer {
         let mut out = String::with_capacity(48 + m * 52);
         out.push_str("normalizer v1\n");
         out.push_str(&format!("dim {m}\n"));
-        let dump = |out: &mut String, name: &str, vals: &[f64]| {
-            out.push_str(name);
-            for v in vals {
-                out.push_str(&format!(" {v:e}"));
-            }
-            out.push('\n');
-        };
-        dump(&mut out, "mins", &self.mins);
-        dump(&mut out, "maxs", &self.maxs);
-        dump(&mut out, "out", &[self.out_min, self.out_max]);
+        dump_floats(&mut out, "mins", &self.mins);
+        dump_floats(&mut out, "maxs", &self.maxs);
+        dump_floats(&mut out, "out", &[self.out_min, self.out_max]);
         out
     }
 
@@ -142,10 +135,7 @@ impl Normalizer {
     /// Returns [`PersistError`] on malformed input.
     pub fn from_text(text: &str) -> Result<Normalizer, PersistError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or(PersistError::BadHeader)?;
-        if header.trim() != "normalizer v1" {
-            return Err(PersistError::BadHeader);
-        }
+        expect_header(&mut lines, "normalizer v1")?;
         let dims = lines.next().ok_or(PersistError::UnexpectedEnd {
             expected: "dimensions",
         })?;
@@ -159,18 +149,9 @@ impl Normalizer {
         if m == 0 {
             return Err(PersistError::BadDimensions);
         }
-        let mut read_row = |prefix: &'static str, want: usize| -> Result<Vec<f64>, PersistError> {
-            let line = lines.next().ok_or(PersistError::UnexpectedEnd {
-                expected: prefix,
-            })?;
-            let rest = line
-                .strip_prefix(prefix)
-                .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
-            parse_floats(rest, want)
-        };
-        let mins = read_row("mins", m)?;
-        let maxs = read_row("maxs", m)?;
-        let out = read_row("out", 2)?;
+        let mins = read_row(&mut lines, "mins", m)?;
+        let maxs = read_row(&mut lines, "maxs", m)?;
+        let out: Vec<f64> = read_row(&mut lines, "out", 2)?;
         Ok(Normalizer {
             mins,
             maxs,

@@ -15,9 +15,16 @@
 //! sigma <m floats>     (n lines)
 //! y <n floats>
 //! ```
+//!
+//! Its row helpers ([`parse_row`], [`read_row`], [`expect_header`],
+//! [`read_dims`], [`dump_floats`]) serve every controller text format in the
+//! workspace: this one, the [`Normalizer`](crate::Normalizer)'s, and the
+//! learned families' in `eval-adapt`. A row is a line
+//! `<prefix> <v1> <v2> ...`. Parsers never size a buffer from a count
+//! read from the text, so a forged count fails as a short read.
 
 use std::fmt;
-use std::num::ParseFloatError;
+use std::str::FromStr;
 
 use crate::controller::FuzzyController;
 
@@ -56,28 +63,94 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-impl From<ParseFloatError> for PersistError {
-    fn from(_: ParseFloatError) -> Self {
-        PersistError::BadNumber {
-            token: String::new(),
-        }
-    }
-}
-
-pub(crate) fn parse_floats(line: &str, want: usize) -> Result<Vec<f64>, PersistError> {
-    let vals: Result<Vec<f64>, _> = line
+/// Parses the whitespace-separated tokens of `rest` as exactly `want`
+/// values.
+///
+/// # Errors
+///
+/// [`PersistError::BadNumber`] for a token that does not parse,
+/// [`PersistError::BadDimensions`] for the wrong number of tokens.
+pub fn parse_row<T: FromStr>(rest: &str, want: usize) -> Result<Vec<T>, PersistError> {
+    let vals = rest
         .split_whitespace()
         .map(|t| {
-            t.parse::<f64>().map_err(|_| PersistError::BadNumber {
+            t.parse::<T>().map_err(|_| PersistError::BadNumber {
                 token: t.to_string(),
             })
         })
-        .collect();
-    let vals = vals?;
+        .collect::<Result<Vec<T>, _>>()?;
     if vals.len() != want {
         return Err(PersistError::BadDimensions);
     }
     Ok(vals)
+}
+
+/// Reads the next line as a `prefix` row of exactly `want` values.
+///
+/// # Errors
+///
+/// [`PersistError::UnexpectedEnd`] naming `prefix` when the input ends
+/// or the line has another prefix, else as [`parse_row`].
+pub fn read_row<'a, T: FromStr>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    prefix: &'static str,
+    want: usize,
+) -> Result<Vec<T>, PersistError> {
+    let rest = lines
+        .next()
+        .and_then(|l| l.strip_prefix(prefix))
+        .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
+    parse_row(rest, want)
+}
+
+/// Consumes the format's header line.
+///
+/// # Errors
+///
+/// [`PersistError::BadHeader`] when the input is empty or the first
+/// line is not `header`.
+pub fn expect_header<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    header: &str,
+) -> Result<(), PersistError> {
+    match lines.next() {
+        Some(l) if l.trim() == header => Ok(()),
+        _ => Err(PersistError::BadHeader),
+    }
+}
+
+/// Reads a `<a> <n> <b> <m>` dimensions line and returns `(n, m)`.
+///
+/// # Errors
+///
+/// [`PersistError::UnexpectedEnd`] when the input ends, else
+/// [`PersistError::BadDimensions`] unless the labels match and both
+/// counts are positive integers.
+pub fn read_dims<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    a: &str,
+    b: &str,
+) -> Result<(usize, usize), PersistError> {
+    let dims = lines.next().ok_or(PersistError::UnexpectedEnd {
+        expected: "dimensions",
+    })?;
+    let mut it = dims.split_whitespace();
+    let count = |t: Option<&str>| t.and_then(|t| t.parse::<usize>().ok()).filter(|&c| c > 0);
+    match (it.next(), count(it.next()), it.next(), count(it.next())) {
+        (Some(x), Some(n), Some(y), Some(m)) if x == a && y == b => Ok((n, m)),
+        _ => Err(PersistError::BadDimensions),
+    }
+}
+
+/// Writes one row: `prefix`, then ` {v:e}` per value, then a newline.
+/// `{:e}` prints the shortest digits that parse back to the same bits,
+/// so a round trip is exact for finite values.
+pub fn dump_floats(out: &mut String, prefix: &str, vals: &[f64]) {
+    out.push_str(prefix);
+    for v in vals {
+        out.push_str(&format!(" {v:e}"));
+    }
+    out.push('\n');
 }
 
 impl FuzzyController {
@@ -91,22 +164,13 @@ impl FuzzyController {
         let mut out = String::with_capacity(64 + n * m * 26);
         out.push_str("fuzzy-controller v1\n");
         out.push_str(&format!("rules {n} inputs {m}\n"));
-        let dump_matrix = |out: &mut String, name: &str, get: &dyn Fn(usize, usize) -> f64| {
-            for i in 0..n {
-                out.push_str(name);
-                for j in 0..m {
-                    out.push_str(&format!(" {:e}", get(i, j)));
-                }
-                out.push('\n');
-            }
-        };
-        dump_matrix(&mut out, "mu", &|i, j| self.mu_at(i, j));
-        dump_matrix(&mut out, "sigma", &|i, j| self.sigma_at(i, j));
-        out.push('y');
-        for i in 0..n {
-            out.push_str(&format!(" {:e}", self.outputs()[i]));
+        for row in self.mu.chunks_exact(m) {
+            dump_floats(&mut out, "mu", row);
         }
-        out.push('\n');
+        for row in self.sigma.chunks_exact(m) {
+            dump_floats(&mut out, "sigma", row);
+        }
+        dump_floats(&mut out, "y", self.outputs());
         out
     }
 
@@ -117,46 +181,18 @@ impl FuzzyController {
     /// Returns [`PersistError`] on malformed input.
     pub fn from_text(text: &str) -> Result<FuzzyController, PersistError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or(PersistError::BadHeader)?;
-        if header.trim() != "fuzzy-controller v1" {
-            return Err(PersistError::BadHeader);
-        }
-        let dims = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "dimensions",
-        })?;
-        let mut it = dims.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("rules"), Some(n), Some("inputs"), Some(m)) => (
-                n.parse::<usize>().map_err(|_| PersistError::BadDimensions)?,
-                m.parse::<usize>().map_err(|_| PersistError::BadDimensions)?,
-            ),
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if n == 0 || m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
+        expect_header(&mut lines, "fuzzy-controller v1")?;
+        let (n, m) = read_dims(&mut lines, "rules", "inputs")?;
         let mut read_matrix = |prefix: &'static str| -> Result<Vec<f64>, PersistError> {
-            let mut data = Vec::with_capacity(n * m);
+            let mut data = Vec::new();
             for _ in 0..n {
-                let line = lines.next().ok_or(PersistError::UnexpectedEnd {
-                    expected: prefix,
-                })?;
-                let rest = line
-                    .strip_prefix(prefix)
-                    .ok_or(PersistError::UnexpectedEnd { expected: prefix })?;
-                data.extend(parse_floats(rest, m)?);
+                data.extend(read_row::<f64>(&mut lines, prefix, m)?);
             }
             Ok(data)
         };
         let mu = read_matrix("mu")?;
         let sigma = read_matrix("sigma")?;
-        let y_line = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "outputs",
-        })?;
-        let rest = y_line
-            .strip_prefix('y')
-            .ok_or(PersistError::UnexpectedEnd { expected: "outputs" })?;
-        let y = parse_floats(rest, n)?;
+        let y = read_row(&mut lines, "y", n)?;
         if !sigma.iter().all(|&s| s > 0.0) {
             return Err(PersistError::BadDimensions);
         }
