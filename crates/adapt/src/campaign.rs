@@ -1,14 +1,13 @@
 //! The experiment harness behind Figures 10–13: environments x adaptation
 //! schemes over a chip population and the 16-workload suite.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use eval_trace::flight::render_postmortem;
 use eval_trace::provenance;
-use eval_trace::{
-    names, BufferSink, Event, FlightEntry, FlightRecorder, PostmortemHeader, Tracer,
-};
+use eval_trace::{names, Event, FlightEntry, FlightRecorder, PostmortemHeader, Tracer};
 use eval_units::GHz;
 
 use eval_core::{
@@ -24,6 +23,7 @@ use crate::checkpoint::{
 };
 use crate::controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
 use crate::exhaustive::ExhaustiveOptimizer;
+use crate::fan_out;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::optimizer::Optimizer;
 use crate::retune::Outcome;
@@ -79,7 +79,8 @@ pub enum CampaignError {
         /// The underlying per-subsystem divergence.
         source: InfeasibleConfig,
     },
-    /// A structural invariant of the parallel chip sweep was violated.
+    /// An internal fault: a sweep worker panicked, or the injected
+    /// [`Campaign::fail_chip`] fault fired.
     Internal(&'static str),
     /// The checkpoint sidecar could not be written, read, or trusted.
     Checkpoint(CheckpointError),
@@ -114,28 +115,6 @@ impl std::error::Error for CampaignError {
             CampaignError::Internal(_) | CampaignError::AllChipsFailed { .. } => None,
         }
     }
-}
-
-/// What happened to one chip of the Monte Carlo sweep.
-///
-/// A chip that diverges no longer aborts the campaign: it is quarantined
-/// as [`ChipOutcome::Failed`], excluded from the merged averages, and
-/// reported through [`CampaignResult::chips_failed`] plus the
-/// `campaign.chips_failed` counter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChipOutcome {
-    /// Every cell of the chip evaluated successfully.
-    Completed {
-        /// The chip's baseline reference cell.
-        baseline: CellResult,
-        /// One cell per requested (environment, scheme) pair.
-        cells: Vec<CellResult>,
-    },
-    /// The chip diverged and is quarantined from the merge.
-    Failed {
-        /// What went wrong on this chip.
-        error: CampaignError,
-    },
 }
 
 /// One quarantined chip, as reported by [`CampaignResult::chips_failed`].
@@ -303,8 +282,8 @@ impl Campaign {
     /// Runs the campaign over the given environments and schemes, tracing
     /// into `tracer`: emits a `campaign-start` event,
     /// per-chip `chip-start` markers plus tester/training/decision events,
-    /// a live `campaign.chips_done` counter (recorded by workers as each
-    /// chip completes, for progress decorators), and span timings into
+    /// a live `campaign.chips_done` counter (recorded as each chip
+    /// commits, for progress decorators), and span timings into
     /// `tracer`.
     ///
     /// Workers record into per-chip buffers that are replayed into the
@@ -317,8 +296,10 @@ impl Campaign {
     ///
     /// Returns [`CampaignError`] if a reference operating point turns out
     /// to be thermally infeasible, or if *every* chip was quarantined.
-    /// Individual chip faults no longer abort the sweep — see
-    /// [`ChipOutcome`].
+    /// Individual chip faults do not abort the sweep: a failed chip is
+    /// excluded from the averages and reported in
+    /// [`CampaignResult::chips_failed`] and the `campaign.chips_failed`
+    /// counter.
     ///
     /// # Panics
     ///
@@ -382,7 +363,7 @@ impl Campaign {
         // records: this drops a torn final line and keeps every append
         // below landing on a clean line boundary.
         let resumed = self.load_resumable(envs, schemes, pairs.len(), ckpt)?;
-        let writer = match ckpt {
+        let mut writer = match ckpt {
             Some(opts) => {
                 let fp = checkpoint::fingerprint(self, envs, schemes);
                 let mut w = CheckpointWriter::create(&opts.path, fp, self.chips)
@@ -420,8 +401,8 @@ impl Campaign {
 
         // --- population cells ---
         // Chips are independent Monte Carlo samples, so they run in
-        // parallel; per-chip results are collected by index and merged in a
-        // fixed order, keeping the result bit-identical to a serial run.
+        // parallel; `fan_out::ordered` commits them in chip order, keeping
+        // the result bit-identical to a serial run.
         if start_at == 0 {
             // On resume the campaign-start event (and the resumed chips'
             // event lines) already live in the on-disk trace.
@@ -438,14 +419,39 @@ impl Campaign {
             tracer.count_n(names::CAMPAIGN_CHIPS_RESUMED, start_at as u64);
             tracer.count_n(names::CAMPAIGN_CHIPS_DONE, start_at as u64);
         }
+
+        // Sums run in chip order: the resumed prefix, then each chip as
+        // it commits.
+        let mut baseline = CellResult::default();
+        let mut cells: Vec<(Environment, Scheme, CellResult)> = pairs
+            .iter()
+            .map(|(e, s)| (*e, *s, CellResult::default()))
+            .collect();
+        let mut chips_failed: Vec<ChipFailure> = Vec::new();
+        let mut merge = |chip: usize, outcome: &RecordedOutcome| match outcome {
+            RecordedOutcome::Ok {
+                baseline: chip_baseline,
+                cells: chip_cells,
+            } => {
+                accumulate(&mut baseline, chip_baseline);
+                for ((_, _, acc), cell) in cells.iter_mut().zip(chip_cells) {
+                    accumulate(acc, cell);
+                }
+            }
+            RecordedOutcome::Failed { error } => {
+                tracer.count(names::CAMPAIGN_CHIPS_FAILED);
+                chips_failed.push(ChipFailure {
+                    chip,
+                    error: error.clone(),
+                });
+            }
+        };
         // Replaying each resumed chip's captured metrics (counters,
         // gauges, per-name-ordered observations) rebuilds the registry
         // bit-identically to having run those chips in this process.
-        for rec in &resumed {
+        for (chip_idx, rec) in resumed.iter().enumerate() {
             tracer.replay(rec.metrics.to_updates());
-            if matches!(rec.outcome, RecordedOutcome::Failed { .. }) {
-                tracer.count(names::CAMPAIGN_CHIPS_FAILED);
-            }
+            merge(chip_idx, &rec.outcome);
         }
 
         // Resolve the postmortem destination once: the bundle header
@@ -456,122 +462,64 @@ impl Campaign {
             fingerprint: checkpoint::fingerprint(self, envs, schemes),
         });
 
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(self.chips)
-        } else {
-            self.threads.min(self.chips)
-        };
-        // Workers trace into per-chip buffers so the merged stream does not
-        // depend on thread interleaving; committed in chip order below.
-        let buffers: Vec<BufferSink> = (0..self.chips).map(|_| BufferSink::new()).collect();
-        // Chips are claimed one at a time off a shared atomic counter, so a
-        // slow chip never idles the other workers (static chunking would).
-        // Claim order affects scheduling only: each result lands in its
-        // chip's slot and commits in chip order, keeping the output
-        // bit-identical to a serial run.
-        let next_chip = std::sync::atomic::AtomicUsize::new(start_at);
-        let commit = std::sync::Mutex::new(CommitState {
-            frontier: start_at,
-            slots: prefill_slots(self.chips, resumed),
-            writer,
-            ckpt_error: None,
-        });
-        let worker_panicked: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let factory = &factory;
-                    let profiles = &profiles;
-                    let novar_perf = &novar_perf;
-                    let pairs = &pairs;
-                    let buffers = &buffers;
-                    let next_chip = &next_chip;
-                    let commit = &commit;
-                    let postmortem = &postmortem;
-                    scope.spawn(move || loop {
-                        let chip_idx =
-                            next_chip.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if chip_idx >= self.chips {
-                            break;
-                        }
-                        // Rebase the primary stream onto the chip's buffer
-                        // (deterministic replay) while spans keep streaming
-                        // to the shared timing sink, which tolerates worker
-                        // interleaving by construction.
-                        let chip_tracer = if tracer.enabled() {
-                            tracer.buffered(&buffers[chip_idx])
-                        } else {
-                            tracer.without_sink()
-                        };
-                        let outcome = self.run_one_chip(
-                            factory,
-                            chip_idx,
-                            pairs,
-                            profiles,
-                            novar_perf,
-                            chip_tracer,
-                            postmortem.as_ref(),
-                        );
-                        // Commit under one lock: store the slot, then
-                        // advance the frontier over every contiguously
-                        // finished chip — replaying its buffer (which
-                        // flushes a streaming sink) *before* appending its
-                        // checkpoint record, so the on-disk trace is never
-                        // behind the sidecar.
-                        {
-                            let mut guard =
-                                commit.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.slots[chip_idx] = Some(CommittedChip::from(outcome));
-                            guard.advance(self, buffers, tracer);
-                        }
-                        // Live progress signal on the *outer* sink: counter
-                        // adds commute, so the end-of-run snapshot is
-                        // independent of worker interleaving and the golden
-                        // event lines are untouched.
-                        tracer.count(names::CAMPAIGN_CHIPS_DONE);
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().is_err()).collect()
-        });
-        if worker_panicked.into_iter().any(|p| p) {
+        let mut ckpt_error = None;
+        let swept = fan_out::ordered(
+            start_at..self.chips,
+            self.threads,
+            tracer,
+            |chip_idx, chip_tracer| {
+                match self.run_one_chip(
+                    &factory,
+                    chip_idx,
+                    &pairs,
+                    &profiles,
+                    &novar_perf,
+                    chip_tracer,
+                    postmortem.as_ref(),
+                ) {
+                    Ok((baseline, cells)) => RecordedOutcome::Ok { baseline, cells },
+                    Err(error) => RecordedOutcome::Failed {
+                        error: error.to_string(),
+                    },
+                }
+            },
+            |chip_idx, outcome, records| {
+                // Replay (which flushes a streaming sink) *before* the
+                // checkpoint append: a chip in the sidecar is always
+                // complete in the trace.
+                let metrics = if writer.is_some() {
+                    capture_metrics(&records)
+                } else {
+                    checkpoint::CapturedMetrics::default()
+                };
+                tracer.replay(records);
+                merge(chip_idx, &outcome);
+                if let Some(writer) = writer.as_mut() {
+                    let rec = ChipRecord {
+                        chip: chip_idx,
+                        seed: self.chip_seed(chip_idx),
+                        outcome,
+                        metrics,
+                    };
+                    if let Err(err) = writer.append(&rec) {
+                        ckpt_error = Some(err);
+                        return ControlFlow::Break(());
+                    }
+                }
+                // Live progress signal for progress decorators; counter
+                // adds commute, so the end-of-run snapshot is unchanged.
+                tracer.count(names::CAMPAIGN_CHIPS_DONE);
+                ControlFlow::Continue(())
+            },
+        );
+        if swept.is_err() {
             return Err(CampaignError::Internal("worker thread panicked"));
         }
-        let state = commit.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(err) = state.ckpt_error {
+        if let Some(err) = ckpt_error {
             return Err(CampaignError::Checkpoint(err));
         }
-        if state.frontier != self.chips {
-            return Err(CampaignError::Internal("chips left uncommitted"));
-        }
 
-        let mut baseline = CellResult::default();
-        let mut cells: Vec<(Environment, Scheme, CellResult)> = pairs
-            .iter()
-            .map(|(e, s)| (*e, *s, CellResult::default()))
-            .collect();
-        let mut chips_failed: Vec<ChipFailure> = Vec::new();
-        let mut ok_chips = 0usize;
-        for (chip_idx, slot) in state.slots.into_iter().enumerate() {
-            match slot.ok_or(CampaignError::Internal("chip slot left uncomputed"))? {
-                CommittedChip::Ok {
-                    baseline: chip_baseline,
-                    cells: chip_cells,
-                } => {
-                    accumulate(&mut baseline, &chip_baseline);
-                    for ((_, _, acc), cell) in cells.iter_mut().zip(chip_cells) {
-                        accumulate(acc, &cell);
-                    }
-                    ok_chips += 1;
-                }
-                CommittedChip::Failed { error } => chips_failed.push(ChipFailure {
-                    chip: chip_idx,
-                    error,
-                }),
-            }
-        }
+        let ok_chips = self.chips - chips_failed.len();
         if ok_chips == 0 {
             return Err(CampaignError::AllChipsFailed {
                 first: chips_failed
@@ -648,10 +596,10 @@ impl Campaign {
         Ok(loaded.records)
     }
 
-    /// All measurements for one chip, with fault isolation: any error is
-    /// quarantined into [`ChipOutcome::Failed`] so the rest of the sweep
-    /// continues. The injected [`Campaign::fail_chip`] fault fires before
-    /// any trace output, so a quarantined chip can leave an empty buffer.
+    /// All measurements for one chip. An error here quarantines the chip
+    /// (the sweep records it as failed and carries on). The injected
+    /// [`Campaign::fail_chip`] fault fires before any trace output, so a
+    /// quarantined chip can leave an empty buffer.
     ///
     /// When [`Campaign::postmortem_dir`] is set, a per-chip
     /// [`FlightRecorder`] shadows the sweep and any quarantine dumps a
@@ -666,7 +614,7 @@ impl Campaign {
         novar_perf: &[f64],
         tracer: Tracer<'_>,
         postmortem: Option<&PostmortemSink<'_>>,
-    ) -> ChipOutcome {
+    ) -> Result<(CellResult, Vec<CellResult>), CampaignError> {
         let recorder =
             postmortem.map(|_| Mutex::new(FlightRecorder::new(self.flight_recorder_capacity)));
         if self.fail_chip == Some(chip_idx) {
@@ -689,9 +637,9 @@ impl Campaign {
                 );
                 sink.dump(self, chip_idx, &error, recorder, tracer);
             }
-            return ChipOutcome::Failed { error };
+            return Err(error);
         }
-        match self.run_one_chip_inner(
+        self.run_one_chip_inner(
             factory,
             chip_idx,
             pairs,
@@ -699,15 +647,12 @@ impl Campaign {
             novar_perf,
             tracer,
             recorder.as_ref(),
-        ) {
-            Ok((baseline, cells)) => ChipOutcome::Completed { baseline, cells },
-            Err(error) => {
-                if let (Some(sink), Some(recorder)) = (postmortem, recorder.as_ref()) {
-                    sink.dump(self, chip_idx, &error, recorder, tracer);
-                }
-                ChipOutcome::Failed { error }
+        )
+        .inspect_err(|error| {
+            if let (Some(sink), Some(recorder)) = (postmortem, recorder.as_ref()) {
+                sink.dump(self, chip_idx, error, recorder, tracer);
             }
-        }
+        })
     }
 
     /// The baseline reference plus one cell per requested (environment,
@@ -716,10 +661,9 @@ impl Campaign {
     /// The chip marker, characterization, and per-core reference
     /// baselines run serially into the chip tracer; the remaining work is
     /// `cores_per_chip * pairs.len()` independent units — one (core,
-    /// environment, scheme) cell each — claimed off an atomic counter by
-    /// [`Campaign::intra_chip_threads`] workers. Each unit traces into
-    /// its own buffer; buffers are replayed and sums accumulated in unit
-    /// order (core-major, matching the former serial loop nest), so the
+    /// environment, scheme) cell each — fanned out over
+    /// [`Campaign::intra_chip_threads`] workers by `fan_out::ordered`,
+    /// which replays and sums them in unit order (core-major), so the
     /// chip's event stream and every f64 sum are bit-identical for any
     /// thread count. On a unit fault the replay stops after the failing
     /// unit — exactly what a serial sweep would have traced — and the
@@ -751,76 +695,32 @@ impl Campaign {
             );
         }
 
-        let n_units = self.cores_per_chip * pairs.len();
-        let workers = if self.intra_chip_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.intra_chip_threads
-        }
-        .min(n_units)
-        .max(1);
-        // Per-unit buffers keep worker interleaving out of the chip's
-        // event stream; units are claimed off a shared counter so a slow
-        // cell never idles the other workers.
-        let buffers: Vec<BufferSink> = (0..n_units).map(|_| BufferSink::new()).collect();
-        let slots: std::sync::Mutex<Vec<Option<Result<CellResult, CampaignError>>>> =
-            std::sync::Mutex::new(vec![None; n_units]);
-        let next_unit = std::sync::atomic::AtomicUsize::new(0);
-        // After a fault, workers stop *claiming*; in-flight units still
-        // finish, so the claimed prefix of `slots` is always complete.
-        let faulted = std::sync::atomic::AtomicBool::new(false);
-        let run_units = || loop {
-            if faulted.load(std::sync::atomic::Ordering::Relaxed) {
-                break;
-            }
-            let unit = next_unit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if unit >= n_units {
-                break;
-            }
-            let unit_tracer = if tracer.enabled() {
-                tracer.buffered(&buffers[unit])
-            } else {
-                tracer.without_sink()
-            };
-            let outcome =
-                self.run_unit(&chip, unit, pairs, profiles, novar_perf, unit_tracer, recorder);
-            if outcome.is_err() {
-                faulted.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-            guard[unit] = Some(outcome);
-        };
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(run_units);
-                }
-            });
-        } else {
-            run_units();
-        }
-
-        // Deterministic merge: replay + accumulate in unit order. Claims
-        // are a prefix (atomic counter), so the first empty slot can only
-        // follow a stored fault.
-        let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut cells = vec![CellResult::default(); pairs.len()];
-        for (unit, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(cell)) => {
-                    tracer.replay(buffers[unit].drain());
-                    accumulate(&mut cells[unit % pairs.len()], &cell);
+        let mut fault = None;
+        fan_out::ordered(
+            0..self.cores_per_chip * pairs.len(),
+            self.intra_chip_threads,
+            tracer,
+            |unit, unit_tracer| {
+                self.run_unit(&chip, unit, pairs, profiles, novar_perf, unit_tracer, recorder)
+            },
+            |unit, outcome, records| {
+                tracer.replay(records);
+                match outcome {
+                    Ok(cell) => {
+                        accumulate(&mut cells[unit % pairs.len()], &cell);
+                        ControlFlow::Continue(())
+                    }
+                    Err(error) => {
+                        fault = Some(error);
+                        ControlFlow::Break(())
+                    }
                 }
-                Some(Err(error)) => {
-                    tracer.replay(buffers[unit].drain());
-                    return Err(error);
-                }
-                None => return Err(CampaignError::Internal("unit skipped without a fault")),
-            }
-        }
-        Ok((baseline, cells))
+            },
+        )
+        // A unit panic surfaces where a chip panic does.
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        fault.map_or(Ok((baseline, cells)), Err)
     }
 
     /// One (core, environment, scheme) cell of a chip's sweep. Unit
@@ -1261,114 +1161,6 @@ impl PostmortemSink<'_> {
     }
 }
 
-/// A chip that has passed the commit frontier: its trace records are in
-/// the caller's sink and (when checkpointing) its sidecar record is on
-/// disk. Kept until the end-of-run merge.
-#[derive(Debug, Clone)]
-enum CommittedChip {
-    Ok {
-        baseline: CellResult,
-        cells: Vec<CellResult>,
-    },
-    Failed {
-        error: String,
-    },
-}
-
-impl From<ChipOutcome> for CommittedChip {
-    fn from(outcome: ChipOutcome) -> Self {
-        match outcome {
-            ChipOutcome::Completed { baseline, cells } => CommittedChip::Ok { baseline, cells },
-            ChipOutcome::Failed { error } => CommittedChip::Failed {
-                error: error.to_string(),
-            },
-        }
-    }
-}
-
-impl From<&ChipRecord> for CommittedChip {
-    fn from(rec: &ChipRecord) -> Self {
-        match &rec.outcome {
-            RecordedOutcome::Ok { baseline, cells } => CommittedChip::Ok {
-                baseline: *baseline,
-                cells: cells.clone(),
-            },
-            RecordedOutcome::Failed { error } => CommittedChip::Failed {
-                error: error.clone(),
-            },
-        }
-    }
-}
-
-/// Slots for every chip, with the resumed prefix pre-filled (those chips
-/// are already committed — the frontier starts past them).
-fn prefill_slots(chips: usize, resumed: Vec<ChipRecord>) -> Vec<Option<CommittedChip>> {
-    let mut slots: Vec<Option<CommittedChip>> = vec![None; chips];
-    for (slot, rec) in slots.iter_mut().zip(&resumed) {
-        *slot = Some(CommittedChip::from(rec));
-    }
-    slots
-}
-
-/// The in-order commit pipeline shared by all workers (behind one mutex).
-struct CommitState {
-    /// Index of the next chip to commit; chips below it are fully in the
-    /// sink (and the sidecar, when checkpointing).
-    frontier: usize,
-    slots: Vec<Option<CommittedChip>>,
-    writer: Option<CheckpointWriter>,
-    /// First sidecar-append failure; surfaced after the join so the
-    /// in-flight sweep finishes cleanly.
-    ckpt_error: Option<CheckpointError>,
-}
-
-impl CommitState {
-    /// Advances the frontier over every contiguously finished chip:
-    /// drains and replays its buffer (flushing a streaming sink), bumps
-    /// the quarantine counter for failed chips, and appends its
-    /// checkpoint record. Replay-before-append is the crash-safety
-    /// invariant: a chip in the sidecar is always complete in the trace.
-    fn advance(&mut self, campaign: &Campaign, buffers: &[BufferSink], tracer: Tracer<'_>) {
-        while self.frontier < self.slots.len() {
-            let chip_idx = self.frontier;
-            let Some(committed) = self.slots[chip_idx].as_ref() else {
-                break;
-            };
-            let records = buffers[chip_idx].drain();
-            let metrics = if self.writer.is_some() {
-                capture_metrics(&records)
-            } else {
-                checkpoint::CapturedMetrics::default()
-            };
-            tracer.replay(records);
-            let outcome = match committed {
-                CommittedChip::Ok { baseline, cells } => RecordedOutcome::Ok {
-                    baseline: *baseline,
-                    cells: cells.clone(),
-                },
-                CommittedChip::Failed { error } => {
-                    tracer.count(names::CAMPAIGN_CHIPS_FAILED);
-                    RecordedOutcome::Failed {
-                        error: error.clone(),
-                    }
-                }
-            };
-            if let Some(writer) = self.writer.as_mut() {
-                let rec = ChipRecord {
-                    chip: chip_idx,
-                    seed: campaign.chip_seed(chip_idx),
-                    outcome,
-                    metrics,
-                };
-                if let Err(err) = writer.append(&rec) {
-                    self.ckpt_error.get_or_insert(err);
-                }
-            }
-            self.frontier += 1;
-        }
-    }
-}
-
 fn accumulate(acc: &mut CellResult, cell: &CellResult) {
     acc.freq_rel += cell.freq_rel;
     acc.perf_rel += cell.perf_rel;
@@ -1490,12 +1282,14 @@ mod tests {
             .expect("serial traced campaign runs");
         assert_eq!(sink_a.event_lines(), sink_b.event_lines());
 
-        // Spans land on the timing sink only.
+        // Spans land on the timing sink only. A chip span roots its own
+        // path on a worker thread and nests under `campaign` when the
+        // sweep runs on the calling thread (one core).
         assert!(sink_a.spans().is_empty(), "span leaked into primary sink");
         assert!(timing_a
             .spans()
             .keys()
-            .any(|path| path.starts_with("chip")));
+            .any(|path| path.starts_with("chip") || path.starts_with("campaign/chip")));
         assert!(timing_a
             .registry()
             .histogram("decision.latency_us")

@@ -241,7 +241,10 @@ pub(crate) struct ChipRecord {
     pub metrics: CapturedMetrics,
 }
 
-/// The persisted half of a chip outcome.
+/// What happened to one chip of the Monte Carlo sweep, as the sweep
+/// merges it and the sidecar persists it. A chip that diverged is
+/// quarantined as `Failed`: excluded from the merged averages and
+/// reported through [`crate::CampaignResult::chips_failed`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RecordedOutcome {
     Ok {

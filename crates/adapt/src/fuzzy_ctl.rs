@@ -66,6 +66,10 @@ impl PhaseModel for FuzzyController {
         self.infer(x)
     }
 
+    fn inputs(&self) -> usize {
+        FuzzyController::inputs(self)
+    }
+
     fn to_text(&self) -> String {
         FuzzyController::to_text(self)
     }

@@ -43,6 +43,9 @@ pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized 
     /// Predicts the normalized output for a normalized input.
     fn infer_norm(&self, x: &[f64]) -> f64;
 
+    /// The input dimension [`PhaseModel::infer_norm`] expects.
+    fn inputs(&self) -> usize;
+
     /// Serializes to the model's versioned text format.
     fn to_text(&self) -> String;
 
@@ -118,6 +121,10 @@ impl PhaseModel for NnTable {
             }
         }
         self.outputs[best_row]
+    }
+
+    fn inputs(&self) -> usize {
+        self.dim
     }
 
     fn to_text(&self) -> String {
@@ -287,6 +294,10 @@ impl PhaseModel for RegressionTree {
                 }
             }
         }
+    }
+
+    fn inputs(&self) -> usize {
+        self.dim
     }
 
     fn to_text(&self) -> String {
@@ -467,6 +478,10 @@ impl PhaseModel for MlpQ16 {
         (acc_out >> 16) as f64 / Q16
     }
 
+    fn inputs(&self) -> usize {
+        self.inputs
+    }
+
     fn to_text(&self) -> String {
         let m = self.inputs;
         let mut out = String::with_capacity(64 + MLP_HIDDEN * (m + 2) * 12);
@@ -543,6 +558,10 @@ pub struct LearnedBank<M> {
 /// Section separator inside serialized banks.
 const SECTION_MARK: &str = "%%";
 
+/// Inputs per bank role, in `Freq`, `Vdd`, `Vbb` order: the `Freq`
+/// model sees `(th, alpha_f, rho)`, the `Power` models add `f_core`.
+const ROLE_INPUTS: [usize; 3] = [3, 4, 4];
+
 fn split_sections(text: &str, want: usize) -> Result<Vec<String>, PersistError> {
     let mut out = Vec::with_capacity(want);
     let mut cur = String::new();
@@ -601,14 +620,17 @@ impl<M: PhaseModel> LearnedBank<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError`] on malformed input.
+    /// Returns [`PersistError`] on malformed input, including a role
+    /// whose normalizer or model does not take that role's inputs.
     pub fn from_text(text: &str) -> Result<Self, PersistError> {
         let s = split_sections(text, 6)?;
         let role = |i: usize| -> Result<Fitted<M>, PersistError> {
-            Ok(Fitted {
-                norm: Normalizer::from_text(&s[2 * i])?,
-                model: M::from_text(&s[2 * i + 1])?,
-            })
+            let norm = Normalizer::from_text(&s[2 * i])?;
+            let model = M::from_text(&s[2 * i + 1])?;
+            if norm.dim() != ROLE_INPUTS[i] || model.inputs() != ROLE_INPUTS[i] {
+                return Err(PersistError::BadDimensions);
+            }
+            Ok(Fitted { norm, model })
         };
         Ok(Self {
             freq: role(0)?,
@@ -891,6 +913,22 @@ mod tests {
         let fuzzy = format!("fuzzy-controller v1\nrules {huge} inputs 1\n");
         assert!(<FuzzyController as PhaseModel>::from_text(&fuzzy).is_err());
         assert!(MlpQ16::from_text(&format!("mlp v1\ninputs {huge} hidden 8\n")).is_err());
+        // A bank role must take that role's inputs, in its normalizer and
+        // its model alike: a 4-input normalizer over the 3-input `Freq`
+        // model, a 4-input `Freq` role, and a 3-input `Vdd` role.
+        let bank = LearnedBank::<MlpQ16>::train(&toy_teacher(), 5);
+        let sections = split_sections(&bank.to_text(), 6).expect("six sections");
+        for order in [[2, 1, 2, 3, 4, 5], [2, 3, 0, 1, 4, 5], [0, 1, 0, 1, 4, 5]] {
+            let text: String = order
+                .iter()
+                .map(|&k| format!("{}{SECTION_MARK}\n", sections[k]))
+                .collect();
+            assert_eq!(
+                LearnedBank::<MlpQ16>::from_text(&text),
+                Err(PersistError::BadDimensions),
+                "sections {order:?}"
+            );
+        }
     }
 
     #[test]
@@ -907,9 +945,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bank_round_trips_through_sections() {
-        let ex = TeacherExamples {
+    /// Teacher-shaped toy examples: 3 inputs for `Freq`, 4 for `Power`.
+    fn toy_teacher() -> TeacherExamples {
+        TeacherExamples {
             freq: toy_examples(80),
             vdd: toy_examples(80)
                 .into_iter()
@@ -925,8 +963,12 @@ mod tests {
                     (x, t * 0.1 - 0.3)
                 })
                 .collect(),
-        };
-        let bank = LearnedBank::<MlpQ16>::train(&ex, 5);
+        }
+    }
+
+    #[test]
+    fn bank_round_trips_through_sections() {
+        let bank = LearnedBank::<MlpQ16>::train(&toy_teacher(), 5);
         let back = LearnedBank::<MlpQ16>::from_text(&bank.to_text()).expect("parses");
         assert_eq!(bank, back);
         assert!(LearnedBank::<MlpQ16>::from_text("junk\n%%\n").is_err());

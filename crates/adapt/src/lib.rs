@@ -30,6 +30,7 @@ pub mod checkpoint;
 pub mod choice;
 pub mod controller;
 pub mod exhaustive;
+mod fan_out;
 pub mod fidelity;
 pub mod fuzzy_ctl;
 pub mod global_dvfs;
@@ -44,9 +45,7 @@ mod test_support;
 pub mod tournament;
 pub mod zoo;
 
-pub use campaign::{
-    Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, ChipOutcome, Scheme,
-};
+pub use campaign::{Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, Scheme};
 pub use checkpoint::{committed_chips, fingerprint, CheckpointError, CheckpointOptions};
 pub use choice::{choose_fu, choose_queue};
 pub use controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};

@@ -17,19 +17,20 @@
 //!   by controllers trained on a *different* chip (round-robin), so a
 //!   scheme that memorizes its own chip's variation map degrades here.
 //!
-//! Chips are scored in parallel with the campaign's determinism recipe:
-//! each chip traces into its own [`BufferSink`], buffers are replayed in
-//! chip order, so the primary trace is byte-identical for any thread
-//! count.
+//! Chips are scored in parallel through the campaign's ordered fan-out
+//! (`fan_out::ordered`): each chip traces into its own buffer, and chips
+//! are replayed and summed in chip order, so the primary trace is
+//! byte-identical for any thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
+use std::panic::resume_unwind;
 
 use eval_core::{ChipFactory, ChipModel, Environment, EvalConfig};
-use eval_trace::{names, BufferSink, Event, Tracer};
+use eval_trace::{names, Event, Tracer};
 use eval_uarch::{profile_workload, Workload, WorkloadProfile};
 
 use crate::exhaustive::ExhaustiveOptimizer;
+use crate::fan_out;
 use crate::fuzzy_ctl::TrainingBudget;
 use crate::zoo::{Controller, ControllerZoo, OptimizerController, StaticController};
 
@@ -192,34 +193,57 @@ impl Tournament {
 
         // Pass 1: each training chip trains its own zoo and scores all
         // contestants on itself.
-        let trained = fan_out(self.chips, self.threads, tracer, |i, t| {
-            let chip = factory.chip(i as u64);
-            let zoo = ControllerZoo::train_traced(&self.config, &chip, 0, self.env, &self.training, t);
-            let accs = self.score_chip(&chip, &zoo, &profiles, t);
-            (zoo, accs)
-        });
         let mut train_total = [Acc::default(); SCHEMES.len()];
-        let mut zoos = Vec::with_capacity(trained.len());
-        for (zoo, accs) in trained {
-            for (total, acc) in train_total.iter_mut().zip(&accs) {
-                total.add(acc);
-            }
-            zoos.push(zoo);
-        }
+        let mut zoos = Vec::with_capacity(self.chips);
+        fan_out::ordered(
+            0..self.chips,
+            self.threads,
+            tracer,
+            |i, t| {
+                let chip = factory.chip(i as u64);
+                let zoo = ControllerZoo::train_traced(
+                    &self.config,
+                    &chip,
+                    0,
+                    self.env,
+                    &self.training,
+                    t,
+                );
+                let accs = self.score_chip(&chip, &zoo, &profiles, t);
+                (zoo, accs)
+            },
+            |_, (zoo, accs), records| {
+                tracer.replay(records);
+                for (total, acc) in train_total.iter_mut().zip(&accs) {
+                    total.add(acc);
+                }
+                zoos.push(zoo);
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap_or_else(|panic| resume_unwind(panic));
 
         // Pass 2: held-out chips (disjoint seeds) driven by zoos trained
         // on *other* chips, round-robin.
         let mut holdout_total = [Acc::default(); SCHEMES.len()];
         if !zoos.is_empty() {
-            let holdout = fan_out(self.holdout_chips, self.threads, tracer, |h, t| {
-                let chip = factory.chip((self.chips + h) as u64);
-                self.score_chip(&chip, &zoos[h % zoos.len()], &profiles, t)
-            });
-            for accs in holdout {
-                for (total, acc) in holdout_total.iter_mut().zip(&accs) {
-                    total.add(acc);
-                }
-            }
+            fan_out::ordered(
+                0..self.holdout_chips,
+                self.threads,
+                tracer,
+                |h, t| {
+                    let chip = factory.chip((self.chips + h) as u64);
+                    self.score_chip(&chip, &zoos[h % zoos.len()], &profiles, t)
+                },
+                |_, accs, records| {
+                    tracer.replay(records);
+                    for (total, acc) in holdout_total.iter_mut().zip(&accs) {
+                        total.add(acc);
+                    }
+                    ControlFlow::Continue(())
+                },
+            )
+            .unwrap_or_else(|panic| resume_unwind(panic));
         }
 
         let scores: Vec<SchemeScore> = SCHEMES
@@ -320,63 +344,6 @@ impl Tournament {
         }
         accs
     }
-}
-
-/// Runs `work(i)` for `i in 0..n` across up to `threads` workers
-/// (0 = all cores), each item tracing into its own buffer; buffers are
-/// replayed into `tracer` in item order, so the merged primary stream is
-/// independent of thread count and schedule (timing records stream
-/// directly — they are outside the determinism contract).
-fn fan_out<T: Send>(
-    n: usize,
-    threads: usize,
-    tracer: Tracer<'_>,
-    work: impl Fn(usize, Tracer<'_>) -> T + Sync,
-) -> Vec<T> {
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(n)
-    .max(1);
-    let buffers: Vec<BufferSink> = (0..n).map(|_| BufferSink::new()).collect();
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
-    let next = AtomicUsize::new(0);
-    let run = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let item_tracer = if tracer.enabled() {
-            tracer.buffered(&buffers[i])
-        } else {
-            tracer.without_sink()
-        };
-        let out = work(i, item_tracer);
-        let mut guard = slots.lock().unwrap_or_else(|e| e.into_inner());
-        guard[i] = Some(out);
-    };
-    if workers > 1 {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(run);
-            }
-        });
-    } else {
-        run();
-    }
-    let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            tracer.replay(buffers[i].drain());
-            // lint:allow(panic-safety): the claim counter covers 0..n and a
-            // worker panic propagates out of the scope before this runs.
-            slot.expect("claimed item stored a result")
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut campaign = Campaign::new(chips_from_env(8)?);
     campaign.workloads = workloads_from_env()?;
-    campaign.fail_chip = fail_chip_from_env()?;
+    campaign.fail_chip = fail_chip_from_env(campaign.chips)?;
     eprintln!(
         "# campaign: {} chips x {} workloads x 16 environment variants (Fuzzy-Dyn)",
         campaign.chips,

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceSession::from_env()?;
     let mut campaign = Campaign::new(chips_from_env(15)?);
     campaign.workloads = workloads_from_env()?;
-    campaign.fail_chip = fail_chip_from_env()?;
+    campaign.fail_chip = fail_chip_from_env(campaign.chips)?;
     eprintln!(
         "# headline campaign: {} chips x {} workloads",
         campaign.chips,

@@ -200,7 +200,7 @@ fn campaign_metrics(
     campaign.profile_budget = 3_000;
     campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
     campaign.threads = 1;
-    campaign.fail_chip = fail_chip_from_env()?;
+    campaign.fail_chip = fail_chip_from_env(campaign.chips)?;
     let local;
     let registry = match session {
         Some(s) => {

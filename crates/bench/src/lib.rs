@@ -471,13 +471,23 @@ pub fn usize_from_env(var: &'static str, min: usize) -> Result<Option<usize>, Ba
 }
 
 /// Fault-injection knob for quarantine/crash testing: `EVAL_FAIL_CHIP=<n>`
-/// makes chip `n` fail instead of running (see `Campaign::fail_chip`).
+/// makes chip `n` of a `chips`-chip population fail instead of running
+/// (see `Campaign::fail_chip`).
 ///
 /// # Errors
 ///
-/// Returns [`BadEnv`] when the variable is set but is not an integer.
-pub fn fail_chip_from_env() -> Result<Option<usize>, BadEnv> {
-    usize_from_env("EVAL_FAIL_CHIP", 0)
+/// Returns [`BadEnv`] when the variable is set but is not an integer, or
+/// names no chip of the population (a fault-injection run must not pass
+/// without its fault).
+pub fn fail_chip_from_env(chips: usize) -> Result<Option<usize>, BadEnv> {
+    match usize_from_env("EVAL_FAIL_CHIP", 0)? {
+        Some(n) if n >= chips => Err(BadEnv {
+            var: "EVAL_FAIL_CHIP",
+            value: n.to_string(),
+            expected: format!("a chip index below the population size {chips}"),
+        }),
+        chip => Ok(chip),
+    }
 }
 
 /// Number of chips for campaign binaries: `EVAL_CHIPS` env var, else
@@ -534,7 +544,7 @@ pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, BadEnv> {
 pub fn standard_campaign(default_chips: usize) -> Result<Campaign, BadEnv> {
     let mut c = Campaign::new(chips_from_env(default_chips)?);
     c.workloads = workloads_from_env()?;
-    c.fail_chip = fail_chip_from_env()?;
+    c.fail_chip = fail_chip_from_env(c.chips)?;
     Ok(c)
 }
 
@@ -638,11 +648,17 @@ mod tests {
         // EVAL_FAIL_CHIP: unset is no fault, 0 is chip 0, text is an error
         // (a fault-injection smoke must not run without its fault).
         std::env::remove_var("EVAL_FAIL_CHIP");
-        assert_eq!(fail_chip_from_env(), Ok(None));
+        assert_eq!(fail_chip_from_env(2), Ok(None));
         std::env::set_var("EVAL_FAIL_CHIP", "0");
-        assert_eq!(fail_chip_from_env(), Ok(Some(0)));
+        assert_eq!(fail_chip_from_env(2), Ok(Some(0)));
         std::env::set_var("EVAL_FAIL_CHIP", "x");
-        assert_eq!(fail_chip_from_env().expect_err("x").var, "EVAL_FAIL_CHIP");
+        assert_eq!(fail_chip_from_env(2).expect_err("x").var, "EVAL_FAIL_CHIP");
+        // So is a chip past the end of the population, which no chip
+        // would ever match.
+        std::env::set_var("EVAL_FAIL_CHIP", "2");
+        let err = fail_chip_from_env(2).expect_err("chip 2 of 2");
+        assert_eq!((err.var, err.value.as_str()), ("EVAL_FAIL_CHIP", "2"));
+        assert_eq!(fail_chip_from_env(3), Ok(Some(2)));
         std::env::remove_var("EVAL_FAIL_CHIP");
     }
 

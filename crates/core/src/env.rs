@@ -147,11 +147,11 @@ mod tests {
 
     #[test]
     fn table1_ordering_is_monotone_in_capability() {
-        assert!(!Environment::BASELINE.checker);
-        assert!(Environment::TS.checker && !Environment::TS.asv);
-        assert!(Environment::TS_ASV.asv && !Environment::TS_ASV.abb);
-        assert!(Environment::ALL.asv && Environment::ALL.abb);
-        assert!(Environment::ALL.queue && Environment::ALL.fu_replication);
+        const { assert!(!Environment::BASELINE.checker) };
+        const { assert!(Environment::TS.checker && !Environment::TS.asv) };
+        const { assert!(Environment::TS_ASV.asv && !Environment::TS_ASV.abb) };
+        const { assert!(Environment::ALL.asv && Environment::ALL.abb) };
+        const { assert!(Environment::ALL.queue && Environment::ALL.fu_replication) };
     }
 
     #[test]

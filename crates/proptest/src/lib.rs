@@ -268,12 +268,17 @@ mod tests {
         fn vectors_obey_length_specs(
             fixed in crate::collection::vec(0.0f64..1.0, 4),
             ranged in crate::collection::vec(0u64..10, 1..6),
-            flag in crate::bool::ANY,
         ) {
             prop_assert_eq!(fixed.len(), 4);
             prop_assert!(!ranged.is_empty() && ranged.len() < 6);
-            prop_assert!(flag || !flag);
         }
+    }
+
+    #[test]
+    fn bool_any_draws_both_values() {
+        let mut rng = crate::rng_for("bool_any_draws_both_values");
+        let draws: Vec<bool> = (0..64).map(|_| crate::bool::ANY.sample(&mut rng)).collect();
+        assert!(draws.contains(&true) && draws.contains(&false), "{draws:?}");
     }
 
     proptest! {

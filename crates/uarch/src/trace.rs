@@ -279,7 +279,7 @@ mod proptests {
                 });
                 prop_assert!(in_some_phase, "bb {} outside all phases", insn.bb_id);
                 if insn.kind.is_mem() {
-                    prop_assert!(insn.addr % 1 == 0);
+                    prop_assert_eq!(insn.addr % 64, 0, "addr {:#x} not line-aligned", insn.addr);
                 } else {
                     prop_assert_eq!(insn.addr, 0);
                 }

@@ -208,8 +208,6 @@ mod tests {
         let l = LowerTriangular::cholesky(&a).unwrap();
         // Check A = L L^T by multiplying basis vectors.
         for j in 0..3 {
-            let mut e = vec![0.0; 3];
-            e[j] = 1.0;
             // L L^T e_j: compute L^T e_j first via full reconstruction check
             // A[i][j] = sum_k L[i][k] L[j][k]
             let li = |r: usize, c: usize| {

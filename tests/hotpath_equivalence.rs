@@ -30,7 +30,13 @@ fn scene(state: &eval::core::chip::SubsystemState, env: Environment) -> Subsyste
     }
 }
 
-fn result_bits(r: Option<(f64, f64)>) -> (u64, u64, bool) {
+/// A grid point `(f_idx, Vdd, Vbb)` with the voltages as raw bits.
+type PointBits = (usize, u64, u64);
+
+/// A `check_at` answer as raw bits: `(power, temperature, feasible)`.
+type ResultBits = (u64, u64, bool);
+
+fn result_bits(r: Option<(f64, f64)>) -> ResultBits {
     match r {
         Some((p, t)) => (p.to_bits(), t.to_bits(), true),
         None => (0, 0, false),
@@ -191,7 +197,7 @@ fn query_order_does_not_change_cached_answers() {
             }
         }
     }
-    let sweep = |order: &[(usize, f64, f64)]| -> Vec<((usize, u64, u64), (u64, u64, bool))> {
+    let sweep = |order: &[(usize, f64, f64)]| -> Vec<(PointBits, ResultBits)> {
         let mut cache = SolveCache::new();
         let mut out: Vec<_> = order
             .iter()
@@ -202,7 +208,7 @@ fn query_order_does_not_change_cached_answers() {
                 )
             })
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by_key(|(point, _)| *point);
         out
     };
 
