@@ -222,7 +222,9 @@ pub struct Campaign {
     pub profile_budget: u64,
     /// Workloads to run (defaults to all 16).
     pub workloads: Vec<Workload>,
-    /// Fuzzy-controller training budget.
+    /// Fuzzy-controller training budget. Each teacher bank key trains
+    /// once per (chip, core) and serves every Fuzzy-Dyn environment that
+    /// holds it.
     pub training: TrainingBudget,
     /// Cores exercised per chip (the paper runs each app on all 4; 1 is
     /// statistically close at a quarter of the cost).
@@ -231,7 +233,8 @@ pub struct Campaign {
     pub threads: usize,
     /// Worker threads *inside* each chip's sweep (0 = all cores): the
     /// chip's (core, environment × scheme) cells are claimed off a shared
-    /// counter and merged in unit order, so results and traces are
+    /// counter and merged in unit order (Fuzzy-Dyn training runs before
+    /// them, serially per core), so results and traces are
     /// bit-identical for any setting. Execution-only — excluded from the
     /// checkpoint fingerprint, like [`Campaign::threads`].
     pub intra_chip_threads: usize,
@@ -658,8 +661,12 @@ impl Campaign {
     /// The baseline reference plus one cell per requested (environment,
     /// scheme) pair, summed over the chip's cores.
     ///
-    /// The chip marker, characterization, and per-core reference
-    /// baselines run serially into the chip tracer; the remaining work is
+    /// The chip marker, characterization, per-core reference baselines
+    /// and Fuzzy-Dyn training run serially into the chip tracer: each
+    /// core trains one teacher sweep over the chip's Fuzzy-Dyn
+    /// environments, so a bank key shared by several environments is
+    /// trained once and its `ControllerTrained` event lands in key order
+    /// whatever the worker count. The remaining work is
     /// `cores_per_chip * pairs.len()` independent units — one (core,
     /// environment, scheme) cell each — fanned out over
     /// [`Campaign::intra_chip_threads`] workers by `fan_out::ordered`,
@@ -695,6 +702,28 @@ impl Campaign {
             );
         }
 
+        let fuzzy_envs: Vec<Environment> = pairs
+            .iter()
+            .filter(|(_, scheme)| *scheme == Scheme::FuzzyDyn)
+            .map(|(env, _)| *env)
+            .collect();
+        let fuzzy: Vec<Vec<FuzzyOptimizer>> = if fuzzy_envs.is_empty() {
+            Vec::new()
+        } else {
+            (0..self.cores_per_chip)
+                .map(|core_idx| {
+                    FuzzyOptimizer::train_envs(
+                        &self.config,
+                        &chip,
+                        core_idx,
+                        &fuzzy_envs,
+                        &self.training,
+                        tracer,
+                    )
+                })
+                .collect()
+        };
+
         let mut cells = vec![CellResult::default(); pairs.len()];
         let mut fault = None;
         fan_out::ordered(
@@ -702,7 +731,16 @@ impl Campaign {
             self.intra_chip_threads,
             tracer,
             |unit, unit_tracer| {
-                self.run_unit(&chip, unit, pairs, profiles, novar_perf, unit_tracer, recorder)
+                self.run_unit(
+                    &chip,
+                    &fuzzy,
+                    unit,
+                    pairs,
+                    profiles,
+                    novar_perf,
+                    unit_tracer,
+                    recorder,
+                )
             },
             |unit, outcome, records| {
                 tracer.replay(records);
@@ -725,10 +763,13 @@ impl Campaign {
 
     /// One (core, environment, scheme) cell of a chip's sweep. Unit
     /// indices are core-major: `unit = core_idx * pairs.len() + pair_idx`.
+    /// `fuzzy[core_idx]` holds the core's trained optimizers, one per
+    /// Fuzzy-Dyn pair in pair order.
     #[allow(clippy::too_many_arguments)]
     fn run_unit(
         &self,
         chip: &eval_core::ChipModel,
+        fuzzy: &[Vec<FuzzyOptimizer>],
         unit: usize,
         pairs: &[(Environment, Scheme)],
         profiles: &[WorkloadProfile],
@@ -736,8 +777,8 @@ impl Campaign {
         tracer: Tracer<'_>,
         recorder: Option<&Mutex<FlightRecorder>>,
     ) -> Result<CellResult, CampaignError> {
-        let core_idx = unit / pairs.len();
-        let (env, scheme) = pairs[unit % pairs.len()];
+        let (core_idx, pair_idx) = (unit / pairs.len(), unit % pairs.len());
+        let (env, scheme) = pairs[pair_idx];
         let core = chip.core(core_idx);
         let flight = recorder.map(|recorder| FlightCtx {
             recorder,
@@ -745,20 +786,15 @@ impl Campaign {
         });
         match scheme {
             Scheme::Static => self.run_static(core, env, profiles, novar_perf, tracer, flight),
-            // Each (environment, FuzzyDyn) pair appears at most once per
-            // core, so the controller trains inside its own unit (the
-            // former per-core reuse map never actually hit).
             Scheme::FuzzyDyn => {
-                let fuzzy = FuzzyOptimizer::train(
-                    &self.config,
-                    chip,
-                    core_idx,
-                    env,
-                    &self.training,
-                    tracer,
-                );
-                Ok(self
-                    .run_dynamic(core, env, &fuzzy, scheme, profiles, novar_perf, tracer, flight))
+                let slot = pairs[..pair_idx]
+                    .iter()
+                    .filter(|(_, s)| *s == Scheme::FuzzyDyn)
+                    .count();
+                let fuzzy = &fuzzy[core_idx][slot];
+                Ok(self.run_dynamic(
+                    core, env, fuzzy, scheme, profiles, novar_perf, tracer, flight,
+                ))
             }
             Scheme::ExhDyn => {
                 let exhaustive = ExhaustiveOptimizer::new();
@@ -1357,27 +1393,78 @@ mod tests {
     #[test]
     fn intra_chip_threads_do_not_perturb_results_or_traces() {
         use eval_trace::Collector;
-        let envs = [Environment::TS, Environment::TS_ASV];
-        let schemes = [Scheme::Static, Scheme::ExhDyn];
-        let mut serial = tiny_campaign();
-        serial.chips = 1;
-        serial.intra_chip_threads = 1;
-        let sink_serial = Collector::new();
-        let r_serial = serial
-            .run_traced(&envs, &schemes, Tracer::new(&sink_serial))
-            .expect("serial intra-chip campaign runs");
-        for workers in [2usize, 0] {
-            let mut par = serial.clone();
-            par.intra_chip_threads = workers;
-            let sink_par = Collector::new();
-            let r_par = par
-                .run_traced(&envs, &schemes, Tracer::new(&sink_par))
-                .expect("parallel intra-chip campaign runs");
-            assert_eq!(r_serial, r_par, "results drifted at {workers} workers");
+        // The Fuzzy-Dyn pair shares its 15 normal banks, so the shared
+        // training must land identically whatever the worker count.
+        let setups: [(&[Environment], &[Scheme]); 2] = [
+            (
+                &[Environment::TS, Environment::TS_ASV],
+                &[Scheme::Static, Scheme::ExhDyn],
+            ),
+            (
+                &[Environment::TS_ASV, Environment::TS_ASV_Q],
+                &[Scheme::FuzzyDyn],
+            ),
+        ];
+        for (envs, schemes) in setups {
+            let mut serial = tiny_campaign();
+            serial.chips = 1;
+            serial.intra_chip_threads = 1;
+            let sink_serial = Collector::new();
+            let r_serial = serial
+                .run_traced(envs, schemes, Tracer::new(&sink_serial))
+                .expect("serial intra-chip campaign runs");
+            for workers in [2usize, 0] {
+                let mut par = serial.clone();
+                par.intra_chip_threads = workers;
+                let sink_par = Collector::new();
+                let r_par = par
+                    .run_traced(envs, schemes, Tracer::new(&sink_par))
+                    .expect("parallel intra-chip campaign runs");
+                assert_eq!(r_serial, r_par, "results drifted at {workers} workers");
+                assert_eq!(
+                    sink_serial.event_lines(),
+                    sink_par.event_lines(),
+                    "trace drifted at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn figure10_fuzzy_dyn_trains_each_bank_key_once_per_core() {
+        use eval_trace::Collector;
+        let mut c = tiny_campaign();
+        c.chips = 1;
+        c.cores_per_chip = 2;
+        c.workloads.truncate(1);
+        c.training.examples = 30;
+        let sink = Collector::new();
+        c.run_traced(
+            &Environment::FIGURE10,
+            &[Scheme::FuzzyDyn],
+            Tracer::new(&sink),
+        )
+        .expect("campaign runs");
+        // 102 bank slots per core over the six environments, 53 distinct
+        // keys: TS 15, the ASV family 19, the ASV+ABB family 19.
+        let reg = sink.registry();
+        assert_eq!(reg.counter(names::FUZZY_CONTROLLERS_TRAINED), 2 * 53);
+        assert_eq!(reg.counter(names::FUZZY_BANKS_REUSED), 2 * 49);
+        let trained = sink
+            .event_lines()
+            .into_iter()
+            .filter(|l| l.contains("\"event\":\"controller-trained\""))
+            .collect::<Vec<_>>();
+        assert_eq!(trained.len(), 2 * 53);
+        for (family, n) in [
+            ("\"asv\":false,\"abb\":false", 15),
+            ("\"asv\":true,\"abb\":false", 19),
+            ("\"asv\":true,\"abb\":true", 19),
+        ] {
             assert_eq!(
-                sink_serial.event_lines(),
-                sink_par.event_lines(),
-                "trace drifted at {workers} workers"
+                trained.iter().filter(|l| l.contains(family)).count(),
+                2 * n,
+                "{family}"
             );
         }
     }

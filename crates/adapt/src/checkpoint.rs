@@ -26,6 +26,7 @@ use eval_trace::provenance::{self, fnv1a64, Provenance};
 use eval_trace::{MetricUpdate, Record};
 
 use crate::campaign::{Campaign, CellResult, OutcomeCounts, Scheme};
+use crate::teacher::TEACHER_CONTRACT;
 use eval_core::Environment;
 
 /// Sidecar format version (the `version` field of the header line).
@@ -118,7 +119,9 @@ fn io_err(path: &Path, err: &std::io::Error) -> CheckpointError {
 /// FNV-1a 64-bit over a canonical rendering of everything that shapes a
 /// chip's results: the campaign configuration (config, chip count, base
 /// seed, profile budget, workload list, training budget, cores per
-/// chip) and the requested environment/scheme sets. Execution-only knobs
+/// chip), the teacher's seeding contract (`teacher::TEACHER_CONTRACT`: the same
+/// budget trains other controllers under another contract) and the
+/// requested environment/scheme sets. Execution-only knobs
 /// (`threads`, `intra_chip_threads`, `fail_chip`, `postmortem_dir`,
 /// `flight_recorder_capacity`) are deliberately excluded — they do not
 /// change results, so a resume may use a different thread count or
@@ -135,7 +138,7 @@ pub fn fingerprint(campaign: &Campaign, envs: &[Environment], schemes: &[Scheme]
         campaign.cores_per_chip,
         campaign.training,
     );
-    let _ = write!(canon, "workloads=[");
+    let _ = write!(canon, "teacher={TEACHER_CONTRACT};workloads=[");
     for w in &campaign.workloads {
         let _ = write!(canon, "{},", w.name);
     }
@@ -483,6 +486,41 @@ pub fn committed_chips(path: &Path) -> Result<usize, CheckpointError> {
     Ok(load(path)?.map_or(0, |l| l.records.len()))
 }
 
+/// One committed chip of a sidecar, as [`committed_cells`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CommittedChip {
+    /// The chip's RNG stream seed.
+    pub seed: u64,
+    /// The chip's per-cell results in request order; `None` when the
+    /// chip was quarantined.
+    pub cells: Option<Vec<CellResult>>,
+}
+
+/// The committed chips of the sidecar at `path`, indexed by chip. Two
+/// sidecars of the same population pair up chip by chip, so a change's
+/// effect on each cell can be measured over chips (the `ckpt-stats`
+/// binary). Empty when the file is missing or holds no complete header
+/// line.
+///
+/// # Errors
+///
+/// [`CheckpointError`] on unreadable or corrupt (beyond a torn final
+/// line) sidecars.
+pub fn committed_cells(path: &Path) -> Result<Vec<CommittedChip>, CheckpointError> {
+    Ok(load(path)?.map_or_else(Vec::new, |l| {
+        l.records
+            .into_iter()
+            .map(|rec| CommittedChip {
+                seed: rec.seed,
+                cells: match rec.outcome {
+                    RecordedOutcome::Ok { cells, .. } => Some(cells),
+                    RecordedOutcome::Failed { .. } => None,
+                },
+            })
+            .collect()
+    }))
+}
+
 /// A successfully loaded sidecar: the header plus the contiguous prefix
 /// of committed chips.
 #[derive(Debug, Clone, PartialEq)]
@@ -662,6 +700,41 @@ mod tests {
     }
 
     #[test]
+    fn committed_cells_reads_ok_and_quarantined_chips_in_order() {
+        let path = temp_path("cells");
+        let mut w = CheckpointWriter::create(&path, 5, 3).expect("creates");
+        w.append(&sample_record(0)).expect("appends");
+        w.append(&ChipRecord {
+            chip: 1,
+            seed: 11,
+            outcome: RecordedOutcome::Failed {
+                error: "diverged".to_string(),
+            },
+            metrics: CapturedMetrics::default(),
+        })
+        .expect("appends");
+        drop(w);
+        let RecordedOutcome::Ok { cells, .. } = sample_record(0).outcome else {
+            unreachable!("sample records complete");
+        };
+        assert_eq!(
+            committed_cells(&path).expect("reads"),
+            vec![
+                CommittedChip {
+                    seed: 2008,
+                    cells: Some(cells),
+                },
+                CommittedChip {
+                    seed: 11,
+                    cells: None,
+                },
+            ]
+        );
+        std::fs::remove_file(&path).ok();
+        assert_eq!(committed_cells(&path).expect("missing reads"), vec![]);
+    }
+
+    #[test]
     fn loader_errors_on_mid_file_corruption_and_gaps() {
         let path = temp_path("corrupt");
         let mut w = CheckpointWriter::create(&path, 1, 3).expect("creates");
@@ -749,5 +822,17 @@ mod tests {
             base,
             "envs included"
         );
+    }
+
+    #[test]
+    fn fingerprint_pins_the_teacher_contract() {
+        // A fixed Fuzzy-Dyn campaign. Its sidecars from before per-bank
+        // teacher seeding carried `BEFORE`; resuming one must be refused,
+        // because the same budget now trains other controllers.
+        const BEFORE: u64 = 0x6e9d_fb16_cc08_2d46;
+        let c = Campaign::new(3);
+        let fp = fingerprint(&c, &Environment::FIGURE10, &Scheme::ALL);
+        assert_ne!(fp, BEFORE);
+        assert_eq!(fp, 0xae37_61ca_3ac3_584e, "{fp:#018x}");
     }
 }

@@ -22,7 +22,7 @@
 //! temperature, the counter-measured activity factor and exercise rate,
 //! and (for the `Power` controllers) the core frequency.
 
-use eval_core::{ChipModel, Environment, EvalConfig, SubsystemId, N_SUBSYSTEMS};
+use eval_core::{ChipModel, Environment, EvalConfig, N_SUBSYSTEMS};
 use eval_fuzzy::{FuzzyController, PersistError, TrainingConfig};
 use eval_rng::ChaCha12Rng;
 use eval_trace::Tracer;
@@ -30,7 +30,7 @@ use eval_trace::Tracer;
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::learned::{LearnedBank, LearnedOptimizer, PhaseModel};
 use crate::optimizer::Optimizer;
-use crate::teacher::{self, TeacherExamples};
+use crate::teacher::{self, BankKey, TeacherExamples};
 
 /// How much offline training to give each fuzzy controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,9 @@ impl LearnedOptimizer<FuzzyController> {
     /// cost microseconds. Emits one
     /// [`ControllerTrained`](eval_trace::Event::ControllerTrained) event
     /// per (subsystem, variant) bank with the `Freq` controller's RMS
-    /// error on its normalized training set.
+    /// error on its normalized training set. The result equals `env`'s
+    /// optimizer from [`FuzzyOptimizer::train_envs`] over any list that
+    /// holds `env`.
     pub fn train(
         config: &EvalConfig,
         chip: &ChipModel,
@@ -102,76 +104,116 @@ impl LearnedOptimizer<FuzzyController> {
         budget: &TrainingBudget,
         tracer: Tracer<'_>,
     ) -> Self {
-        let _span = tracer.span("train");
-        Self::sweep(config, chip, core_index, env, budget, tracer, |_, _, _| {})
+        let mut one = Self::train_envs(config, chip, core_index, &[env], budget, tracer);
+        one.swap_remove(0)
     }
 
-    /// The teacher sweep every trained family shares: seeds the teacher
-    /// RNG from `budget.seed ^ chip.seed()`, labels each (subsystem,
-    /// variant) bank with the exhaustive oracle in a fixed order, fits
-    /// the fuzzy bank, emits its `ControllerTrained` event, then hands
-    /// the examples to `on_bank` (the controller zoo fits its other
-    /// families there). Drains the oracle's cache counters at the end.
+    /// [`FuzzyOptimizer::train`] for several environments of one core at
+    /// once, under one `train` span: each distinct bank key is trained
+    /// once and shared by every environment that holds it. Returns one
+    /// optimizer per environment, in `envs` order.
+    pub(crate) fn train_envs(
+        config: &EvalConfig,
+        chip: &ChipModel,
+        core_index: usize,
+        envs: &[Environment],
+        budget: &TrainingBudget,
+        tracer: Tracer<'_>,
+    ) -> Vec<Self> {
+        let _span = tracer.span("train");
+        Self::sweep(config, chip, core_index, envs, budget, tracer, |_, _| {})
+    }
+
+    /// The teacher sweep every trained family shares. Collects the
+    /// distinct [`BankKey`]s the environments need and, in key order and
+    /// under one `bank` span each, labels the bank with the exhaustive
+    /// oracle from its own RNG stream ([`teacher::bank_seed`]), fits the
+    /// fuzzy bank, emits its `ControllerTrained` event, then hands the
+    /// examples to `on_bank` (the controller zoo fits its other families
+    /// there) — once per key. Each bank gets a fresh oracle, whose cache
+    /// counters are drained as metrics once it is labelled. Each
+    /// environment's optimizer is then assembled from the shared banks;
+    /// every slot filled from a bank an earlier environment already
+    /// holds counts as `fuzzy.banks_reused`.
     pub(crate) fn sweep(
         config: &EvalConfig,
         chip: &ChipModel,
         core_index: usize,
-        env: Environment,
+        envs: &[Environment],
         budget: &TrainingBudget,
         tracer: Tracer<'_>,
-        mut on_bank: impl FnMut(SubsystemId, bool, &TeacherExamples),
-    ) -> Self {
-        let oracle = ExhaustiveOptimizer::new();
+        mut on_bank: impl FnMut(BankKey, &TeacherExamples),
+    ) -> Vec<Self> {
         let core = chip.core(core_index);
         let pe_budget = config.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
-        let mut rng = ChaCha12Rng::seed_from_u64(budget.seed ^ chip.seed());
+        let mut keys: Vec<BankKey> = envs.iter().flat_map(|env| BankKey::for_env(*env)).collect();
+        keys.sort_unstable();
+        keys.dedup();
 
-        let mut banks = Vec::with_capacity(N_SUBSYSTEMS);
-        for id in SubsystemId::ALL {
-            let state = core.subsystem(id);
-            let variants: &[bool] = if teacher::has_variant(id) && (env.fu_replication || env.queue)
-            {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            let seed = budget.seed ^ ((id.index() as u64) << 8);
-            let mut slot = [None, None];
-            for &alt in variants {
-                let vsel = teacher::variant_selection_for(id, alt);
-                let ex = teacher::sample_bank(
-                    &oracle,
-                    config,
-                    state,
-                    vsel,
-                    env,
-                    pe_budget,
-                    budget.examples,
-                    &mut rng,
-                );
-                let bank = LearnedBank::fit(&ex, |normalized, salt| {
-                    FuzzyController::train(normalized, &budget.config, seed ^ salt)
-                        // lint:allow(panic-safety): TrainingBudget::default
-                        // sizes the example set well above the rule count, and
-                        // train() only fails when it is smaller.
-                        .expect("training set is larger than the rule count")
-                });
-                tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
-                tracer.event(|| eval_trace::Event::ControllerTrained {
-                    subsystem: id.to_string(),
-                    variant: if alt { "alt" } else { "normal" },
-                    examples: budget.examples as u64,
-                    freq_rms: bank.freq.model.rms_error(&bank.freq.norm.apply(&ex.freq)),
-                });
-                slot[alt as usize] = Some(bank);
-                on_bank(id, alt, &ex);
-            }
-            banks.push(slot);
+        let mut trained = Vec::with_capacity(keys.len());
+        for &key in &keys {
+            let _bank_span = tracer.span("bank");
+            // A fresh oracle per bank: banks share no solves worth caching
+            // (each labels another subsystem or variant), so a longer-lived
+            // cache only holds memory.
+            let oracle = ExhaustiveOptimizer::new();
+            let mut rng = ChaCha12Rng::seed_from_u64(teacher::bank_seed(
+                budget.seed,
+                chip.seed(),
+                core_index,
+                key,
+            ));
+            let ex = teacher::sample_bank(
+                &oracle,
+                config,
+                core.subsystem(key.id),
+                teacher::variant_selection_for(key.id, key.alt),
+                key.teacher_env(),
+                pe_budget,
+                budget.examples,
+                &mut rng,
+            );
+            // Metrics only (never golden event lines): the oracle's cache
+            // counters.
+            oracle.flush_metrics(tracer);
+            let seed = budget.seed ^ ((key.id.index() as u64) << 8);
+            let bank = LearnedBank::fit(&ex, |normalized, salt| {
+                FuzzyController::train(normalized, &budget.config, seed ^ salt)
+                    // lint:allow(panic-safety): TrainingBudget::default
+                    // sizes the example set well above the rule count, and
+                    // train() only fails when it is smaller.
+                    .expect("training set is larger than the rule count")
+            });
+            tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
+            tracer.event(|| eval_trace::Event::ControllerTrained {
+                subsystem: key.id.to_string(),
+                variant: if key.alt { "alt" } else { "normal" },
+                asv: key.asv,
+                abb: key.abb,
+                examples: budget.examples as u64,
+                freq_rms: bank.freq.model.rms_error(&bank.freq.norm.apply(&ex.freq)),
+            });
+            on_bank(key, &ex);
+            trained.push(bank);
         }
-        // Metrics only (never golden event lines): oracle cache counters
-        // accumulated across the whole training sweep.
-        oracle.flush_metrics(tracer);
-        Self::from_banks(env, banks)
+
+        let mut used = vec![false; keys.len()];
+        envs.iter()
+            .map(|&env| {
+                let mut banks: Vec<[Option<LearnedBank<FuzzyController>>; 2]> =
+                    (0..N_SUBSYSTEMS).map(|_| [None, None]).collect();
+                for key in BankKey::for_env(env) {
+                    // lint:allow(panic-safety): `keys` holds every key of
+                    // every environment in `envs`.
+                    let k = keys.binary_search(&key).expect("every key was trained");
+                    if std::mem::replace(&mut used[k], true) {
+                        tracer.count(eval_trace::names::FUZZY_BANKS_REUSED);
+                    }
+                    banks[key.id.index()][usize::from(key.alt)] = Some(trained[k].clone());
+                }
+                Self::from_banks(env, banks)
+            })
+            .collect()
     }
 }
 
@@ -180,7 +222,7 @@ mod tests {
     use super::*;
     use crate::optimizer::SubsystemScene;
     use crate::test_support::{factory, small_budget};
-    use eval_core::{FuChoice, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
+    use eval_core::{FuChoice, SubsystemId, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
 
     fn train(chip: &ChipModel, env: Environment) -> FuzzyOptimizer {
         FuzzyOptimizer::train(factory().config(), chip, 0, env, &small_budget(), Tracer::noop())
@@ -237,32 +279,57 @@ mod tests {
     }
 
     #[test]
-    fn q_and_q_fu_train_identical_banks() {
-        // Both environments train the alternate-structure banks (queue
-        // resizing or FU replication enables them), the teacher RNG is
-        // seeded from `budget.seed ^ chip.seed()` alone, and the oracle
-        // sees only the ladders (ASV, no ABB in either) and the variant
-        // list. So the banks are the same; any Fuzzy-Dyn difference
-        // between the two Figure 10 columns comes from `decide_phase`'s
-        // FU rule, not from training.
+    fn banks_depend_only_on_their_key() {
+        // A bank's function is (subsystem, variant, ASV, ABB): across
+        // Figure 10's six environments, slots with equal keys hold equal
+        // banks, so e.g. TS+ASV's banks are the normal banks of Q and
+        // Q+FU, and TS+ASV+ABB's are ALL's normal banks. Any Fuzzy-Dyn
+        // difference between such columns comes from `decide_phase`,
+        // not from training.
         let cfg = factory().config().clone();
         let chip = factory().chip(3);
         let budget = TrainingBudget {
             examples: 40,
             ..small_budget()
         };
-        let q =
-            FuzzyOptimizer::train(&cfg, &chip, 0, Environment::TS_ASV_Q, &budget, Tracer::noop());
-        let q_fu = FuzzyOptimizer::train(
-            &cfg,
-            &chip,
-            0,
-            Environment::TS_ASV_Q_FU,
-            &budget,
-            Tracer::noop(),
+        let envs = Environment::FIGURE10;
+        let collector = eval_trace::Collector::new();
+        let all =
+            FuzzyOptimizer::train_envs(&cfg, &chip, 0, &envs, &budget, Tracer::new(&collector));
+        let slot = |opt: &FuzzyOptimizer, key: BankKey| {
+            opt.banks[key.id.index()][usize::from(key.alt)].clone()
+        };
+        let mut shared = 0;
+        for (a, opt_a) in envs.iter().zip(&all) {
+            assert_eq!(opt_a.environment(), *a);
+            for (b, opt_b) in envs.iter().zip(&all) {
+                for key in BankKey::for_env(*a).filter(|k| BankKey::for_env(*b).any(|m| m == *k)) {
+                    assert!(slot(opt_a, key).is_some());
+                    assert_eq!(slot(opt_a, key), slot(opt_b, key), "{a} vs {b} at {key:?}");
+                    shared += usize::from(a != b);
+                }
+            }
+        }
+        // TS+ASV (15 slots) with Q and Q+FU, Q with Q+FU (19), and
+        // TS+ASV+ABB with ALL (15), each pair counted both ways.
+        assert_eq!(shared, 2 * (15 + 15 + 19 + 15));
+        // Different ladders are different functions.
+        let ts_asv_key = BankKey::for_env(Environment::TS_ASV).next().unwrap();
+        let abb_key = BankKey::for_env(Environment::TS_ASV_ABB).next().unwrap();
+        assert_ne!(slot(&all[1], ts_asv_key), slot(&all[2], abb_key));
+        // 53 distinct keys train; the other 49 of 102 slots are shared.
+        let reg = collector.registry();
+        assert_eq!(
+            reg.counter(eval_trace::names::FUZZY_CONTROLLERS_TRAINED),
+            53
         );
-        assert_ne!(q.environment(), q_fu.environment());
-        assert_eq!(q.banks, q_fu.banks);
+        assert_eq!(reg.counter(eval_trace::names::FUZZY_BANKS_REUSED), 49);
+        // A one-environment training equals the same environment
+        // assembled by the multi-environment sweep.
+        for (i, env) in [(3, Environment::TS_ASV_Q), (5, Environment::ALL)] {
+            let one = FuzzyOptimizer::train(&cfg, &chip, 0, env, &budget, Tracer::noop());
+            assert_eq!(one, all[i], "{env}");
+        }
     }
 
     #[test]

@@ -46,7 +46,10 @@ pub mod tournament;
 pub mod zoo;
 
 pub use campaign::{Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, Scheme};
-pub use checkpoint::{committed_chips, fingerprint, CheckpointError, CheckpointOptions};
+pub use checkpoint::{
+    committed_cells, committed_chips, fingerprint, CheckpointError, CheckpointOptions,
+    CommittedChip,
+};
 pub use choice::{choose_fu, choose_queue};
 pub use controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
 pub use exhaustive::ExhaustiveOptimizer;

@@ -4,11 +4,19 @@
 //! regression tree, fixed-point MLP — is trained at "manufacturing
 //! test" time against the same teacher: the [`ExhaustiveOptimizer`]
 //! queried on randomly sampled sensed inputs (§4.3.1). This module owns
-//! the per-bank sampling step; the one sweep over banks that calls it
-//! (RNG seeding, bank order, the fuzzy fit) is `FuzzyOptimizer::sweep`,
-//! which `FuzzyOptimizer::train` and `ControllerZoo::train_traced` share,
-//! so one oracle sweep labels one [`TeacherExamples`] set per bank that
-//! every family trains from.
+//! what one bank is: its `BankKey`, its RNG seed, and the per-bank
+//! sampling step. The one sweep over banks that calls it (key order,
+//! the fuzzy fit, assembly per environment) is `FuzzyOptimizer::sweep`,
+//! which `FuzzyOptimizer::train`, the campaign and
+//! `ControllerZoo::train_traced` share, so one oracle sweep labels one
+//! [`TeacherExamples`] set per key that every family trains from.
+//!
+//! A bank is a pure function of its key. The oracle reads only the
+//! ASV/ABB ladders of an environment, so the key is (subsystem,
+//! variant, `asv`, `abb`), and `bank_seed` gives every bank its own
+//! RNG stream: draws never cross bank boundaries, and environments that
+//! share a key share the bank. `TEACHER_CONTRACT` names this seeding
+//! contract for checkpoint fingerprints.
 //!
 //! The RNG draw order inside [`sample_bank`] is part of the
 //! trained-artifact contract: golden traces pin the resulting
@@ -20,9 +28,77 @@ use eval_core::{
     Environment, EvalConfig, FuChoice, QueueChoice, SubsystemId, SubsystemState, VariantSelection,
     FREQ_LADDER,
 };
-use eval_rng::ChaCha12Rng;
+use eval_rng::{splitmix64, ChaCha12Rng};
 
 use crate::optimizer::{Optimizer, SubsystemScene};
+
+/// The teacher's seeding contract, folded into checkpoint fingerprints:
+/// one RNG per bank, seeded by [`bank_seed`] from the bank's key. A
+/// checkpoint written under another contract holds other controllers.
+pub(crate) const TEACHER_CONTRACT: &str = "bank-seed-v1";
+
+/// What one teacher bank is a function of (besides the chip, core and
+/// budget): the ladders the oracle searches and the (subsystem,
+/// variant) it labels. The derived order — TS family, then ABB without
+/// ASV, then ASV, then ASV+ABB; subsystems in index order; normal
+/// before alternate — is the order a sweep trains keys in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct BankKey {
+    /// Adaptive supply voltage: the oracle searches the `Vdd` ladder.
+    pub asv: bool,
+    /// Adaptive body bias: the oracle searches the `Vbb` ladder.
+    pub abb: bool,
+    /// The subsystem.
+    pub id: SubsystemId,
+    /// The alternate structure (low-slope FU, small queue).
+    pub alt: bool,
+}
+
+impl BankKey {
+    /// The banks an optimizer for `env` holds, in key order.
+    pub(crate) fn for_env(env: Environment) -> impl Iterator<Item = BankKey> {
+        let alts: &'static [bool] = if env.fu_replication || env.queue {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        SubsystemId::ALL.into_iter().flat_map(move |id| {
+            alts.iter()
+                .filter(move |&&alt| !alt || has_variant(id))
+                .map(move |&alt| BankKey {
+                    asv: env.asv,
+                    abb: env.abb,
+                    id,
+                    alt,
+                })
+        })
+    }
+
+    /// The environment the bank's training scenes run in: TS with this
+    /// key's ladders. The oracle reads nothing else of an environment.
+    pub(crate) fn teacher_env(&self) -> Environment {
+        Environment {
+            asv: self.asv,
+            abb: self.abb,
+            ..Environment::TS
+        }
+    }
+}
+
+/// The teacher RNG seed of one bank: a SplitMix64 chain over the
+/// budget seed, the chip seed, the core and the bank's key.
+pub(crate) fn bank_seed(budget_seed: u64, chip_seed: u64, core: usize, key: BankKey) -> u64 {
+    [
+        chip_seed,
+        core as u64,
+        key.id.index() as u64,
+        u64::from(key.alt),
+        u64::from(key.asv),
+        u64::from(key.abb),
+    ]
+    .into_iter()
+    .fold(budget_seed, |acc, part| splitmix64(&mut (acc ^ part)))
+}
 
 /// Sensed heat-sink temperature range used to sample training scenes,
 /// Celsius.

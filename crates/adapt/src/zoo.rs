@@ -194,17 +194,18 @@ impl ControllerZoo {
             (0..N_SUBSYSTEMS).map(|_| [None, None]).collect()
         }
         let (mut nn, mut tree, mut mlp) = (slots(), slots(), slots());
-        let fuzzy = FuzzyOptimizer::sweep(
+        let mut fuzzy = FuzzyOptimizer::sweep(
             config,
             chip,
             core_index,
-            env,
+            &[env],
             budget,
             tracer,
-            |id, alt, ex| {
+            |key, ex| {
                 // Models with no stochastic training ignore the seed.
-                let seed = budget.seed ^ ((id.index() as u64) << 8) ^ ((alt as u64) << 16);
-                let (i, a) = (id.index(), alt as usize);
+                let seed =
+                    budget.seed ^ ((key.id.index() as u64) << 8) ^ (u64::from(key.alt) << 16);
+                let (i, a) = (key.id.index(), usize::from(key.alt));
                 nn[i][a] = Some(LearnedBank::train(ex, seed));
                 tree[i][a] = Some(LearnedBank::train(ex, seed));
                 mlp[i][a] = Some(LearnedBank::train(ex, seed));
@@ -212,7 +213,7 @@ impl ControllerZoo {
             },
         );
         Self {
-            fuzzy,
+            fuzzy: fuzzy.swap_remove(0),
             nn: LearnedOptimizer::from_banks(env, nn),
             tree: LearnedOptimizer::from_banks(env, tree),
             mlp: LearnedOptimizer::from_banks(env, mlp),

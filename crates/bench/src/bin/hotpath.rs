@@ -170,19 +170,47 @@ fn teacher_bank_abb(oracle: &dyn Optimizer, config: &EvalConfig, chip: &ChipMode
     ));
 }
 
+/// The 2-chip, one-workload (`gzip`) campaign every campaign row runs,
+/// serial over chips.
+fn two_chip_campaign() -> Campaign {
+    let mut campaign = Campaign::new(2);
+    campaign.profile_budget = 3_000;
+    campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
+    campaign.threads = 1;
+    campaign
+}
+
 /// The 2-chip ExhDyn campaign: the body of the `campaign_exhdyn_2chips`
 /// rows (untraced, serial or with intra-chip workers) and of the
 /// `trace_overhead` row, which compares `--timing` on (spans + latency
 /// samples streaming to a real sidecar) against tracing alone.
 fn small_campaign(intra_chip_threads: usize, tracer: Tracer<'_>) {
-    let mut campaign = Campaign::new(2);
-    campaign.profile_budget = 3_000;
-    campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
-    campaign.threads = 1;
+    let mut campaign = two_chip_campaign();
     campaign.intra_chip_threads = intra_chip_threads;
     black_box(
         campaign
             .run_traced(&[Environment::TS_ASV], &[Scheme::ExhDyn], tracer)
+            .expect("campaign runs"),
+    );
+}
+
+/// Teacher examples per bank in the `campaign_fuzzydyn_2chips` row: a
+/// few above the 25-rule floor, so one sample stays near half a second.
+const FUZZYDYN_BANK_EXAMPLES: usize = 30;
+
+/// The 2-chip Fuzzy-Dyn campaign in TS+ASV+ABB and ALL, training
+/// included: the body of the `campaign_fuzzydyn_2chips` row. The two
+/// environments share 15 of their 19 ABB-family teacher banks per core.
+fn small_fuzzy_campaign() {
+    let mut campaign = two_chip_campaign();
+    campaign.training.examples = FUZZYDYN_BANK_EXAMPLES;
+    black_box(
+        campaign
+            .run_traced(
+                &[Environment::TS_ASV_ABB, Environment::ALL],
+                &[Scheme::FuzzyDyn],
+                Tracer::noop(),
+            )
             .expect("campaign runs"),
     );
 }
@@ -196,10 +224,7 @@ fn small_campaign(intra_chip_threads: usize, tracer: Tracer<'_>) {
 fn campaign_metrics(
     session: &Option<TraceSession>,
 ) -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
-    let mut campaign = Campaign::new(2);
-    campaign.profile_budget = 3_000;
-    campaign.workloads = vec![Workload::by_name("gzip").expect("workload exists")];
-    campaign.threads = 1;
+    let mut campaign = two_chip_campaign();
     campaign.fail_chip = fail_chip_from_env(campaign.chips)?;
     let local;
     let registry = match session {
@@ -450,6 +475,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rows.push(Row::new(
         "campaign_exhdyn_2chips_par",
         time_samples(|| small_campaign(0, Tracer::noop()), 1, n(3)),
+        None,
+    ));
+
+    // Controller training inside a campaign: teacher banks shared
+    // between the two environments, fuzzy fits, and the decisions.
+    rows.push(Row::new(
+        "campaign_fuzzydyn_2chips",
+        time_samples(small_fuzzy_campaign, 1, n(3)),
         None,
     ));
 

@@ -21,6 +21,7 @@
 //! | `retiming` | §7 baseline: EVAL vs ReCycle-style time borrowing |
 //! | `ablation` | σ/μ, φ, rule-count and DVFS-granularity sensitivity |
 //! | `varmap` | ASCII view of sampled variation maps |
+//! | `ckpt_stats` | paired shift of two checkpoint sidecars over chips |
 //!
 //! Scale knobs come from the environment so the full protocol
 //! (`EVAL_CHIPS=100`) and quick looks (`EVAL_CHIPS=5`) use the same code.

@@ -13,6 +13,8 @@
 //! * fuzzy-vs-exhaustive frequency deltas, joined on
 //!   `(chip, env, workload, phase)`;
 //! * binding-constraint and retune-outcome breakdowns;
+//! * teacher banks trained per ASV/ABB ladder family, with the count of
+//!   bank slots shared instead of retrained (`fuzzy.banks_reused`);
 //! * `SolveCache` hit rates and the full counter/gauge snapshot.
 //!
 //! Every container is a `BTreeMap`, so the rendered report is a pure
@@ -199,6 +201,10 @@ pub struct Analysis {
     /// Controller-tournament scorecards (`tournament-score` events),
     /// keyed by scheme.
     pub tournament: BTreeMap<String, TournamentRollup>,
+    /// Teacher banks trained (`controller-trained` events) per ladder
+    /// family: `none`, `asv`, `abb` or `asv+abb`. Events without the
+    /// `asv`/`abb` fields are not counted here.
+    pub teacher_banks: BTreeMap<&'static str, u64>,
     /// Per-chip rollups (keyed by chip index).
     pub chips: BTreeMap<u64, GroupRollup>,
     /// Per-phase rollups (keyed by phase index).
@@ -237,6 +243,12 @@ impl Analysis {
         } else {
             Some(hits as f64 / total as f64)
         }
+    }
+
+    /// Bank slots filled from an already-trained teacher bank
+    /// (`fuzzy.banks_reused`; 0 when the trace never shared one).
+    pub fn banks_reused(&self) -> u64 {
+        self.counters.get(names::FUZZY_BANKS_REUSED).copied().unwrap_or(0)
     }
 
     /// Decision-latency digests (`decision.latency*_us`) with data, in
@@ -402,6 +414,14 @@ impl Analysis {
             }
         }
 
+        if !self.teacher_banks.is_empty() {
+            let _ = writeln!(w, "\nteacher banks by ladder family");
+            for (family, n) in &self.teacher_banks {
+                let _ = writeln!(w, "  {family:<28} {n:>10}");
+            }
+            let _ = writeln!(w, "  {:<28} {:>10}", "reused slots", self.banks_reused());
+        }
+
         let latencies: Vec<_> = self.latency_digests().collect();
         if !latencies.is_empty() {
             let _ = writeln!(w, "\ndecision latency (us, wall-clock digests)");
@@ -531,6 +551,14 @@ impl Analysis {
             o.finish()
         };
 
+        let teacher_banks = {
+            let mut o = JsonObject::new();
+            for (family, n) in &self.teacher_banks {
+                o = o.u64(family, *n);
+            }
+            o.u64("reused", self.banks_reused()).finish()
+        };
+
         let latency = {
             let mut o = JsonObject::new();
             for (name, h) in self.latency_digests() {
@@ -594,6 +622,7 @@ impl Analysis {
             .raw("events_by_kind", &map_u64_json(&self.events_by_kind))
             .raw("schemes", &schemes)
             .raw("tournament", &tournament)
+            .raw("teacher_banks", &teacher_banks)
             .raw("decision_latency", &latency)
             .raw("freq_delta", &delta)
             .raw("solver_cache", &cache)
@@ -769,6 +798,18 @@ impl Analyzer {
                 self.analysis.chips.entry(chip).or_default();
             }
             "decision" => self.fold_decision(payload)?,
+            "controller-trained" => {
+                let ladder = |key| payload.get(key).and_then(Json::as_bool);
+                if let (Some(asv), Some(abb)) = (ladder("asv"), ladder("abb")) {
+                    let family = match (asv, abb) {
+                        (false, false) => "none",
+                        (true, false) => "asv",
+                        (false, true) => "abb",
+                        (true, true) => "asv+abb",
+                    };
+                    *self.analysis.teacher_banks.entry(family).or_insert(0) += 1;
+                }
+            }
             "tournament-score" => {
                 let scheme = payload
                     .str_field("scheme")
@@ -1036,6 +1077,44 @@ mod tests {
         // Traces without tournament events keep the old text report shape.
         let a = analyze_reader(mini_trace().as_bytes()).expect("parses");
         assert!(!a.report_text().contains("controller tournament"));
+    }
+
+    #[test]
+    fn teacher_banks_roll_up_per_ladder_family_with_the_reuse_count() {
+        let trained = |asv: bool, abb: bool| {
+            format!(
+                r#"{{"kind":"event","event":"controller-trained","payload":{{"subsystem":"dcache","variant":"normal","asv":{asv},"abb":{abb},"examples":40,"freq_rms":0.1}}}}"#
+            )
+        };
+        let trace = [
+            trained(false, false),
+            trained(true, false),
+            trained(true, false),
+            trained(true, true),
+            // A trace from before the ladder fields: counted as an
+            // event, not as a family.
+            r#"{"kind":"event","event":"controller-trained","payload":{"subsystem":"dcache","variant":"normal","examples":40,"freq_rms":0.1}}"#.to_string(),
+            r#"{"kind":"counter","name":"fuzzy.banks_reused","value":5}"#.to_string(),
+        ]
+        .join("\n");
+        let a = analyze_reader(trace.as_bytes()).expect("parses");
+        assert_eq!(a.events_by_kind["controller-trained"], 5);
+        let families: Vec<_> = a.teacher_banks.iter().map(|(f, n)| (*f, *n)).collect();
+        assert_eq!(families, [("asv", 2), ("asv+abb", 1), ("none", 1)]);
+        assert_eq!(a.banks_reused(), 5);
+        let text = a.report_text();
+        assert!(text.contains("teacher banks by ladder family"), "{text}");
+        assert!(
+            text.contains("  reused slots                          5"),
+            "{text}"
+        );
+        let v = Json::parse(&a.report_json()).expect("json");
+        let banks = v.get("teacher_banks").expect("teacher_banks");
+        assert_eq!(banks.u64_field("asv+abb"), Some(1));
+        assert_eq!(banks.u64_field("reused"), Some(5));
+        // Traces without teacher banks keep the old text report shape.
+        let plain = analyze_reader(mini_trace().as_bytes()).expect("parses");
+        assert!(!plain.report_text().contains("teacher banks"));
     }
 
     #[test]

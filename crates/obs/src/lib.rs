@@ -19,7 +19,8 @@
 //!   `BENCH_history.jsonl` distribution (`eval-obs bench-check`, wired
 //!   onto tier-1);
 //! * [`stats`] — the decile / effect-size / permutation-test machinery
-//!   behind the quantile gate;
+//!   behind the quantile gate, and the paired bootstrap behind
+//!   chip-by-chip campaign comparisons;
 //! * [`runs`] — the provenance run journal: list, show, diff, and
 //!   query any stamped artifacts (`eval-obs runs`);
 //! * [`profile`] — the wall-clock profiling sidecar consumer:
@@ -56,4 +57,7 @@ pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;
 pub use progress::ProgressSink;
 pub use runs::{find, load_journal, parse_journal, query_by_fingerprint, RunEntry};
-pub use stats::{deciles, effect_size, quantile_gate, EffectSize, GateConfig, GateVerdict};
+pub use stats::{
+    deciles, effect_size, paired_bootstrap, quantile_gate, EffectSize, GateConfig, GateVerdict,
+    PairedInterval,
+};

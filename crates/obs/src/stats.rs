@@ -21,6 +21,10 @@
 //!
 //! Everything is deterministic: the permutation RNG is a seeded
 //! [`ChaCha12Rng`], so the same inputs always produce the same verdict.
+//!
+//! [`paired_bootstrap`] serves the other comparison the repo makes: two
+//! campaigns over the same chips, paired chip by chip, with a
+//! percentile-bootstrap interval for the mean shift.
 
 use eval_rng::ChaCha12Rng;
 
@@ -242,9 +246,81 @@ pub fn quantile_gate(baseline: &[f64], fresh: &[f64], cfg: &GateConfig) -> Optio
     })
 }
 
+/// Resamples behind a [`paired_bootstrap`] interval.
+pub const BOOTSTRAP_RESAMPLES: usize = 10_000;
+
+/// Coverage of a [`paired_bootstrap`] interval.
+pub const BOOTSTRAP_CONFIDENCE: f64 = 0.95;
+
+/// A percentile-bootstrap interval for the mean paired difference
+/// `after[i] - before[i]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedInterval {
+    /// Pairs compared.
+    pub n: usize,
+    /// Pairs whose two values are bit-identical.
+    pub identical: usize,
+    /// Mean of `after - before`.
+    pub mean: f64,
+    /// Lower end of the interval.
+    pub lo: f64,
+    /// Upper end of the interval.
+    pub hi: f64,
+}
+
+/// The mean of `after - before` with a [`BOOTSTRAP_CONFIDENCE`]
+/// percentile-bootstrap interval from [`BOOTSTRAP_RESAMPLES`] resamples
+/// of the pairs, drawn from a seeded [`ChaCha12Rng`] (deterministic).
+/// `None` when the sides differ in length or are empty.
+pub fn paired_bootstrap(before: &[f64], after: &[f64], seed: u64) -> Option<PairedInterval> {
+    let n = before.len();
+    if n == 0 || after.len() != n {
+        return None;
+    }
+    let d: Vec<f64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    let mean_of = |sum: f64| sum / n as f64;
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut means: Vec<f64> = (0..BOOTSTRAP_RESAMPLES)
+        .map(|_| mean_of((0..n).map(|_| d[rng.gen_range(0..n)]).sum()))
+        .collect();
+    means.sort_by(f64::total_cmp);
+    let tail = (1.0 - BOOTSTRAP_CONFIDENCE) / 2.0;
+    let at = |q: f64| means[(q * (BOOTSTRAP_RESAMPLES - 1) as f64).round() as usize];
+    Some(PairedInterval {
+        n,
+        identical: before
+            .iter()
+            .zip(after)
+            .filter(|(b, a)| b.to_bits() == a.to_bits())
+            .count(),
+        mean: mean_of(d.iter().sum()),
+        lo: at(tail),
+        hi: at(1.0 - tail),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bootstrap_interval_brackets_the_mean_and_degenerates_on_identical_pairs() {
+        let before = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let after = [1.5, 2.1, 3.4, 4.0, 5.9, 6.2];
+        let iv = paired_bootstrap(&before, &after, 7).expect("interval");
+        assert_eq!((iv.n, iv.identical), (6, 1));
+        assert!((iv.mean - 0.35).abs() < 1e-12, "{iv:?}");
+        assert!(iv.lo <= iv.mean && iv.mean <= iv.hi, "{iv:?}");
+        assert!(iv.lo > 0.0, "every difference is >= 0: {iv:?}");
+        assert_eq!(paired_bootstrap(&before, &after, 7), Some(iv));
+        let same = paired_bootstrap(&before, &before, 1).expect("interval");
+        assert_eq!(
+            (same.identical, same.mean, same.lo, same.hi),
+            (6, 0.0, 0.0, 0.0)
+        );
+        assert!(paired_bootstrap(&before, &after[..2], 1).is_none());
+        assert!(paired_bootstrap(&[], &[], 1).is_none());
+    }
 
     #[test]
     fn deciles_interpolate_linearly() {

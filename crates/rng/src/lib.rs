@@ -51,9 +51,11 @@ pub struct ChaCha12Rng {
     index: usize,
 }
 
-/// SplitMix64 step, used only to expand a 64-bit seed into key material
-/// (the same construction `rand`'s `seed_from_u64` uses).
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step: expands a 64-bit seed into key material here (the
+/// same construction `rand`'s `seed_from_u64` uses), and chains
+/// identifiers into one seed where a stream must be a pure function of
+/// them.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

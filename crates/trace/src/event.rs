@@ -132,6 +132,10 @@ pub enum Event {
         subsystem: String,
         /// `normal` or `alt` (low-slope FU / small queue).
         variant: &'static str,
+        /// The oracle searched the `Vdd` ladder (the bank's ASV family).
+        asv: bool,
+        /// The oracle searched the `Vbb` ladder (the bank's ABB family).
+        abb: bool,
         /// Training examples per controller.
         examples: u64,
         /// RMS error of the `Freq` controller on its normalized set.
@@ -261,11 +265,15 @@ impl Event {
             Event::ControllerTrained {
                 subsystem,
                 variant,
+                asv,
+                abb,
                 examples,
                 freq_rms,
             } => JsonObject::new()
                 .str("subsystem", subsystem)
                 .str("variant", variant)
+                .bool("asv", *asv)
+                .bool("abb", *abb)
                 .u64("examples", *examples)
                 .f64("freq_rms", *freq_rms)
                 .finish(),

@@ -124,6 +124,9 @@ pub const RETUNE_PROBES: &str = "retune.probes";
 
 /// Complete fuzzy controllers trained (counter, one per variant slot).
 pub const FUZZY_CONTROLLERS_TRAINED: &str = "fuzzy.controllers_trained";
+/// Bank slots of a multi-environment teacher sweep filled from a key an
+/// earlier environment already trained (counter, one per shared slot).
+pub const FUZZY_BANKS_REUSED: &str = "fuzzy.banks_reused";
 
 /// Learned controller banks trained by the controller zoo (counter, one
 /// per model per (subsystem, variant) bank).
@@ -195,6 +198,7 @@ pub const ALL_METRICS: &[&str] = &[
     CAMPAIGN_INTRA_CHIP_THREADS,
     RETUNE_PROBES,
     FUZZY_CONTROLLERS_TRAINED,
+    FUZZY_BANKS_REUSED,
     CONTROLLER_ZOO_TRAINED,
     CONTROLLER_TOURNAMENT_DECISIONS,
     TESTER_MEASUREMENTS,
