@@ -15,7 +15,7 @@ use eval_core::{
     VariantSelection, N_SUBSYSTEMS,
 };
 use eval_uarch::profile::{PhaseProfile, WorkloadProfile};
-use eval_uarch::{profile_workload, ActivityVector, QueueSize, Workload};
+use eval_uarch::{ActivityVector, QueueSize, Workload};
 
 use crate::checkpoint::{
     self, capture_metrics, CheckpointError, CheckpointOptions, CheckpointWriter, ChipRecord,
@@ -382,11 +382,12 @@ impl Campaign {
 
         let _campaign_span = tracer.span("campaign");
         let factory = ChipFactory::new(self.config.clone());
-        let profiles: Vec<WorkloadProfile> = self
-            .workloads
-            .iter()
-            .map(|w| profile_workload(w, self.profile_budget, self.base_seed))
-            .collect();
+        let profiles = fan_out::profiles(
+            &self.workloads,
+            self.profile_budget,
+            self.base_seed,
+            self.threads,
+        );
 
         // --- NoVar reference ---
         let novar_chip = factory.no_variation();
@@ -828,11 +829,12 @@ impl Campaign {
     ) -> Result<Vec<(&'static str, CellResult)>, CampaignError> {
         assert!(self.chips > 0, "need at least one chip");
         let factory = ChipFactory::new(self.config.clone());
-        let profiles: Vec<WorkloadProfile> = self
-            .workloads
-            .iter()
-            .map(|w| profile_workload(w, self.profile_budget, self.base_seed))
-            .collect();
+        let profiles = fan_out::profiles(
+            &self.workloads,
+            self.profile_budget,
+            self.base_seed,
+            self.threads,
+        );
         let mut out: Vec<(&'static str, CellResult)> = self
             .workloads
             .iter()

@@ -1,5 +1,6 @@
 //! The one parallel sweep behind the campaign's chips, each chip's
-//! (core, environment, scheme) units, and the tournament's chips.
+//! (core, environment, scheme) units, the tournament's chips, and the
+//! workload profiling both run before them.
 //!
 //! Workers claim items off one atomic counter, so a slow item never idles
 //! the others. Each item traces into its own [`BufferSink`], and a finished
@@ -10,11 +11,12 @@
 
 use std::collections::BTreeMap;
 use std::ops::{ControlFlow, Range};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use eval_trace::{BufferSink, Record, Tracer};
+use eval_uarch::{profile_workload, Workload, WorkloadProfile};
 
 /// Finished items waiting for the commit frontier.
 struct Queue<T, C> {
@@ -102,6 +104,30 @@ pub(crate) fn ordered<T: Send>(
             .map(|h| h.join())
             .fold(Ok(()), Result::and)
     })
+}
+
+/// Profiles each workload with `budget` instructions and `seed` on up
+/// to `threads` workers (0 = all cores), and returns the profiles in
+/// workload order: the list a serial `profile_workload` map returns.
+pub(crate) fn profiles(
+    workloads: &[Workload],
+    budget: u64,
+    seed: u64,
+    threads: usize,
+) -> Vec<WorkloadProfile> {
+    let mut out = Vec::with_capacity(workloads.len());
+    ordered(
+        0..workloads.len(),
+        threads,
+        Tracer::noop(),
+        |i, _| profile_workload(&workloads[i], budget, seed),
+        |_, profile, _| {
+            out.push(profile);
+            ControlFlow::Continue(())
+        },
+    )
+    .unwrap_or_else(|panic| resume_unwind(panic));
+    out
 }
 
 #[cfg(test)]
@@ -206,6 +232,23 @@ mod tests {
         )
         .expect("no worker panicked");
         assert_eq!(seen, 4);
+    }
+
+    #[test]
+    fn profiles_match_the_serial_map_for_any_thread_count() {
+        let workloads = Workload::all();
+        let serial: Vec<WorkloadProfile> = workloads
+            .iter()
+            .map(|w| profile_workload(w, 2_000, 7))
+            .collect();
+        for threads in [1, 2, 0] {
+            assert_eq!(
+                profiles(&workloads, 2_000, 7, threads),
+                serial,
+                "{threads} threads"
+            );
+        }
+        assert!(profiles(&[], 2_000, 7, 2).is_empty());
     }
 
     #[test]

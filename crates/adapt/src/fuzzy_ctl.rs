@@ -127,12 +127,14 @@ impl LearnedOptimizer<FuzzyController> {
     /// The teacher sweep every trained family shares. Collects the
     /// distinct [`BankKey`]s the environments need and, in key order and
     /// under one `bank` span each, labels the bank with the exhaustive
-    /// oracle from its own RNG stream ([`teacher::bank_seed`]), fits the
-    /// fuzzy bank, emits its `ControllerTrained` event, then hands the
-    /// examples to `on_bank` (the controller zoo fits its other families
-    /// there) — once per key. Each bank gets a fresh oracle, whose cache
-    /// counters are drained as metrics once it is labelled. Each
-    /// environment's optimizer is then assembled from the shared banks;
+    /// oracle from its own RNG stream ([`teacher::bank_seed`]) under a
+    /// `label` span, fits the fuzzy bank under `fit-fuzzy`, emits its
+    /// `ControllerTrained` event, then hands the examples to `on_bank`
+    /// (the controller zoo fits its other families there, each under its
+    /// own `fit-<family>` span) — once per key. Each bank gets a fresh
+    /// oracle, whose cache counters are drained as metrics once it is
+    /// labelled. Each environment's optimizer is then assembled from the
+    /// shared banks;
     /// every slot filled from a bank an earlier environment already
     /// holds counts as `fuzzy.banks_reused`.
     pub(crate) fn sweep(
@@ -163,27 +165,36 @@ impl LearnedOptimizer<FuzzyController> {
                 core_index,
                 key,
             ));
-            let ex = teacher::sample_bank(
-                &oracle,
-                config,
-                core.subsystem(key.id),
-                teacher::variant_selection_for(key.id, key.alt),
-                key.teacher_env(),
-                pe_budget,
-                budget.examples,
-                &mut rng,
-            );
+            // Timing-only child spans split the bank's time between
+            // labelling and each family's fit (the timing sink alone
+            // sees spans, so event lines do not change).
+            let ex = {
+                let _label_span = tracer.span("label");
+                teacher::sample_bank(
+                    &oracle,
+                    config,
+                    core.subsystem(key.id),
+                    teacher::variant_selection_for(key.id, key.alt),
+                    key.teacher_env(),
+                    pe_budget,
+                    budget.examples,
+                    &mut rng,
+                )
+            };
             // Metrics only (never golden event lines): the oracle's cache
             // counters.
             oracle.flush_metrics(tracer);
             let seed = budget.seed ^ ((key.id.index() as u64) << 8);
-            let bank = LearnedBank::fit(&ex, |normalized, salt| {
-                FuzzyController::train(normalized, &budget.config, seed ^ salt)
-                    // lint:allow(panic-safety): TrainingBudget::default
-                    // sizes the example set well above the rule count, and
-                    // train() only fails when it is smaller.
-                    .expect("training set is larger than the rule count")
-            });
+            let bank = {
+                let _fit_span = tracer.span("fit-fuzzy");
+                LearnedBank::fit(&ex, |normalized, salt| {
+                    FuzzyController::train(normalized, &budget.config, seed ^ salt)
+                        // lint:allow(panic-safety): TrainingBudget::default
+                        // sizes the example set well above the rule count,
+                        // and train() only fails when it is smaller.
+                        .expect("training set is larger than the rule count")
+                })
+            };
             tracer.count(eval_trace::names::FUZZY_CONTROLLERS_TRAINED);
             tracer.event(|| eval_trace::Event::ControllerTrained {
                 subsystem: key.id.to_string(),

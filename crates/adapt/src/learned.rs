@@ -369,9 +369,10 @@ const MLP_EPOCHS: usize = 300;
 const MLP_LR: f64 = 0.5;
 
 /// A one-hidden-layer ReLU perceptron quantized to `i32` Q16.16.
-/// Training runs in `f64` (seeded full-batch gradient descent); the
-/// deployed weights and inference are integer-only, so the same model
-/// produces the same bits on every host and thread count.
+/// Training runs in `f64` (seeded full-batch gradient descent) and takes
+/// 3 or 4 inputs, the widths of a bank's roles; the deployed weights and
+/// inference are integer-only, so the same model produces the same bits
+/// on every host and thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpQ16 {
     inputs: usize,
@@ -390,67 +391,144 @@ fn quantize(v: f64) -> i32 {
 impl Trainable for MlpQ16 {
     fn train(examples: &[(Vec<f64>, f64)], seed: u64) -> Self {
         assert!(!examples.is_empty(), "cannot train on an empty example set");
-        let m = examples[0].0.len();
-        for (x, _) in examples {
-            assert_eq!(x.len(), m, "inconsistent example dimensions");
+        // The two bank-role widths of `ROLE_INPUTS`; any other width
+        // fails the 3-input kernel's row check.
+        if examples[0].0.len() == 4 {
+            fit_mlp::<4>(examples, seed).quantize()
+        } else {
+            fit_mlp::<3>(examples, seed).quantize()
         }
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut w1: Vec<f64> = (0..MLP_HIDDEN * m).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let mut b1 = [0.0f64; MLP_HIDDEN];
-        let mut w2: Vec<f64> = (0..MLP_HIDDEN).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let mut b2 = examples.iter().map(|(_, t)| t).sum::<f64>() / examples.len() as f64;
+    }
+}
 
-        let inv_n = 1.0 / examples.len() as f64;
-        let mut hidden = vec![0.0f64; MLP_HIDDEN];
-        let mut g_w1 = vec![0.0f64; MLP_HIDDEN * m];
-        let mut g_b1 = vec![0.0f64; MLP_HIDDEN];
-        let mut g_w2 = vec![0.0f64; MLP_HIDDEN];
-        for _ in 0..MLP_EPOCHS {
-            g_w1.iter_mut().for_each(|g| *g = 0.0);
-            g_b1.iter_mut().for_each(|g| *g = 0.0);
-            g_w2.iter_mut().for_each(|g| *g = 0.0);
-            let mut g_b2 = 0.0f64;
-            for (x, t) in examples {
-                for (i, h) in hidden.iter_mut().enumerate() {
-                    let z: f64 =
-                        w1[i * m..(i + 1) * m].iter().zip(x).map(|(w, v)| w * v).sum::<f64>()
-                            + b1[i];
-                    *h = z.max(0.0);
+/// One value per hidden unit: the kernel's lane vector.
+type Lanes = [f64; MLP_HIDDEN];
+
+/// Trained `f64` weights, before quantization.
+struct MlpWeights {
+    inputs: usize,
+    /// Row-major `hidden × inputs`.
+    w1: Vec<f64>,
+    b1: Lanes,
+    w2: Lanes,
+    b2: f64,
+}
+
+impl MlpWeights {
+    fn quantize(&self) -> MlpQ16 {
+        MlpQ16 {
+            inputs: self.inputs,
+            w1: self.w1.iter().map(|&v| quantize(v)).collect(),
+            b1: self.b1.iter().map(|&v| quantize(v)).collect(),
+            w2: self.w2.iter().map(|&v| quantize(v)).collect(),
+            b2: quantize(self.b2),
+        }
+    }
+}
+
+/// Seeded full-batch gradient descent for `M` inputs, with the hidden
+/// units as lanes. Its weights equal, bit for bit, those of the scalar
+/// loop in the test module (`mlp_fit_reference`), because each unit
+/// sums its inputs in index order from `Iterator::sum`'s neutral
+/// element, a ReLU-masked gradient add selects between the product and
+/// `-0.0` (adding `-0.0` leaves every value as it is, signed zeros
+/// included; adding `0.0` would turn a `-0.0` into `0.0`), nothing fuses
+/// a multiply into an add, and the draws run `w1` row-major, then `w2`.
+fn fit_mlp<const M: usize>(examples: &[(Vec<f64>, f64)], seed: u64) -> MlpWeights {
+    let mut rows: Vec<[f64; M]> = Vec::with_capacity(examples.len());
+    let mut targets: Vec<f64> = Vec::with_capacity(examples.len());
+    for (x, t) in examples {
+        assert_eq!(x.len(), M, "inconsistent example dimensions");
+        let mut row = [0.0; M];
+        row.copy_from_slice(x);
+        rows.push(row);
+        targets.push(*t);
+    }
+    // Where `Iterator::sum` starts (`-0.0`), so a unit's sum of
+    // products starts there too.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    // Transposed: `w1[j][i]` weighs input `j` into unit `i`.
+    let mut w1 = [[0.0f64; MLP_HIDDEN]; M];
+    for i in 0..MLP_HIDDEN {
+        for col in &mut w1 {
+            col[i] = rng.gen_range(-0.5..0.5);
+        }
+    }
+    let mut b1: Lanes = [0.0; MLP_HIDDEN];
+    let mut w2: Lanes = [0.0; MLP_HIDDEN];
+    for w in &mut w2 {
+        *w = rng.gen_range(-0.5..0.5);
+    }
+    let mut b2 = targets.iter().sum::<f64>() / targets.len() as f64;
+
+    let step = MLP_LR * (1.0 / targets.len() as f64);
+    // Each example's hidden activations and output error. The weights
+    // are fixed within an epoch, so the forward pass has no dependency
+    // from one example to the next; the backward pass then accumulates
+    // the gradients in example order.
+    let mut forward: Vec<(Lanes, f64)> = vec![([0.0; MLP_HIDDEN], 0.0); rows.len()];
+    for _ in 0..MLP_EPOCHS {
+        for ((x, &t), (hidden, err)) in rows.iter().zip(&targets).zip(&mut forward) {
+            let mut z: Lanes = [zero; MLP_HIDDEN];
+            for (col, &v) in w1.iter().zip(x) {
+                for (z, &w) in z.iter_mut().zip(col) {
+                    *z += w * v;
                 }
-                let y: f64 = w2.iter().zip(&hidden).map(|(w, h)| w * h).sum::<f64>() + b2;
-                let err = y - t;
-                g_b2 += err;
+            }
+            for ((h, &z), &b) in hidden.iter_mut().zip(&z).zip(&b1) {
+                *h = (z + b).max(0.0);
+            }
+            let y: f64 = w2
+                .iter()
+                .zip(hidden.iter())
+                .map(|(w, h)| w * h)
+                .sum::<f64>()
+                + b2;
+            *err = y - t;
+        }
+        let mut g_w1 = [[0.0f64; MLP_HIDDEN]; M];
+        let mut g_b1: Lanes = [0.0; MLP_HIDDEN];
+        let mut g_w2: Lanes = [0.0; MLP_HIDDEN];
+        let mut g_b2 = 0.0f64;
+        for (x, &(hidden, err)) in rows.iter().zip(&forward) {
+            g_b2 += err;
+            // A unit that is off adds `-0.0`, the exact identity of `+`.
+            let mut back: Lanes = [0.0; MLP_HIDDEN];
+            for i in 0..MLP_HIDDEN {
+                g_w2[i] += err * hidden[i];
+                back[i] = err * w2[i];
+                g_b1[i] += if hidden[i] > 0.0 { back[i] } else { -0.0 };
+            }
+            for (g_col, &v) in g_w1.iter_mut().zip(x) {
                 for i in 0..MLP_HIDDEN {
-                    g_w2[i] += err * hidden[i];
-                    if hidden[i] > 0.0 {
-                        let back = err * w2[i];
-                        g_b1[i] += back;
-                        for (g, v) in g_w1[i * m..(i + 1) * m].iter_mut().zip(x) {
-                            *g += back * v;
-                        }
-                    }
+                    g_col[i] += if hidden[i] > 0.0 { back[i] * v } else { -0.0 };
                 }
             }
-            let step = MLP_LR * inv_n;
-            for (w, g) in w1.iter_mut().zip(&g_w1) {
-                *w -= step * g;
-            }
-            for (b, g) in b1.iter_mut().zip(&g_b1) {
-                *b -= step * g;
-            }
-            for (w, g) in w2.iter_mut().zip(&g_w2) {
-                *w -= step * g;
-            }
-            b2 -= step * g_b2;
         }
+        for (col, g_col) in w1.iter_mut().zip(&g_w1) {
+            for (w, g) in col.iter_mut().zip(g_col) {
+                *w -= step * g;
+            }
+        }
+        for (b, g) in b1.iter_mut().zip(&g_b1) {
+            *b -= step * g;
+        }
+        for (w, g) in w2.iter_mut().zip(&g_w2) {
+            *w -= step * g;
+        }
+        b2 -= step * g_b2;
+    }
 
-        Self {
-            inputs: m,
-            w1: w1.iter().map(|&v| quantize(v)).collect(),
-            b1: b1.iter().map(|&v| quantize(v)).collect(),
-            w2: w2.iter().map(|&v| quantize(v)).collect(),
-            b2: quantize(b2),
-        }
+    MlpWeights {
+        inputs: M,
+        w1: (0..MLP_HIDDEN)
+            .flat_map(|i| w1.iter().map(move |col| col[i]))
+            .collect(),
+        b1,
+        w2,
+        b2,
     }
 }
 
@@ -827,6 +905,74 @@ mod tests {
     use super::*;
     use eval_fuzzy::FuzzyController;
 
+    /// The MLP fit as one scalar loop over row-major `Vec` weights: the
+    /// reference whose unquantized weights the lane kernel must match
+    /// bit for bit.
+    pub(super) fn mlp_fit_reference(examples: &[(Vec<f64>, f64)], seed: u64) -> MlpWeights {
+        assert!(!examples.is_empty(), "cannot train on an empty example set");
+        let m = examples[0].0.len();
+        for (x, _) in examples {
+            assert_eq!(x.len(), m, "inconsistent example dimensions");
+        }
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut w1: Vec<f64> = (0..MLP_HIDDEN * m).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let mut b1 = [0.0f64; MLP_HIDDEN];
+        let mut w2: Vec<f64> = (0..MLP_HIDDEN).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let mut b2 = examples.iter().map(|(_, t)| t).sum::<f64>() / examples.len() as f64;
+
+        let inv_n = 1.0 / examples.len() as f64;
+        let mut hidden = vec![0.0f64; MLP_HIDDEN];
+        let mut g_w1 = vec![0.0f64; MLP_HIDDEN * m];
+        let mut g_b1 = vec![0.0f64; MLP_HIDDEN];
+        let mut g_w2 = vec![0.0f64; MLP_HIDDEN];
+        for _ in 0..MLP_EPOCHS {
+            g_w1.iter_mut().for_each(|g| *g = 0.0);
+            g_b1.iter_mut().for_each(|g| *g = 0.0);
+            g_w2.iter_mut().for_each(|g| *g = 0.0);
+            let mut g_b2 = 0.0f64;
+            for (x, t) in examples {
+                for (i, h) in hidden.iter_mut().enumerate() {
+                    let z: f64 =
+                        w1[i * m..(i + 1) * m].iter().zip(x).map(|(w, v)| w * v).sum::<f64>()
+                            + b1[i];
+                    *h = z.max(0.0);
+                }
+                let y: f64 = w2.iter().zip(&hidden).map(|(w, h)| w * h).sum::<f64>() + b2;
+                let err = y - t;
+                g_b2 += err;
+                for i in 0..MLP_HIDDEN {
+                    g_w2[i] += err * hidden[i];
+                    if hidden[i] > 0.0 {
+                        let back = err * w2[i];
+                        g_b1[i] += back;
+                        for (g, v) in g_w1[i * m..(i + 1) * m].iter_mut().zip(x) {
+                            *g += back * v;
+                        }
+                    }
+                }
+            }
+            let step = MLP_LR * inv_n;
+            for (w, g) in w1.iter_mut().zip(&g_w1) {
+                *w -= step * g;
+            }
+            for (b, g) in b1.iter_mut().zip(&g_b1) {
+                *b -= step * g;
+            }
+            for (w, g) in w2.iter_mut().zip(&g_w2) {
+                *w -= step * g;
+            }
+            b2 -= step * g_b2;
+        }
+
+        MlpWeights {
+            inputs: m,
+            w1,
+            b1,
+            w2: w2.try_into().expect("one weight per hidden unit"),
+            b2,
+        }
+    }
+
     fn toy_examples(n: usize) -> Vec<(Vec<f64>, f64)> {
         (0..n)
             .map(|i| {
@@ -1074,6 +1220,40 @@ mod proptests {
         Ok(())
     }
 
+    /// A `rows × m` example set for the MLP kernel in one of four
+    /// shapes: unit-cube inputs with a smooth target, a constant target,
+    /// negative targets, and inputs outside the cube. Any shape mixes in
+    /// all-zero rows (of either sign).
+    fn mlp_set(m: usize, rows: usize, shape: usize, seed: u64) -> Vec<(Vec<f64>, f64)> {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x6d6c70);
+        let constant = [0.0, -0.25, 0.6][(seed % 3) as usize];
+        (0..rows)
+            .map(|_| {
+                let x: Vec<f64> = match rng.gen_range(0..8) {
+                    0 => vec![0.0; m],
+                    1 => vec![-0.0; m],
+                    _ if shape == 3 => (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect(),
+                    _ => (0..m).map(|_| rng.gen_range(0.0..1.0)).collect(),
+                };
+                let smooth = 0.2 + 0.5 * x[0] - 0.3 * x[1] + 0.4 * x[m - 1] * x[m - 1];
+                let t = match shape {
+                    1 => constant,
+                    2 => -smooth - 0.1,
+                    _ => smooth,
+                };
+                (x, t)
+            })
+            .collect()
+    }
+
+    fn weight_bits(w: &MlpWeights) -> Vec<u64> {
+        let tail = [w.b1.as_slice(), w.w2.as_slice(), &[w.b2]];
+        w.w1.iter()
+            .chain(tail.into_iter().flatten())
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1107,6 +1287,19 @@ mod proptests {
             seed in 0u64..1_000_000, line in 0usize..100_000, token in 0usize..64,
         ) {
             check_family(seed, MlpQ16::train, line, token)?;
+        }
+
+        #[test]
+        fn prop_mlp_kernel_matches_the_reference_loop_bit_for_bit(
+            seed in 0u64..1_000_000, rows in 25usize..301, wide in proptest::bool::ANY,
+            shape in 0usize..4,
+        ) {
+            let m = if wide { 4 } else { 3 };
+            let ex = mlp_set(m, rows, shape, seed);
+            let lanes = if wide { fit_mlp::<4>(&ex, seed) } else { fit_mlp::<3>(&ex, seed) };
+            let reference = super::tests::mlp_fit_reference(&ex, seed);
+            prop_assert_eq!(weight_bits(&lanes), weight_bits(&reference));
+            prop_assert_eq!(MlpQ16::train(&ex, seed), reference.quantize());
         }
     }
 }

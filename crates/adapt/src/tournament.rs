@@ -27,7 +27,7 @@ use std::panic::resume_unwind;
 
 use eval_core::{ChipFactory, ChipModel, Environment, EvalConfig};
 use eval_trace::{names, Event, Tracer};
-use eval_uarch::{profile_workload, Workload, WorkloadProfile};
+use eval_uarch::{Workload, WorkloadProfile};
 
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fan_out;
@@ -185,11 +185,12 @@ impl Tournament {
     pub fn run_traced(&self, tracer: Tracer<'_>) -> TournamentResult {
         let _span = tracer.span("tournament");
         let factory = ChipFactory::new(self.config.clone());
-        let profiles: Vec<WorkloadProfile> = self
-            .workloads
-            .iter()
-            .map(|w| profile_workload(w, self.profile_budget, self.profile_seed))
-            .collect();
+        let profiles = fan_out::profiles(
+            &self.workloads,
+            self.profile_budget,
+            self.profile_seed,
+            self.threads,
+        );
 
         // Pass 1: each training chip trains its own zoo and scores all
         // contestants on itself.

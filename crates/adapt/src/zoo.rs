@@ -24,8 +24,9 @@ use eval_uarch::WorkloadClass;
 use crate::controller::{decide_phase, DecisionContext, PhaseDecision};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
-use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree};
+use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree, Trainable};
 use crate::optimizer::Optimizer;
+use crate::teacher::TeacherExamples;
 
 /// A per-phase operating-point decision maker: the scheme label it
 /// traces under, the optimizer backend it consults, and the heat-sink
@@ -206,9 +207,9 @@ impl ControllerZoo {
                 let seed =
                     budget.seed ^ ((key.id.index() as u64) << 8) ^ (u64::from(key.alt) << 16);
                 let (i, a) = (key.id.index(), usize::from(key.alt));
-                nn[i][a] = Some(LearnedBank::train(ex, seed));
-                tree[i][a] = Some(LearnedBank::train(ex, seed));
-                mlp[i][a] = Some(LearnedBank::train(ex, seed));
+                nn[i][a] = fit("fit-nn-table", ex, seed, tracer);
+                tree[i][a] = fit("fit-tree", ex, seed, tracer);
+                mlp[i][a] = fit("fit-mlp", ex, seed, tracer);
                 tracer.count_n(eval_trace::names::CONTROLLER_ZOO_TRAINED, 3);
             },
         );
@@ -219,6 +220,18 @@ impl ControllerZoo {
             mlp: LearnedOptimizer::from_banks(env, mlp),
         }
     }
+}
+
+/// Trains one family's bank under the timing-only `span` (`fit-<family>`),
+/// a child of the sweep's `bank` span.
+fn fit<M: Trainable>(
+    span: &'static str,
+    ex: &TeacherExamples,
+    seed: u64,
+    tracer: Tracer<'_>,
+) -> Option<LearnedBank<M>> {
+    let _fit_span = tracer.span(span);
+    Some(LearnedBank::train(ex, seed))
 }
 
 #[cfg(test)]

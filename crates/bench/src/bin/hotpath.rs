@@ -435,17 +435,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exhaustive sweep on the same scene — the per-decision inference
     // cost a learned controller pays at runtime (zoo training happens
     // once, untimed, on a deliberately small budget).
-    let zoo = {
-        let budget = TrainingBudget {
-            examples: 160,
-            config: eval_fuzzy::TrainingConfig {
-                epochs: 3,
-                ..eval_fuzzy::TrainingConfig::micro08()
-            },
-            ..TrainingBudget::default()
-        };
-        ControllerZoo::train(&config, &chip, 0, Environment::TS_ASV, &budget)
+    let zoo_budget = TrainingBudget {
+        examples: 160,
+        config: eval_fuzzy::TrainingConfig {
+            epochs: 3,
+            ..eval_fuzzy::TrainingConfig::micro08()
+        },
+        ..TrainingBudget::default()
     };
+    let train_zoo = || ControllerZoo::train(&config, &chip, 0, Environment::TS_ASV, &zoo_budget);
+    let zoo = train_zoo();
     rows.push(Row::new(
         "learned_mlp_freq_max",
         time_samples(
@@ -462,6 +461,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             5,
             7,
         )),
+    ));
+
+    // Training one chip core's whole zoo in TS+ASV on the same budget:
+    // teacher labelling plus the fuzzy, nearest-neighbor, tree and MLP
+    // fits of every bank.
+    rows.push(Row::new(
+        "zoo_train_chip",
+        time_samples(
+            || {
+                black_box(train_zoo());
+            },
+            1,
+            n(3),
+        ),
+        None,
     ));
 
     rows.push(Row::new(
