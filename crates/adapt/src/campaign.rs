@@ -3,11 +3,10 @@
 
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use eval_trace::flight::render_postmortem;
 use eval_trace::provenance;
-use eval_trace::{names, Event, FlightEntry, FlightRecorder, PostmortemHeader, Tracer};
+use eval_trace::{names, Event, PostmortemHeader, Record, Tracer};
 use eval_units::GHz;
 
 use eval_core::{
@@ -21,12 +20,13 @@ use crate::checkpoint::{
     self, capture_metrics, CheckpointError, CheckpointOptions, CheckpointWriter, ChipRecord,
     RecordedOutcome,
 };
-use crate::controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
+use crate::controller::{queue_size, AdaptationTimeline};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fan_out;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::optimizer::Optimizer;
 use crate::retune::Outcome;
+use crate::zoo::{Controller, OptimizerController, StaticController};
 
 /// How configurations are chosen (the three bars per environment in
 /// Figures 10–12).
@@ -239,22 +239,19 @@ pub struct Campaign {
     /// checkpoint fingerprint, like [`Campaign::threads`].
     pub intra_chip_threads: usize,
     /// Fault-injection hook for crash/quarantine tests: the chip at this
-    /// index fails immediately (before emitting any trace output) instead
-    /// of running. Execution-only — excluded from the checkpoint
-    /// fingerprint, like [`Campaign::threads`].
+    /// index runs its sweep, then fails where a real fault would, so it
+    /// is quarantined and leaves no trace output. Execution-only —
+    /// excluded from the checkpoint fingerprint, like
+    /// [`Campaign::threads`].
     pub fail_chip: Option<usize>,
-    /// Directory for fault postmortem bundles. When set, every in-flight
-    /// chip keeps a [`FlightRecorder`] of its recent operating-point
-    /// decisions, and a quarantined chip dumps them atomically to
-    /// `<dir>/chip-<idx>.jsonl` (stamped `postmortem-jsonl`). `None`
-    /// disables the recorder entirely. Execution-only — diagnostics
-    /// never affect results, so it is excluded from the checkpoint
-    /// fingerprint, like [`Campaign::threads`].
+    /// Directory for fault postmortem bundles. When set, a quarantined
+    /// chip's last [`eval_trace::POSTMORTEM_DECISIONS`] traced decisions
+    /// are written atomically to `<dir>/chip-<idx>.jsonl` (stamped
+    /// `postmortem-jsonl`); under a disabled tracer the bundle holds the
+    /// header only. Execution-only — diagnostics never affect results,
+    /// so it is excluded from the checkpoint fingerprint, like
+    /// [`Campaign::threads`].
     pub postmortem_dir: Option<PathBuf>,
-    /// Ring capacity (entries, minimum 1) of the per-chip flight
-    /// recorder behind [`Campaign::postmortem_dir`]. Execution-only —
-    /// excluded from the checkpoint fingerprint.
-    pub flight_recorder_capacity: usize,
 }
 
 impl Campaign {
@@ -272,7 +269,6 @@ impl Campaign {
             intra_chip_threads: 1,
             fail_chip: None,
             postmortem_dir: None,
-            flight_recorder_capacity: 64,
         }
     }
 
@@ -479,7 +475,6 @@ impl Campaign {
                     &profiles,
                     &novar_perf,
                     chip_tracer,
-                    postmortem.as_ref(),
                 ) {
                     Ok((baseline, cells)) => RecordedOutcome::Ok { baseline, cells },
                     Err(error) => RecordedOutcome::Failed {
@@ -490,13 +485,22 @@ impl Campaign {
             |chip_idx, outcome, records| {
                 // Replay (which flushes a streaming sink) *before* the
                 // checkpoint append: a chip in the sidecar is always
-                // complete in the trace.
-                let metrics = if writer.is_some() {
-                    capture_metrics(&records)
-                } else {
-                    checkpoint::CapturedMetrics::default()
-                };
-                tracer.replay(records);
+                // complete in the trace. A quarantined chip's records
+                // never reach the trace; they only feed its postmortem.
+                let mut metrics = checkpoint::CapturedMetrics::default();
+                match &outcome {
+                    RecordedOutcome::Ok { .. } => {
+                        if writer.is_some() {
+                            metrics = capture_metrics(&records);
+                        }
+                        tracer.replay(records);
+                    }
+                    RecordedOutcome::Failed { error } => {
+                        if let Some(sink) = &postmortem {
+                            sink.dump(self, chip_idx, error, &records, tracer);
+                        }
+                    }
+                }
                 merge(chip_idx, &outcome);
                 if let Some(writer) = writer.as_mut() {
                     let rec = ChipRecord {
@@ -600,67 +604,10 @@ impl Campaign {
         Ok(loaded.records)
     }
 
-    /// All measurements for one chip. An error here quarantines the chip
-    /// (the sweep records it as failed and carries on). The injected
-    /// [`Campaign::fail_chip`] fault fires before any trace output, so a
-    /// quarantined chip can leave an empty buffer.
-    ///
-    /// When [`Campaign::postmortem_dir`] is set, a per-chip
-    /// [`FlightRecorder`] shadows the sweep and any quarantine dumps a
-    /// postmortem bundle before the chip is reported failed.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one_chip(
-        &self,
-        factory: &ChipFactory,
-        chip_idx: usize,
-        pairs: &[(Environment, Scheme)],
-        profiles: &[WorkloadProfile],
-        novar_perf: &[f64],
-        tracer: Tracer<'_>,
-        postmortem: Option<&PostmortemSink<'_>>,
-    ) -> Result<(CellResult, Vec<CellResult>), CampaignError> {
-        let recorder =
-            postmortem.map(|_| Mutex::new(FlightRecorder::new(self.flight_recorder_capacity)));
-        if self.fail_chip == Some(chip_idx) {
-            let error = CampaignError::Internal("injected chip fault (fail_chip)");
-            // The injected fault must keep firing *before* any trace
-            // output (crash-resume tests rely on the quarantined chip's
-            // buffer staying empty), yet a useful postmortem needs the
-            // chip's recent decisions. Reconcile by re-running the chip
-            // sacrificially under a disabled tracer, purely to populate
-            // the flight recorder, then dumping.
-            if let (Some(sink), Some(recorder)) = (postmortem, recorder.as_ref()) {
-                let _ = self.run_one_chip_inner(
-                    factory,
-                    chip_idx,
-                    pairs,
-                    profiles,
-                    novar_perf,
-                    Tracer::noop(),
-                    Some(recorder),
-                );
-                sink.dump(self, chip_idx, &error, recorder, tracer);
-            }
-            return Err(error);
-        }
-        self.run_one_chip_inner(
-            factory,
-            chip_idx,
-            pairs,
-            profiles,
-            novar_perf,
-            tracer,
-            recorder.as_ref(),
-        )
-        .inspect_err(|error| {
-            if let (Some(sink), Some(recorder)) = (postmortem, recorder.as_ref()) {
-                sink.dump(self, chip_idx, error, recorder, tracer);
-            }
-        })
-    }
-
-    /// The baseline reference plus one cell per requested (environment,
-    /// scheme) pair, summed over the chip's cores.
+    /// All measurements for one chip: the baseline reference plus one
+    /// cell per requested (environment, scheme) pair, summed over the
+    /// chip's cores. An error here quarantines the chip (the sweep records
+    /// it as failed and carries on).
     ///
     /// The chip marker, characterization, per-core reference baselines
     /// and Fuzzy-Dyn training run serially into the chip tracer: each
@@ -675,9 +622,9 @@ impl Campaign {
     /// chip's event stream and every f64 sum are bit-identical for any
     /// thread count. On a unit fault the replay stops after the failing
     /// unit — exactly what a serial sweep would have traced — and the
-    /// chip is quarantined.
-    #[allow(clippy::too_many_arguments)]
-    fn run_one_chip_inner(
+    /// chip is quarantined. The injected [`Campaign::fail_chip`] fault
+    /// fires after the sweep, so it leaves the buffer a real fault would.
+    fn run_one_chip(
         &self,
         factory: &ChipFactory,
         chip_idx: usize,
@@ -685,7 +632,6 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        recorder: Option<&Mutex<FlightRecorder>>,
     ) -> Result<(CellResult, Vec<CellResult>), CampaignError> {
         let _chip_span = tracer.span("chip");
         tracer.event(|| Event::ChipStart {
@@ -740,7 +686,6 @@ impl Campaign {
                     profiles,
                     novar_perf,
                     unit_tracer,
-                    recorder,
                 )
             },
             |unit, outcome, records| {
@@ -759,7 +704,13 @@ impl Campaign {
         )
         // A unit panic surfaces where a chip panic does.
         .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        fault.map_or(Ok((baseline, cells)), Err)
+        match fault {
+            Some(error) => Err(error),
+            None if self.fail_chip == Some(chip_idx) => {
+                Err(CampaignError::Internal("injected chip fault (fail_chip)"))
+            }
+            None => Ok((baseline, cells)),
+        }
     }
 
     /// One (core, environment, scheme) cell of a chip's sweep. Unit
@@ -776,39 +727,23 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        recorder: Option<&Mutex<FlightRecorder>>,
     ) -> Result<CellResult, CampaignError> {
         let (core_idx, pair_idx) = (unit / pairs.len(), unit % pairs.len());
         let (env, scheme) = pairs[pair_idx];
         let core = chip.core(core_idx);
-        let flight = recorder.map(|recorder| FlightCtx {
-            recorder,
-            unit: unit as u64,
-        });
         match scheme {
-            Scheme::Static => self.run_static(core, env, profiles, novar_perf, tracer, flight),
+            Scheme::Static => self.run_static(core, env, profiles, novar_perf, tracer),
             Scheme::FuzzyDyn => {
                 let slot = pairs[..pair_idx]
                     .iter()
                     .filter(|(_, s)| *s == Scheme::FuzzyDyn)
                     .count();
                 let fuzzy = &fuzzy[core_idx][slot];
-                Ok(self.run_dynamic(
-                    core, env, fuzzy, scheme, profiles, novar_perf, tracer, flight,
-                ))
+                Ok(self.run_dynamic(core, env, fuzzy, scheme, profiles, novar_perf, tracer))
             }
             Scheme::ExhDyn => {
                 let exhaustive = ExhaustiveOptimizer::new();
-                Ok(self.run_dynamic(
-                    core,
-                    env,
-                    &exhaustive,
-                    scheme,
-                    profiles,
-                    novar_perf,
-                    tracer,
-                    flight,
-                ))
+                Ok(self.run_dynamic(core, env, &exhaustive, scheme, profiles, novar_perf, tracer))
             }
         }
     }
@@ -860,14 +795,25 @@ impl Campaign {
                     let ref_perf = [self.novar_perf(profile)];
                     let cell = match (scheme, fuzzy.as_ref()) {
                         (Scheme::Static, _) => {
-                            self.run_static(core, env, single, &ref_perf, Tracer::noop(), None)?
+                            self.run_static(core, env, single, &ref_perf, Tracer::noop())?
                         }
                         (Scheme::FuzzyDyn, Some(fuzzy)) => self.run_dynamic(
-                            core, env, fuzzy, scheme, single, &ref_perf, Tracer::noop(), None,
+                            core,
+                            env,
+                            fuzzy,
+                            scheme,
+                            single,
+                            &ref_perf,
+                            Tracer::noop(),
                         ),
                         _ => self.run_dynamic(
-                            core, env, &exhaustive, scheme, single, &ref_perf, Tracer::noop(),
-                            None,
+                            core,
+                            env,
+                            &exhaustive,
+                            scheme,
+                            single,
+                            &ref_perf,
+                            Tracer::noop(),
                         ),
                     };
                     accumulate(acc, &cell);
@@ -955,34 +901,25 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        flight: Option<FlightCtx<'_>>,
     ) -> CellResult {
+        let controller = OptimizerController::new(scheme.trace_label(), optimizer);
         let timeline = AdaptationTimeline::micro08();
         let mut cell = CellResult::default();
         for (profile, &ref_perf) in profiles.iter().zip(novar_perf) {
-            let class = profile.class;
             for ph in &profile.phases {
                 let weight = ph.weight / profiles.len() as f64;
-                let ctx = DecisionContext {
-                    scheme: scheme.trace_label(),
-                    workload: profile.name,
-                    phase: ph.index as u64,
-                };
-                let d = decide_phase(
+                let d = controller.decide(
                     &self.config,
                     core,
-                    optimizer,
                     env,
                     ph,
-                    class,
+                    profile.class,
                     profile.rp_cycles,
                     self.config.th_c,
-                    &ctx,
+                    profile.name,
+                    ph.index as u64,
                     tracer,
                 );
-                if let Some(flight) = flight {
-                    flight.record(env, scheme.trace_label(), profile.name, ph.index as u64, &d);
-                }
                 let overhead = timeline.overhead_fraction(d.retune_steps);
                 cell.freq_rel += weight * d.f_ghz / self.config.f_nominal_ghz;
                 cell.perf_rel += weight * d.perf_bips * (1.0 - overhead) / ref_perf;
@@ -991,12 +928,14 @@ impl Campaign {
             }
         }
         // Metrics only (never golden event lines): solver cache counters.
-        optimizer.flush_metrics(tracer);
+        controller.flush_metrics(tracer);
         cell
     }
 
     /// Static scheme: one conservative configuration per (chip, workload),
-    /// chosen for worst-case activity, then held for the whole run.
+    /// chosen for worst-case activity at the hottest heat sink the spec
+    /// allows ([`StaticController`] provisions for `TH_MAX`), then held
+    /// for the whole run.
     fn run_static(
         &self,
         core: &CoreModel,
@@ -1004,35 +943,24 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-        flight: Option<FlightCtx<'_>>,
     ) -> Result<CellResult, CampaignError> {
         let exhaustive = ExhaustiveOptimizer::new();
+        let controller = StaticController::new(&exhaustive);
         let mut cell = CellResult::default();
         for (profile, &ref_perf) in profiles.iter().zip(novar_perf) {
             let worst = synthetic_worst_phase(profile);
-            let ctx = DecisionContext {
-                scheme: Scheme::Static.trace_label(),
-                workload: profile.name,
-                phase: worst.index as u64,
-            };
-            // A static configuration cannot react to conditions, so it is
-            // provisioned for the hottest heat sink the spec allows
-            // (TH_MAX), not the currently sensed one.
-            let d = decide_phase(
+            let d = controller.decide(
                 &self.config,
                 core,
-                &exhaustive,
                 env,
                 &worst,
                 profile.class,
                 profile.rp_cycles,
-                self.config.constraints.th_max_c,
-                &ctx,
+                self.config.th_c,
+                profile.name,
+                worst.index as u64,
                 tracer,
             );
-            if let Some(flight) = flight {
-                flight.record(env, ctx.scheme, profile.name, ctx.phase, &d);
-            }
             // Hold (f, settings, variants) fixed; per-phase consequences.
             for ph in &profile.phases {
                 let weight = ph.weight / profiles.len() as f64;
@@ -1054,9 +982,8 @@ impl Campaign {
                         });
                         CampaignError::Infeasible { context, source }
                     })?;
-                let queue = static_queue_size(profile, &d);
                 let perf = PerfModel::new(
-                    ph.cpi_comp(queue),
+                    ph.cpi_comp(queue_size(profile.class, &d.variants)),
                     ph.mr,
                     ph.mp_ns,
                     profile.rp_cycles,
@@ -1068,7 +995,7 @@ impl Campaign {
             }
         }
         // Metrics only (never golden event lines): solver cache counters.
-        exhaustive.flush_metrics(tracer);
+        controller.flush_metrics(tracer);
         Ok(cell)
     }
 
@@ -1079,20 +1006,6 @@ impl Campaign {
         } else {
             total_w - self.config.checker_w
         }
-    }
-}
-
-/// The queue sizing a static decision implies for this workload class.
-fn static_queue_size(
-    profile: &WorkloadProfile,
-    d: &crate::controller::PhaseDecision,
-) -> QueueSize {
-    use eval_core::QueueChoice;
-    use eval_uarch::WorkloadClass;
-    match (profile.class, d.variants.int_queue, d.variants.fp_queue) {
-        (WorkloadClass::Int, QueueChoice::Small, _) => QueueSize::ThreeQuarters,
-        (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
-        _ => QueueSize::Full,
     }
 }
 
@@ -1112,45 +1025,6 @@ fn synthetic_worst_phase(profile: &WorkloadProfile) -> PhaseProfile {
     }
 }
 
-/// One unit's handle into the chip's shared flight recorder.
-#[derive(Clone, Copy)]
-struct FlightCtx<'a> {
-    recorder: &'a Mutex<FlightRecorder>,
-    /// Unit index within the chip (core-major), stamped into entries so
-    /// a postmortem can name the cell that was deciding.
-    unit: u64,
-}
-
-impl FlightCtx<'_> {
-    /// Records the operating point one decision chose (`seq` is
-    /// assigned by the ring).
-    fn record(
-        &self,
-        env: Environment,
-        scheme: &'static str,
-        workload: &'static str,
-        phase: u64,
-        d: &PhaseDecision,
-    ) {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(FlightEntry {
-                seq: 0,
-                unit: self.unit,
-                scheme,
-                env: env.name,
-                workload,
-                phase,
-                f_ghz: d.f_ghz,
-                pe_per_instruction: d.evaluation.pe_per_instruction,
-                power_w: d.evaluation.total_power_w,
-                binding: d.binding,
-                outcome: d.outcome.label(),
-            });
-    }
-}
-
 /// Resolved postmortem destination for one campaign run.
 struct PostmortemSink<'a> {
     dir: &'a Path,
@@ -1158,7 +1032,8 @@ struct PostmortemSink<'a> {
 }
 
 impl PostmortemSink<'_> {
-    /// Writes one quarantined chip's bundle atomically, stamps it
+    /// Writes one quarantined chip's bundle — rendered from the
+    /// `records` its sweep buffered — atomically, stamps it
     /// (`postmortem-jsonl`), and bumps the timing-sidecar-only
     /// `campaign.postmortems` counter. Best-effort: a dump failure is
     /// reported on stderr but never changes the campaign outcome —
@@ -1167,20 +1042,18 @@ impl PostmortemSink<'_> {
         &self,
         campaign: &Campaign,
         chip_idx: usize,
-        error: &CampaignError,
-        recorder: &Mutex<FlightRecorder>,
+        error: &str,
+        records: &[Record],
         tracer: Tracer<'_>,
     ) {
-        let ring = recorder.lock().unwrap_or_else(|e| e.into_inner());
-        let rendered_error = error.to_string();
         let body = render_postmortem(
             &PostmortemHeader {
                 chip: chip_idx as u64,
                 seed: campaign.chip_seed(chip_idx),
-                error: &rendered_error,
+                error,
                 config_fingerprint: &provenance::hex64(self.fingerprint),
             },
-            &ring,
+            records,
         );
         let path = self.dir.join(format!("chip-{chip_idx}.jsonl"));
         let written = std::fs::create_dir_all(self.dir)
@@ -1345,7 +1218,6 @@ mod tests {
         let mut c = tiny_campaign();
         c.fail_chip = Some(1);
         c.postmortem_dir = Some(dir.clone());
-        c.flight_recorder_capacity = 3;
         let timing = Collector::new();
         let primary = Collector::new();
         let r = c
@@ -1367,13 +1239,15 @@ mod tests {
             .iter()
             .filter(|l| l.contains("\"kind\":\"flight\""))
             .collect();
-        // Ring capacity 3: the sweep makes four decisions (two phases
-        // per workload), so the ring wraps and the bundle holds exactly
-        // the last three, each with an operating point and its binding
+        // The injected fault fires after the sweep, so the bundle holds
+        // all four of the chip's decisions (two phases per workload), in
+        // trace order, each with an operating point and its binding
         // constraint.
-        assert_eq!(flights.len(), 3, "{text}");
-        assert!(flights.iter().any(|l| l.contains("\"seq\":3")), "{text}");
-        assert!(!text.contains("\"seq\":0"), "oldest entry evicted: {text}");
+        assert!(lines[0].contains("\"recorded\":4"), "{text}");
+        assert_eq!(flights.len(), 4, "{text}");
+        for (seq, line) in flights.iter().enumerate() {
+            assert!(line.contains(&format!("\"seq\":{seq},")), "{text}");
+        }
         assert!(flights.iter().all(|l| l.contains("\"f_ghz\":")), "{text}");
         assert!(flights.iter().all(|l| l.contains("\"binding\":")), "{text}");
         // Stamped artifact: provenance footer is the last line.

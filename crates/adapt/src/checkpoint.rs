@@ -122,10 +122,9 @@ fn io_err(path: &Path, err: &std::io::Error) -> CheckpointError {
 /// chip), the teacher's seeding contract (`teacher::TEACHER_CONTRACT`: the same
 /// budget trains other controllers under another contract) and the
 /// requested environment/scheme sets. Execution-only knobs
-/// (`threads`, `intra_chip_threads`, `fail_chip`, `postmortem_dir`,
-/// `flight_recorder_capacity`) are deliberately excluded — they do not
-/// change results, so a resume may use a different thread count or
-/// observability setup.
+/// (`threads`, `intra_chip_threads`, `fail_chip`, `postmortem_dir`) are
+/// deliberately excluded — they do not change results, so a resume may
+/// use a different thread count or observability setup.
 pub fn fingerprint(campaign: &Campaign, envs: &[Environment], schemes: &[Scheme]) -> u64 {
     let mut canon = String::new();
     let _ = write!(
@@ -473,19 +472,6 @@ impl CheckpointWriter {
     }
 }
 
-/// The number of committed chips recorded in the sidecar at `path` (0
-/// when the file is missing or holds no complete header line). Drivers
-/// use this to reconcile a streaming trace file with the checkpoint
-/// frontier before resuming.
-///
-/// # Errors
-///
-/// [`CheckpointError`] on unreadable or corrupt (beyond a torn final
-/// line) sidecars.
-pub fn committed_chips(path: &Path) -> Result<usize, CheckpointError> {
-    Ok(load(path)?.map_or(0, |l| l.records.len()))
-}
-
 /// One committed chip of a sidecar, as [`committed_cells`] reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommittedChip {
@@ -499,8 +485,9 @@ pub struct CommittedChip {
 /// The committed chips of the sidecar at `path`, indexed by chip. Two
 /// sidecars of the same population pair up chip by chip, so a change's
 /// effect on each cell can be measured over chips (the `ckpt-stats`
-/// binary). Empty when the file is missing or holds no complete header
-/// line.
+/// binary). On resume, the chips with cells are the ones that left a
+/// trace segment to reconcile. Empty when the file is missing or holds
+/// no complete header line.
 ///
 /// # Errors
 ///
@@ -803,11 +790,10 @@ mod tests {
             "intra-chip threads excluded"
         );
         a.postmortem_dir = Some(std::path::PathBuf::from("target/pm"));
-        a.flight_recorder_capacity = 9;
         assert_eq!(
             fingerprint(&a, &envs, &schemes),
             base,
-            "postmortem knobs excluded"
+            "postmortem dir excluded"
         );
         a.base_seed = 1;
         assert_ne!(fingerprint(&a, &envs, &schemes), base, "seed included");

@@ -28,8 +28,8 @@ pub struct PhaseDecision {
     pub outcome: Outcome,
     /// Which constraint bound the final frequency (`error-rate`,
     /// `temperature`, `power`, or `ladder-top`), derived from the retune
-    /// probe history. Identical in traced and untraced runs; the fault
-    /// flight recorder keeps it per decision.
+    /// probe history. Identical in traced and untraced runs; the
+    /// `Decision` event and the postmortem bundle carry it.
     pub binding: &'static str,
     /// Retuning frequency steps taken.
     pub retune_steps: u32,
@@ -106,6 +106,16 @@ fn queue_label(choice: QueueChoice) -> &'static str {
     match choice {
         QueueChoice::Full => "full",
         QueueChoice::Small => "small",
+    }
+}
+
+/// The issue-queue size `variants` give a workload of `class`: three
+/// quarters when the class's own queue runs its small variant.
+pub(crate) fn queue_size(class: WorkloadClass, variants: &VariantSelection) -> QueueSize {
+    match (class, variants.int_queue, variants.fp_queue) {
+        (WorkloadClass::Int, QueueChoice::Small, _)
+        | (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
+        _ => QueueSize::Full,
     }
 }
 
@@ -262,12 +272,8 @@ pub fn decide_phase(
         config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
     );
 
-    let queue_size = match (class, variants.int_queue, variants.fp_queue) {
-        (WorkloadClass::Int, QueueChoice::Small, _) => QueueSize::ThreeQuarters,
-        (WorkloadClass::Fp, _, QueueChoice::Small) => QueueSize::ThreeQuarters,
-        _ => QueueSize::Full,
-    };
-    let perf_model = PerfModel::new(phase.cpi_comp(queue_size), phase.mr, phase.mp_ns, rp_cycles);
+    let queue = queue_size(class, &variants);
+    let perf_model = PerfModel::new(phase.cpi_comp(queue), phase.mr, phase.mp_ns, rp_cycles);
     let pe = result.evaluation.pe_per_instruction.clamp(0.0, 1.0);
     let perf_bips = perf_model.perf(result.f_ghz, pe);
     // The binding constraint comes from the retune loop itself (tracked

@@ -47,8 +47,7 @@ pub mod zoo;
 
 pub use campaign::{Campaign, CampaignError, CampaignResult, CellResult, ChipFailure, Scheme};
 pub use checkpoint::{
-    committed_cells, committed_chips, fingerprint, CheckpointError, CheckpointOptions,
-    CommittedChip,
+    committed_cells, fingerprint, CheckpointError, CheckpointOptions, CommittedChip,
 };
 pub use choice::{choose_fu, choose_queue};
 pub use controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};

@@ -193,18 +193,21 @@ impl TraceSession {
             // always a complete prefix the sidecar can reconcile with.
             (Some(trace), Some(opts)) => {
                 let committed = if opts.resume {
-                    eval_adapt::committed_chips(&opts.path)
+                    eval_adapt::committed_cells(&opts.path)
                         .map_err(|e| invalid(e.to_string()))?
                 } else {
-                    0
+                    Vec::new()
                 };
                 let stream = if opts.resume && trace.exists() {
-                    StreamingJsonl::resume(trace, committed)?
-                } else if committed > 0 {
+                    // A quarantined chip (no cells) left no trace segment.
+                    let segments = committed.iter().filter(|c| c.cells.is_some()).count();
+                    StreamingJsonl::resume(trace, segments)?
+                } else if !committed.is_empty() {
                     return Err(invalid(format!(
-                        "cannot resume: sidecar {} holds {committed} chips but the trace \
+                        "cannot resume: sidecar {} holds {} chips but the trace \
                          file {} is missing (remove the sidecar to start fresh)",
                         opts.path.display(),
+                        committed.len(),
                         trace.display()
                     )));
                 } else {
@@ -368,8 +371,8 @@ pub fn session_tracer(session: &Option<TraceSession>) -> Tracer<'_> {
     session.as_ref().map_or(Tracer::noop(), TraceSession::tracer)
 }
 
-/// `<trace>.postmortem/` next to the trace file — where the campaign's
-/// flight recorder dumps per-chip fault bundles (`chip-<n>.jsonl`),
+/// `<trace>.postmortem/` next to the trace file — where the campaign
+/// writes a quarantined chip's last traced decisions (`chip-<n>.jsonl`),
 /// rendered by `eval-obs postmortem`.
 pub fn postmortem_dir_for_trace(trace: &Path) -> PathBuf {
     trace.with_extension("postmortem")
@@ -377,10 +380,12 @@ pub fn postmortem_dir_for_trace(trace: &Path) -> PathBuf {
 
 /// Runs one campaign through an optional session: checkpointed when the
 /// session carries `--checkpoint`/`--resume`, plainly traced otherwise.
-/// When the session has a trace path, the campaign's flight recorder is
+/// When the session has a trace path, the campaign's postmortems are
 /// armed with [`postmortem_dir_for_trace`] so a quarantined chip leaves
-/// a postmortem bundle. Quarantined chips are reported as warnings on
-/// stderr; only a sweep with *no* surviving chips is an error.
+/// a bundle of its last traced decisions (without `--trace` there is
+/// neither a trace nor a bundle). Quarantined chips are reported as
+/// warnings on stderr; only a sweep with *no* surviving chips is an
+/// error.
 ///
 /// # Errors
 ///

@@ -26,7 +26,7 @@
 //! * [`profile`] — the wall-clock profiling sidecar consumer:
 //!   self/total span tables, folded stacks, speedscope export, and
 //!   primary-trace attribution (`eval-obs profile`);
-//! * [`postmortem`] — the fault flight-recorder bundle renderer
+//! * [`postmortem`] — the fault postmortem bundle renderer
 //!   (`eval-obs postmortem`).
 //!
 //! Everything is std-only: the consume side honors the same

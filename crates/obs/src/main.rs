@@ -22,7 +22,7 @@
 //! table, optional folded-stack and speedscope exports, and — when the
 //! primary trace is available — per-scheme attribution against its
 //! `solver.*` counters and decision counts. `postmortem` renders the
-//! fault flight-recorder bundles the campaign dumps for quarantined
+//! bundles of last traced decisions the campaign writes for quarantined
 //! chips.
 //!
 //! `bench-check` gates with the distribution-aware quantile test when

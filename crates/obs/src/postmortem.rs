@@ -1,13 +1,17 @@
-//! Rendering fault flight-recorder bundles (`eval-obs postmortem`).
+//! Rendering fault postmortem bundles (`eval-obs postmortem`).
 //!
-//! When a chip faults mid-campaign, the quarantine path dumps the
-//! chip's [`eval_trace::FlightRecorder`] ring — the last N
-//! operating-point decisions — as an atomic
-//! `<trace>.postmortem/<chip>.jsonl` bundle: one `"kind":"postmortem"`
-//! header line, the ring's entries oldest-first as `"kind":"flight"`
-//! lines, and a provenance footer. This module is the read side: parse
-//! one bundle (or every `chip-*.jsonl` in a bundle directory) and
-//! render the flight table, ending on the failing operating point.
+//! When a chip faults mid-campaign, it is quarantined and its buffered
+//! trace records never reach the primary trace. With a postmortem
+//! directory set, the campaign renders the last
+//! [`eval_trace::POSTMORTEM_DECISIONS`] `Decision` events among them as
+//! an atomic `<trace>.postmortem/chip-<idx>.jsonl` bundle
+//! ([`eval_trace::flight::render_postmortem`]): one `"kind":"postmortem"`
+//! header line, one `"kind":"flight"` line per decision in trace order,
+//! and a provenance footer. A campaign run under a disabled tracer
+//! buffers nothing, so its bundles hold the header only. This module is
+//! the read side: parse one bundle (or every `chip-*.jsonl` in a bundle
+//! directory) and render the flight table, ending on the failing
+//! operating point.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -18,10 +22,8 @@ use eval_trace::provenance::Provenance;
 /// One parsed `"kind":"flight"` line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightLine {
-    /// Monotonic sequence number across the chip.
+    /// The decision's index among its chip's traced decisions.
     pub seq: u64,
-    /// Unit index within the chip's sweep.
-    pub unit: u64,
     /// Scheme label.
     pub scheme: String,
     /// Environment name.
@@ -53,11 +55,11 @@ pub struct Bundle {
     pub error: String,
     /// The campaign's config fingerprint at dump time.
     pub config_fingerprint: String,
-    /// Ring capacity.
+    /// How many of the chip's last decisions a bundle keeps.
     pub capacity: u64,
-    /// Total decisions ever recorded (≥ entries held).
+    /// The chip's traced decisions (≥ entries held).
     pub recorded: u64,
-    /// The held entries, oldest first.
+    /// The kept decisions, oldest first.
     pub entries: Vec<FlightLine>,
     /// The bundle's provenance footer, when stamped.
     pub provenance: Option<Provenance>,
@@ -69,8 +71,8 @@ impl Bundle {
         self.entries.last()
     }
 
-    /// How many decisions wrapped out of the ring before the dump.
-    pub fn wrapped_away(&self) -> u64 {
+    /// How many of the chip's earlier decisions the bundle dropped.
+    pub fn dropped(&self) -> u64 {
         self.recorded.saturating_sub(self.entries.len() as u64)
     }
 }
@@ -113,7 +115,6 @@ pub fn parse_bundle(text: &str) -> Result<Bundle, String> {
                     .ok_or_else(|| at("flight line before the postmortem header"))?;
                 b.entries.push(FlightLine {
                     seq: v.u64_field("seq").ok_or_else(|| at("flight without seq"))?,
-                    unit: v.u64_field("unit").unwrap_or(0),
                     scheme: v.str_field("scheme").unwrap_or("?").to_string(),
                     env: v.str_field("env").unwrap_or("?").to_string(),
                     workload: v.str_field("workload").unwrap_or("?").to_string(),
@@ -176,11 +177,11 @@ pub fn render_text(b: &Bundle) -> String {
     let _ = writeln!(w, "  config_fingerprint: {}", b.config_fingerprint);
     let _ = writeln!(
         w,
-        "  flight ring:        {} of {} slot(s) held, {} decision(s) recorded, {} wrapped away",
+        "  decisions:          {} of {} traced held (last {} kept), {} earlier dropped",
         b.entries.len(),
-        b.capacity,
         b.recorded,
-        b.wrapped_away()
+        b.capacity,
+        b.dropped()
     );
     if let Some(p) = &b.provenance {
         let _ = writeln!(
@@ -192,20 +193,22 @@ pub fn render_text(b: &Bundle) -> String {
         );
     }
     if b.entries.is_empty() {
-        let _ = writeln!(w, "  (ring empty: the chip faulted before any decision)");
+        let _ = writeln!(
+            w,
+            "  (no decisions: the chip faulted before its first one, or ran untraced)"
+        );
         return out;
     }
     let _ = writeln!(
         w,
-        "\n{:>5} {:>5} {:<11} {:<8} {:<10} {:>5} {:>7} {:>10} {:>8}  {:<13} outcome",
-        "seq", "unit", "scheme", "env", "workload", "phase", "f_ghz", "pe", "power_w", "binding",
+        "\n{:>5} {:<11} {:<8} {:<10} {:>5} {:>7} {:>10} {:>8}  {:<13} outcome",
+        "seq", "scheme", "env", "workload", "phase", "f_ghz", "pe", "power_w", "binding",
     );
     for e in &b.entries {
         let _ = writeln!(
             w,
-            "{:>5} {:>5} {:<11} {:<8} {:<10} {:>5} {:>7.3} {:>10.3e} {:>8.1}  {:<13} {}",
+            "{:>5} {:<11} {:<8} {:<10} {:>5} {:>7.3} {:>10.3e} {:>8.1}  {:<13} {}",
             e.seq,
-            e.unit,
             e.scheme,
             e.env,
             e.workload,
@@ -249,25 +252,43 @@ fn phase_label(phase: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eval_trace::{FlightEntry, FlightRecorder, PostmortemHeader};
+    use eval_trace::{DecisionEvent, Event, PostmortemHeader, Record};
 
-    fn rendered_bundle() -> String {
-        let mut ring = FlightRecorder::new(2);
-        for unit in 0..3u64 {
-            ring.push(FlightEntry {
-                seq: 0,
-                unit,
-                scheme: "exhaustive",
-                env: "TS+ASV",
-                workload: "gzip",
-                phase: unit,
-                f_ghz: 4.0 + unit as f64 * 0.25,
-                pe_per_instruction: 1e-5,
-                power_w: 70.0,
-                binding: "error-rate",
-                outcome: "adapt",
-            });
-        }
+    /// One traced decision, as a chip buffer holds it.
+    fn decision(
+        scheme: &'static str,
+        phase: u64,
+        f_ghz: f64,
+        pe: f64,
+        power_w: f64,
+        binding: &'static str,
+    ) -> Record {
+        Record::Event(Event::Decision(Box::new(DecisionEvent {
+            scheme,
+            env: "TS+ASV",
+            workload: "gzip",
+            phase,
+            f_ghz,
+            settings: vec![(1.0, 0.0)],
+            int_fu: "normal",
+            fp_fu: "normal",
+            int_queue: "full",
+            fp_queue: "full",
+            outcome: "adapt",
+            binding,
+            retune_steps: 1,
+            rejected: Vec::new(),
+            pe_per_instruction: pe,
+            power_w,
+            max_t_c: 80.0,
+            perf_bips: 3.0,
+            cpi_comp: 0.5,
+            cpi_mem: 0.2,
+            cpi_recovery: 0.0,
+        })))
+    }
+
+    fn render(records: &[Record]) -> String {
         eval_trace::flight::render_postmortem(
             &PostmortemHeader {
                 chip: 1,
@@ -275,8 +296,26 @@ mod tests {
                 error: "injected chip fault (fail_chip)",
                 config_fingerprint: "deadbeefdeadbeef",
             },
-            &ring,
+            records,
         )
+    }
+
+    /// Two more decisions than a bundle keeps, so the oldest two drop.
+    fn rendered_bundle() -> String {
+        let n = eval_trace::POSTMORTEM_DECISIONS as u64 + 2;
+        let records: Vec<Record> = (0..n)
+            .map(|i| {
+                decision(
+                    "exhaustive",
+                    i,
+                    4.0 + i as f64 * 0.25,
+                    1e-5,
+                    70.0,
+                    "error-rate",
+                )
+            })
+            .collect();
+        render(&records)
     }
 
     #[test]
@@ -284,14 +323,15 @@ mod tests {
         let b = parse_bundle(&rendered_bundle()).expect("parses");
         assert_eq!(b.chip, 1);
         assert_eq!(b.seed, 42);
-        assert_eq!(b.capacity, 2);
-        assert_eq!(b.recorded, 3);
-        assert_eq!(b.wrapped_away(), 1);
-        assert_eq!(b.entries.len(), 2);
-        assert_eq!(b.entries[0].seq, 1, "oldest survivor first");
+        assert_eq!(b.capacity, 64);
+        assert_eq!(b.recorded, 66);
+        assert_eq!(b.dropped(), 2);
+        assert_eq!(b.entries.len(), 64);
+        assert_eq!(b.entries[0].seq, 2, "oldest kept decision first");
         let last = b.last_entry().expect("entries held");
-        assert_eq!(last.seq, 2);
-        assert!((last.f_ghz - 4.5).abs() < 1e-12);
+        assert_eq!(last.seq, 65);
+        assert_eq!(last.phase, 65);
+        assert!((last.f_ghz - 20.25).abs() < 1e-12);
         assert_eq!(last.binding, "error-rate");
     }
 
@@ -302,12 +342,21 @@ mod tests {
             "postmortem — chip 1 (seed 42)",
             "injected chip fault (fail_chip)",
             "deadbeefdeadbeef",
-            "2 of 2 slot(s) held, 3 decision(s) recorded, 1 wrapped away",
-            "failing operating point (seq 2): exhaustive TS+ASV/gzip phase 2 at 4.500 GHz",
+            "64 of 66 traced held (last 64 kept), 2 earlier dropped",
+            "failing operating point (seq 65): exhaustive TS+ASV/gzip phase 65 at 20.250 GHz",
             "bound by error-rate",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn header_only_bundle_renders_without_a_table() {
+        let b = parse_bundle(&render(&[])).expect("parses");
+        assert_eq!((b.recorded, b.entries.len()), (0, 0));
+        let text = render_text(&b);
+        assert!(text.contains("no decisions"), "{text}");
+        assert!(!text.contains("failing operating point"), "{text}");
     }
 
     #[test]
@@ -323,6 +372,126 @@ mod tests {
         );
         let err = parse_bundle(&unknown).unwrap_err();
         assert!(err.contains("line 2") && err.contains("mystery"), "{err}");
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        const SCHEMES: [&str; 4] = ["static", "fuzzy", "exhaustive", "mlp"];
+        const BINDINGS: [&str; 4] = ["error-rate", "temperature", "power", "ladder-top"];
+        /// Characters a damaged or foreign line is drawn from: JSON
+        /// punctuation, digits, letters of the record kinds, and a
+        /// multi-byte character.
+        const ALPHABET: &[char] = &[
+            '{', '}', '[', ']', '"', ':', ',', '.', '-', '+', 'e', 'E', '0', '1', '9', ' ', '\\',
+            'k', 'i', 'n', 'd', 'f', 'l', 'g', 'h', 't', 'p', 'o', 's', 'm', 'r', 'u', 'é',
+        ];
+
+        /// One decision per seed: finite floats over many magnitudes
+        /// (subnormals included) and the static-scheme phase sentinel.
+        fn decisions(seeds: &[u64]) -> Vec<Record> {
+            seeds
+                .iter()
+                .map(|&x| {
+                    let phase = if x % 5 == 0 { u64::MAX } else { x % 97 };
+                    decision(
+                        SCHEMES[(x % 4) as usize],
+                        phase,
+                        f64::from_bits(x >> 2),
+                        f64::from_bits(x.rotate_left(21) >> 2),
+                        f64::from_bits(x.rotate_left(42) >> 2),
+                        BINDINGS[((x >> 8) % 4) as usize],
+                    )
+                })
+                .collect()
+        }
+
+        fn text(chars: &[usize]) -> String {
+            chars
+                .iter()
+                .map(|&i| ALPHABET[i % ALPHABET.len()])
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn rendered_bundles_parse_back_to_their_decisions(
+                seeds in proptest::collection::vec(0u64..u64::MAX, 0..80),
+            ) {
+                let records = decisions(&seeds);
+                let b = parse_bundle(&render(&records));
+                prop_assert!(b.is_ok(), "{b:?}");
+                let b = b.unwrap();
+                let kept = seeds.len().min(eval_trace::POSTMORTEM_DECISIONS);
+                prop_assert_eq!(b.recorded, seeds.len() as u64);
+                prop_assert_eq!(b.entries.len(), kept);
+                let first = seeds.len() - kept;
+                for (line, (seq, rec)) in b.entries.iter().zip(records.iter().enumerate().skip(first)) {
+                    let Record::Event(Event::Decision(d)) = rec else { unreachable!() };
+                    prop_assert_eq!(line.seq, seq as u64);
+                    prop_assert_eq!(
+                        (line.scheme.as_str(), line.env.as_str(), line.workload.as_str()),
+                        (d.scheme, d.env, d.workload)
+                    );
+                    prop_assert_eq!(line.phase, d.phase);
+                    prop_assert_eq!(line.f_ghz.to_bits(), d.f_ghz.to_bits());
+                    prop_assert_eq!(line.pe_per_instruction.to_bits(), d.pe_per_instruction.to_bits());
+                    prop_assert_eq!(line.power_w.to_bits(), d.power_w.to_bits());
+                    prop_assert_eq!((line.binding.as_str(), line.outcome.as_str()), (d.binding, d.outcome));
+                }
+            }
+
+            #[test]
+            fn a_line_cut_short_is_an_error(
+                seeds in proptest::collection::vec(0u64..u64::MAX, 0..6),
+                at in 0usize..usize::MAX,
+            ) {
+                // Cut inside a line: after its first character, before its
+                // newline.
+                let bundle = render(&decisions(&seeds));
+                let cuts: Vec<usize> = (1..bundle.len())
+                    .filter(|&i| bundle.is_char_boundary(i))
+                    .filter(|&i| bundle.as_bytes()[i - 1] != b'\n' && bundle.as_bytes()[i] != b'\n')
+                    .collect();
+                let cut = cuts[at % cuts.len()];
+                prop_assert!(parse_bundle(&bundle[..cut]).is_err(), "cut at {cut}");
+            }
+
+            #[test]
+            fn a_foreign_line_is_an_error(
+                seeds in proptest::collection::vec(0u64..u64::MAX, 0..6),
+                chars in proptest::collection::vec(0usize..64, 0..40),
+                at in 0usize..usize::MAX,
+            ) {
+                let bundle = render(&decisions(&seeds));
+                let mut lines: Vec<String> = bundle.lines().map(str::to_string).collect();
+                let line = text(&chars);
+                lines.insert(at % (lines.len() + 1), line.clone());
+                let parsed = parse_bundle(&lines.join("\n"));
+                // A blank line is skipped; anything else is not a record.
+                prop_assert!(parsed.is_err() || line.trim().is_empty(), "{line:?}: {parsed:?}");
+            }
+
+            #[test]
+            fn damaged_bundles_never_panic(
+                seeds in proptest::collection::vec(0u64..u64::MAX, 0..6),
+                edits in proptest::collection::vec(0usize..usize::MAX, 1..6),
+                chars in proptest::collection::vec(0usize..64, 0..40),
+            ) {
+                // Characters overwritten, then arbitrary text alone: every
+                // outcome is `Ok` or `Err`.
+                let mut bundle: Vec<char> = render(&decisions(&seeds)).chars().collect();
+                for e in &edits {
+                    let i = e % bundle.len();
+                    bundle[i] = ALPHABET[(e >> 32) % ALPHABET.len()];
+                }
+                let damaged: String = bundle.into_iter().collect();
+                let _ = parse_bundle(&damaged);
+                let _ = parse_bundle(&text(&chars));
+            }
+        }
     }
 
     #[test]

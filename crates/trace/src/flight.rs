@@ -1,129 +1,39 @@
-//! The fault flight recorder: a fixed-capacity ring buffer of recent
-//! per-unit decisions, dumped as an atomic postmortem bundle when a
-//! chip faults and is quarantined.
+//! Fault postmortem bundles: a quarantined chip's last operating-point
+//! decisions, rendered from the records its campaign worker buffered.
 //!
-//! The recorder is allocation-free after construction: entries are
-//! plain `Copy` scalars plus `&'static str` labels, the backing `Vec`
-//! is reserved once at [`FlightRecorder::new`], and wraparound
-//! overwrites the oldest slot in place. The campaign keeps one recorder
-//! per in-flight chip and pushes an entry after every operating-point
-//! decision; on the quarantine path the last-N entries become the
-//! `<trace>.postmortem/<chip>.jsonl` bundle rendered by
-//! `eval-obs postmortem`.
+//! Every chip of a campaign traces into its own buffer, and every
+//! controller decision lands there as an [`Event::Decision`]. When a chip
+//! faults, the campaign drops the buffer from the primary trace and, with
+//! a postmortem directory set, renders the last [`POSTMORTEM_DECISIONS`]
+//! decisions it holds as `<trace>.postmortem/chip-<idx>.jsonl`: one
+//! `"kind":"postmortem"` header line, then one `"kind":"flight"` line per
+//! decision, oldest first, read back by `eval-obs postmortem`. The buffer
+//! holds exactly what a serial sweep would have traced up to the fault,
+//! so the bundle is the same for any worker count. A campaign traced into
+//! a disabled tracer buffers nothing and writes a header-only bundle.
 
+use crate::event::{DecisionEvent, Event};
 use crate::json::JsonObject;
+use crate::sink::Record;
 
-/// One recorded moment: the operating point a unit's controller chose,
-/// plus enough identity to say *which* unit/phase chose it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightEntry {
-    /// Monotonic sequence number across the chip (first push = 0).
-    pub seq: u64,
-    /// Unit index within the chip's sweep (`core × cell` flattening).
-    pub unit: u64,
-    /// Scheme label (`static`, `fuzzy`, `exhaustive`).
-    pub scheme: &'static str,
-    /// Environment name.
-    pub env: &'static str,
-    /// Workload name.
-    pub workload: &'static str,
-    /// Phase index within the workload.
-    pub phase: u64,
-    /// Chosen core frequency, GHz.
-    pub f_ghz: f64,
-    /// Error rate at the chosen operating point.
-    pub pe_per_instruction: f64,
-    /// Total power at the chosen operating point, W.
-    pub power_w: f64,
-    /// The constraint that bound the final frequency
-    /// (`error-rate` / `temperature` / `power` / `ladder-top`).
-    pub binding: &'static str,
-    /// Retuning outcome label (Figure 13).
-    pub outcome: &'static str,
-}
+/// How many of a chip's most recent decisions a postmortem bundle keeps.
+pub const POSTMORTEM_DECISIONS: usize = 64;
 
-/// Fixed-capacity ring of the most recent [`FlightEntry`] values.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    entries: Vec<FlightEntry>,
-    cap: usize,
-    head: usize,
-    recorded: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder holding the last `capacity` entries (minimum 1). The
-    /// single allocation happens here.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        Self {
-            entries: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Records one entry, overwriting the oldest once full. The `seq`
-    /// field is assigned here (total pushes so far).
-    pub fn push(&mut self, mut entry: FlightEntry) {
-        entry.seq = self.recorded;
-        self.recorded += 1;
-        if self.entries.len() < self.cap {
-            self.entries.push(entry);
-        } else {
-            self.entries[self.head] = entry;
-        }
-        self.head = (self.head + 1) % self.cap;
-    }
-
-    /// Entries currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The fixed capacity chosen at construction.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total entries ever pushed (≥ [`len`](FlightRecorder::len); the
-    /// difference is how many wrapped away).
-    pub fn total_recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// The held entries, oldest first.
-    pub fn iter_oldest_first(&self) -> impl Iterator<Item = &FlightEntry> {
-        let split = if self.entries.len() < self.cap {
-            0 // not yet wrapped: storage order is age order
-        } else {
-            self.head
-        };
-        self.entries[split..].iter().chain(self.entries[..split].iter())
-    }
-}
-
-/// Renders one `"kind":"flight"` JSONL line for a recorded entry.
-pub fn render_flight_line(e: &FlightEntry) -> String {
+/// Renders one `"kind":"flight"` JSONL line: decision `seq` of its chip
+/// (counted from 0 in trace order).
+pub fn render_flight_line(seq: u64, d: &DecisionEvent) -> String {
     JsonObject::new()
         .str("kind", "flight")
-        .u64("seq", e.seq)
-        .u64("unit", e.unit)
-        .str("scheme", e.scheme)
-        .str("env", e.env)
-        .str("workload", e.workload)
-        .u64("phase", e.phase)
-        .f64("f_ghz", e.f_ghz)
-        .f64("pe_per_instruction", e.pe_per_instruction)
-        .f64("power_w", e.power_w)
-        .str("binding", e.binding)
-        .str("outcome", e.outcome)
+        .u64("seq", seq)
+        .str("scheme", d.scheme)
+        .str("env", d.env)
+        .str("workload", d.workload)
+        .u64("phase", d.phase)
+        .f64("f_ghz", d.f_ghz)
+        .f64("pe_per_instruction", d.pe_per_instruction)
+        .f64("power_w", d.power_w)
+        .str("binding", d.binding)
+        .str("outcome", d.outcome)
         .finish()
 }
 
@@ -141,22 +51,32 @@ pub struct PostmortemHeader<'a> {
     pub config_fingerprint: &'a str,
 }
 
-/// Renders a postmortem bundle (no provenance footer — callers stamp
-/// the written artifact): one `"kind":"postmortem"` header line, then
-/// the ring's entries oldest-first as `"kind":"flight"` lines.
-pub fn render_postmortem(header: &PostmortemHeader<'_>, ring: &FlightRecorder) -> String {
+/// Renders a postmortem bundle from a chip's buffered `records` (no
+/// provenance footer — callers stamp the written artifact): one
+/// `"kind":"postmortem"` header line whose `recorded` field counts the
+/// chip's decisions, then its last [`POSTMORTEM_DECISIONS`] decisions
+/// oldest first as `"kind":"flight"` lines.
+pub fn render_postmortem(header: &PostmortemHeader<'_>, records: &[Record]) -> String {
+    let decisions: Vec<&DecisionEvent> = records
+        .iter()
+        .filter_map(|rec| match rec {
+            Record::Event(Event::Decision(d)) => Some(&**d),
+            _ => None,
+        })
+        .collect();
     let mut out = JsonObject::new()
         .str("kind", "postmortem")
         .u64("chip", header.chip)
         .u64("seed", header.seed)
         .str("error", header.error)
         .str("config_fingerprint", header.config_fingerprint)
-        .u64("capacity", ring.capacity() as u64)
-        .u64("recorded", ring.total_recorded())
+        .u64("capacity", POSTMORTEM_DECISIONS as u64)
+        .u64("recorded", decisions.len() as u64)
         .finish();
     out.push('\n');
-    for entry in ring.iter_oldest_first() {
-        out.push_str(&render_flight_line(entry));
+    let first = decisions.len().saturating_sub(POSTMORTEM_DECISIONS);
+    for (seq, d) in decisions.iter().enumerate().skip(first) {
+        out.push_str(&render_flight_line(seq as u64, d));
         out.push('\n');
     }
     out
@@ -165,95 +85,95 @@ pub fn render_postmortem(header: &PostmortemHeader<'_>, ring: &FlightRecorder) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricUpdate;
 
-    fn entry(unit: u64) -> FlightEntry {
-        FlightEntry {
-            seq: 0,
-            unit,
+    fn decision(phase: u64) -> Record {
+        Record::Event(Event::Decision(Box::new(DecisionEvent {
             scheme: "exhaustive",
             env: "TS+ASV",
             workload: "gzip",
-            phase: unit % 3,
-            f_ghz: 4.0,
+            phase,
+            f_ghz: 4.0 + phase as f64 * 0.001,
+            settings: vec![(1.0, 0.0)],
+            int_fu: "normal",
+            fp_fu: "normal",
+            int_queue: "full",
+            fp_queue: "full",
+            outcome: "adapt",
+            binding: "error-rate",
+            retune_steps: 0,
+            rejected: Vec::new(),
             pe_per_instruction: 1e-5,
             power_w: 70.0,
-            binding: "error-rate",
-            outcome: "adapt",
-        }
+            max_t_c: 80.0,
+            perf_bips: 3.0,
+            cpi_comp: 0.5,
+            cpi_mem: 0.2,
+            cpi_recovery: 0.0,
+        })))
     }
 
-    #[test]
-    fn ring_wraps_and_iterates_oldest_first() {
-        let mut ring = FlightRecorder::new(3);
-        assert!(ring.is_empty());
-        for unit in 0..5 {
-            ring.push(entry(unit));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
-        assert_eq!(ring.total_recorded(), 5);
-        let held: Vec<u64> = ring.iter_oldest_first().map(|e| e.unit).collect();
-        assert_eq!(held, [2, 3, 4]);
-        let seqs: Vec<u64> = ring.iter_oldest_first().map(|e| e.seq).collect();
-        assert_eq!(seqs, [2, 3, 4]);
-    }
+    const HEADER: PostmortemHeader<'static> = PostmortemHeader {
+        chip: 1,
+        seed: 42,
+        error: "injected chip fault (fail_chip)",
+        config_fingerprint: "deadbeef",
+    };
 
     #[test]
-    fn ring_never_reallocates_after_construction() {
-        let mut ring = FlightRecorder::new(4);
-        let cap = ring.entries.capacity();
-        for unit in 0..1000 {
-            ring.push(entry(unit));
-        }
-        assert_eq!(ring.entries.capacity(), cap, "ring grew after construction");
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        // Regression: without the `capacity.max(1)` clamp, `push` hits
-        // `(head + 1) % cap` with `cap == 0` — a modulo-by-zero panic on
-        // the fault path of all places.
-        let mut ring = FlightRecorder::new(0);
-        assert_eq!(ring.capacity(), 1);
-        ring.push(entry(0));
-        ring.push(entry(1));
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.total_recorded(), 2);
-        let held: Vec<u64> = ring.iter_oldest_first().map(|e| e.unit).collect();
-        assert_eq!(held, [1], "the newest entry survives");
-    }
-
-    #[test]
-    fn partial_ring_iterates_in_push_order() {
-        let mut ring = FlightRecorder::new(8);
-        for unit in 0..3 {
-            ring.push(entry(unit));
-        }
-        let held: Vec<u64> = ring.iter_oldest_first().map(|e| e.unit).collect();
-        assert_eq!(held, [0, 1, 2]);
-    }
-
-    #[test]
-    fn postmortem_renders_header_then_entries() {
-        let mut ring = FlightRecorder::new(2);
-        ring.push(entry(0));
-        ring.push(entry(1));
-        ring.push(entry(2));
-        let bundle = render_postmortem(
-            &PostmortemHeader {
-                chip: 1,
-                seed: 42,
-                error: "injected chip fault (fail_chip)",
-                config_fingerprint: "deadbeef",
-            },
-            &ring,
-        );
+    fn postmortem_renders_header_then_decisions_in_trace_order() {
+        // Non-decision records are skipped, and do not count as decisions.
+        let records = vec![
+            Record::Event(Event::ChipStart { chip: 1 }),
+            decision(0),
+            Record::Metric(MetricUpdate::CounterAdd("decision.count".into(), 1)),
+            decision(1),
+        ];
+        let bundle = render_postmortem(&HEADER, &records);
         let lines: Vec<&str> = bundle.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 3, "{bundle}");
         assert!(lines[0].contains("\"kind\":\"postmortem\""), "{bundle}");
-        assert!(lines[0].contains("\"recorded\":3"), "{bundle}");
-        assert!(lines[1].contains("\"seq\":1"), "{bundle}");
-        assert!(lines[2].contains("\"seq\":2"), "{bundle}");
+        assert!(lines[0].contains("\"capacity\":64"), "{bundle}");
+        assert!(lines[0].contains("\"recorded\":2"), "{bundle}");
+        assert!(
+            lines[1].starts_with("{\"kind\":\"flight\",\"seq\":0,"),
+            "{bundle}"
+        );
+        assert!(
+            lines[2].starts_with("{\"kind\":\"flight\",\"seq\":1,"),
+            "{bundle}"
+        );
         assert!(lines[2].contains("\"binding\":\"error-rate\""), "{bundle}");
+        assert!(!bundle.contains("\"unit\""), "{bundle}");
+    }
+
+    #[test]
+    fn postmortem_keeps_the_last_decisions_of_a_long_sweep() {
+        let total = POSTMORTEM_DECISIONS as u64 + 6;
+        let records: Vec<Record> = (0..total).map(decision).collect();
+        let bundle = render_postmortem(&HEADER, &records);
+        let lines: Vec<&str> = bundle.lines().collect();
+        assert!(
+            lines[0].contains(&format!("\"recorded\":{total}")),
+            "{bundle}"
+        );
+        let flights = &lines[1..];
+        assert_eq!(flights.len(), POSTMORTEM_DECISIONS);
+        // The tail survives, numbered by its place in the chip's trace:
+        // the oldest six decisions are dropped, the newest is last.
+        assert!(
+            flights[0].starts_with("{\"kind\":\"flight\",\"seq\":6,"),
+            "{bundle}"
+        );
+        assert!(flights[0].contains("\"phase\":6,"), "{bundle}");
+        let last = flights.last().unwrap();
+        assert!(
+            last.starts_with(&format!("{{\"kind\":\"flight\",\"seq\":{},", total - 1)),
+            "{bundle}"
+        );
+        assert!(
+            last.contains(&format!("\"phase\":{},", total - 1)),
+            "{bundle}"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! controller decisions, retuning probes, phase detection, tester
 //! measurements, and training; a deterministic metric registry
 //! (counters, gauges, fixed-bucket histograms); hierarchical wall-clock
-//! spans streaming to a separate timing sidecar; and a fault flight
-//! recorder for chip postmortems.
+//! spans streaming to a separate timing sidecar; and the postmortem
+//! bundle a quarantined chip's buffered decisions render into.
 //!
 //! ## Design
 //!
@@ -48,7 +48,7 @@ pub mod timing;
 
 pub use artifact::{ensure_parent_dir, write_atomic};
 pub use event::{DecisionEvent, Event, RejectedCandidate};
-pub use flight::{FlightEntry, FlightRecorder, PostmortemHeader};
+pub use flight::{PostmortemHeader, POSTMORTEM_DECISIONS};
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, HistogramMismatch, MetricName, MetricUpdate, Registry};
 pub use provenance::Provenance;

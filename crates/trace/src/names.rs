@@ -29,7 +29,7 @@ pub const CAMPAIGN_CHIPS_RESUMED: &str = "campaign.chips_resumed";
 pub const CAMPAIGN_CHIPS_FAILED: &str = "campaign.chips_failed";
 /// Postmortem bundles dumped for quarantined chips (counter; recorded
 /// on the timing sidecar only, so the primary trace stays bit-identical
-/// whether the flight recorder dumps or not).
+/// whether a postmortem directory is set or not).
 pub const CAMPAIGN_POSTMORTEMS: &str = "campaign.postmortems";
 
 /// Runtime phase detector reused a saved configuration (counter).

@@ -353,7 +353,7 @@ pub fn stamp_trace(path: &Path) -> std::io::Result<Provenance> {
 
 /// [`stamp_trace`] for any append-friendly JSONL artifact: used with
 /// `"timing-jsonl"` for the wall-clock sidecar and `"postmortem-jsonl"`
-/// for flight-recorder bundles. A `config_fingerprint`, when the writer
+/// for postmortem bundles. A `config_fingerprint`, when the writer
 /// has one (postmortem bundles), lands in the stamp and the journal so
 /// `eval-obs runs query --config-fingerprint` can find the artifact.
 ///

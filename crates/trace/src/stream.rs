@@ -16,7 +16,8 @@
 //! belonging to committed chips are kept, anything beyond the frontier
 //! (a chip segment past the last checkpoint record, a torn final line
 //! from the crash, or a stale end-of-run tail) is truncated away, and
-//! writing continues from there.
+//! writing continues from there. A quarantined chip leaves no segment,
+//! so the frontier is counted in segments, not chip indices.
 
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
@@ -70,11 +71,12 @@ impl StreamingJsonl {
     }
 
     /// Opens an interrupted trace at `path` for resumption, keeping the
-    /// event lines of the first `committed_chips` chips and truncating
-    /// everything past that frontier: chip segments with index `>=
-    /// committed_chips`, a torn (newline-less) final line, or a stale
-    /// non-event tail left by a previously *completed* run. The tail is
-    /// re-rendered from the rebuilt registry at [`StreamingJsonl::finish`].
+    /// prologue and the first `committed_segments` chip segments — one
+    /// per committed chip that completed; a quarantined chip leaves none —
+    /// and truncating everything past that frontier: later chip
+    /// segments, a torn (newline-less) final line, or a stale non-event
+    /// tail left by a previously *completed* run. The tail is re-rendered
+    /// from the rebuilt registry at [`StreamingJsonl::finish`].
     ///
     /// # Errors
     ///
@@ -84,7 +86,7 @@ impl StreamingJsonl {
     /// its checkpoint record is appended, so a trace behind its sidecar
     /// means external truncation or data loss; resuming would silently
     /// drop part of a committed chip.
-    pub fn resume(path: &Path, committed_chips: usize) -> std::io::Result<Self> {
+    pub fn resume(path: &Path, committed_segments: usize) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         let mut keep = 0usize;
         let mut pos = 0usize;
@@ -99,14 +101,8 @@ impl StreamingJsonl {
                 // content): everything from here on is re-renderable.
                 break;
             }
-            if let Some(rest) = line.strip_prefix(CHIP_START_PREFIX) {
-                let digits: &str =
-                    &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())];
-                let beyond = digits
-                    .parse::<u64>()
-                    .map(|chip| chip >= committed_chips as u64)
-                    .unwrap_or(true);
-                if beyond {
+            if line.starts_with(CHIP_START_PREFIX) {
+                if chips_kept == committed_segments {
                     break;
                 }
                 chips_kept += 1;
@@ -114,12 +110,12 @@ impl StreamingJsonl {
             keep = line_end;
             pos = line_end;
         }
-        if chips_kept < committed_chips {
+        if chips_kept < committed_segments {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
                     "cannot resume: trace {} holds {chips_kept} complete chip segments but \
-                     the checkpoint committed {committed_chips}; delete the trace and its \
+                     the checkpoint committed {committed_segments}; delete the trace and its \
                      sidecar to restart",
                     path.display()
                 ),
@@ -329,6 +325,25 @@ mod tests {
         assert!(kept.lines().all(|l| l.starts_with(EVENT_PREFIX)), "{kept}");
         assert_eq!(kept.lines().count(), 6);
         drop(reopened);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_counts_segments_not_chip_indices() {
+        // Chip 1 was quarantined and left no segment: two committed
+        // segments are chips 0 and 2, and chip 3's is beyond the frontier.
+        let path = temp_path("gap");
+        let stream = StreamingJsonl::create(&path).expect("creates");
+        for chip in [0, 2, 3] {
+            Tracer::new(&stream).replay(chip_records(chip));
+        }
+        drop(stream);
+        let full = std::fs::read_to_string(&path).expect("readable");
+        let cut = full.find("\"chip\":3").and_then(|p| full[..p].rfind('\n'));
+        let cut = cut.expect("chip 3 segment exists") + 1;
+        drop(StreamingJsonl::resume(&path, 2).expect("resumes"));
+        let kept = std::fs::read_to_string(&path).expect("readable");
+        assert_eq!(kept, full[..cut], "kept chips 0 and 2");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,15 +1,15 @@
 //! Crash-safety round trips: a quarantined chip must not perturb the
-//! rest of the sweep, a killed-then-resumed campaign must reproduce the
-//! full-run trace and result, and a sidecar written by a different
-//! campaign must be refused.
+//! rest of the sweep and its postmortem must be its own trace, a
+//! killed-then-resumed campaign must reproduce the full-run trace and
+//! result, and a sidecar written by a different campaign must be refused.
 
 use std::path::{Path, PathBuf};
 
 use eval_adapt::{
-    committed_chips, Campaign, CampaignError, CheckpointError, CheckpointOptions, Scheme,
+    committed_cells, Campaign, CampaignError, CheckpointError, CheckpointOptions, Scheme,
 };
 use eval_core::Environment;
-use eval_trace::{Collector, StreamingJsonl, Tracer};
+use eval_trace::{Collector, Json, StreamingJsonl, Tracer};
 use eval_uarch::Workload;
 
 const ENVS: [Environment; 1] = [Environment::TS_ASV];
@@ -103,6 +103,14 @@ fn all_chips_failing_is_a_typed_error() {
 
 #[test]
 fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
+    // Clean, and with chip 1 quarantined: its failed record is the
+    // sidecar's second line and it left no trace segment.
+    for fail_chip in [None, Some(1)] {
+        kill_after_two_chips_then_resume(fail_chip);
+    }
+}
+
+fn kill_after_two_chips_then_resume(fail_chip: Option<usize>) {
     let trace_full = scratch("full.jsonl");
     let ckpt_full = scratch("full.ckpt.jsonl");
     let trace_crash = scratch("crash.jsonl");
@@ -111,7 +119,8 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
         std::fs::remove_file(p).ok();
     }
 
-    let campaign = small_campaign(3);
+    let mut campaign = small_campaign(3);
+    campaign.fail_chip = fail_chip;
     let stream = StreamingJsonl::create(&trace_full).expect("creates trace");
     let full = campaign
         .run_checkpointed(
@@ -122,6 +131,7 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
         )
         .expect("full campaign runs");
     stream.finish().expect("finishes");
+    assert_eq!(full.chips_failed.len(), usize::from(fail_chip.is_some()));
 
     // Forge the crash state: the trace holds chips 0 and 1 plus a torn
     // partial line, the sidecar holds the header and two chip records —
@@ -142,10 +152,13 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
     std::fs::write(&ckpt_crash, crash_ckpt).expect("writes crash sidecar");
 
     // Resume exactly the way `TraceSession` does: reconcile the trace
-    // against the sidecar's committed count, then continue the campaign.
-    let committed = committed_chips(&ckpt_crash).expect("sidecar loads");
-    assert_eq!(committed, 2);
-    let stream = StreamingJsonl::resume(&trace_crash, committed).expect("trace reconciles");
+    // against the segments of the sidecar's completed chips, then
+    // continue the campaign.
+    let committed = committed_cells(&ckpt_crash).expect("sidecar loads");
+    assert_eq!(committed.len(), 2);
+    let segments = committed.iter().filter(|c| c.cells.is_some()).count();
+    assert_eq!(segments, 2 - usize::from(fail_chip.is_some()));
+    let stream = StreamingJsonl::resume(&trace_crash, segments).expect("trace reconciles");
     let resumed = campaign
         .run_checkpointed(
             &ENVS,
@@ -172,6 +185,101 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
     for p in [&trace_full, &ckpt_full, &trace_crash, &ckpt_crash] {
         std::fs::remove_file(p).ok();
     }
+}
+
+/// The flight lines of a postmortem bundle, minus the header and the
+/// provenance footer.
+fn flight_lines(bundle: &str) -> Vec<String> {
+    bundle
+        .lines()
+        .filter(|l| l.starts_with("{\"kind\":\"flight\""))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn a_postmortem_is_the_quarantined_chips_own_trace_at_any_thread_count() {
+    // Four (environment, scheme) units per chip for the workers to share.
+    let envs = [Environment::TS, Environment::TS_ASV];
+    let schemes = [Scheme::Static, Scheme::ExhDyn];
+    let clean_sink = Collector::new();
+    small_campaign(2)
+        .run_traced(&envs, &schemes, Tracer::new(&clean_sink))
+        .expect("clean campaign runs");
+    // Chip 1's decisions in the clean trace, as the payload fields a
+    // flight line carries.
+    let fields = [
+        "scheme",
+        "env",
+        "workload",
+        "phase",
+        "f_ghz",
+        "pe_per_instruction",
+        "power_w",
+        "binding",
+        "outcome",
+    ];
+    let pick =
+        |v: &Json| -> Vec<Option<Json>> { fields.iter().map(|k| v.get(k).cloned()).collect() };
+    let segments = chip_segments(&clean_sink.jsonl());
+    let (_, chip1) = segments
+        .iter()
+        .find(|(chip, _)| *chip == Some(1))
+        .expect("chip 1 traced");
+    let decisions: Vec<Vec<Option<Json>>> = chip1
+        .iter()
+        .filter(|l| l.contains("\"event\":\"decision\""))
+        .map(|l| {
+            pick(
+                Json::parse(l)
+                    .expect("event line parses")
+                    .get("payload")
+                    .expect("payload"),
+            )
+        })
+        .collect();
+    assert!(!decisions.is_empty());
+    let first = decisions
+        .len()
+        .saturating_sub(eval_trace::POSTMORTEM_DECISIONS);
+    let tail = &decisions[first..];
+
+    let mut bodies = Vec::new();
+    for workers in [1usize, 2, 0] {
+        let dir = scratch(&format!("pm-{workers}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut faulty = small_campaign(2);
+        faulty.fail_chip = Some(1);
+        faulty.intra_chip_threads = workers;
+        faulty.postmortem_dir = Some(dir.clone());
+        let sink = Collector::new();
+        faulty
+            .run_traced(&envs, &schemes, Tracer::new(&sink))
+            .expect("chip 0 completes");
+        assert!(
+            !sink.jsonl().contains(&format!("{CHIP_START}1")),
+            "a quarantined chip leaves no trace output"
+        );
+        let text = std::fs::read_to_string(dir.join("chip-1.jsonl")).expect("bundle written");
+        let body: Vec<String> = text
+            .lines()
+            .filter(|l| !l.contains("\"kind\":\"provenance\""))
+            .map(str::to_string)
+            .collect();
+        assert!(
+            body[0].contains(&format!("\"recorded\":{}", decisions.len())),
+            "{text}"
+        );
+        let flights: Vec<Vec<Option<Json>>> = flight_lines(&text)
+            .iter()
+            .map(|l| pick(&Json::parse(l).expect("flight line parses")))
+            .collect();
+        assert_eq!(flights, tail, "{workers} workers");
+        bodies.push(body);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert_eq!(bodies[0], bodies[1], "1 vs 2 workers");
+    assert_eq!(bodies[0], bodies[2], "1 vs all workers");
 }
 
 #[test]
