@@ -22,9 +22,22 @@
 //!   temperature a feasible point can have, without a thermal solve or
 //!   a cache access, and that bound falls as `Vbb` rises, so one
 //!   rejection clears the whole lower part of the row.
+//! - `freq_max` also takes a bracket of ladder indices
+//!   ([`Optimizer::freq_max_within`]): it starts from the lower end, so
+//!   no pair is probed at or below it, caps every pair's search at the
+//!   upper end, and stops once the answer reaches it. The teacher
+//!   builds the bracket from the labels a bank already holds. The
+//!   bracket rests on one monotonicity: for a fixed subsystem, variant
+//!   and environment, `fmax(TH, alpha_f, rho)` never rises when any
+//!   input rises. A hotter sink or more activity raises the solved
+//!   temperature, and the temperature and `rho` both raise the error
+//!   rate, so each only shrinks the feasible `(f, Vdd, Vbb)` set. A
+//!   scene that dominates another (all three inputs `>=`) therefore has
+//!   a label no higher than it.
 //!
 //! Every feasibility check that could succeed is kept, so both return
-//! exactly what the full-grid searches
+//! (`freq_max` given a bracket that holds the answer) exactly what the
+//! full-grid searches
 //! ([`ExhaustiveOptimizer::freq_max_reference`],
 //! [`ExhaustiveOptimizer::power_settings_reference`]) return.
 //
@@ -32,6 +45,7 @@
 // no-alloc-in-check rule forbids Vec construction outside tests here.
 
 use std::cell::RefCell;
+use std::ops::RangeInclusive;
 
 use eval_core::{EvalConfig, FREQ_LADDER};
 use eval_power::SolveCache;
@@ -114,44 +128,46 @@ impl ExhaustiveOptimizer {
         lo
     }
 
-    /// Largest feasible ladder index at fixed `(vdd, vbb)` that is at least
-    /// `floor_idx`, or `None`. Exploits monotonicity: error rate and
-    /// temperature both grow with `f`, so feasibility is a prefix of the
-    /// ladder. Callers prune by passing one step above the best index
-    /// found so far as the floor, so the floor is probed first: once a
-    /// good pair has been seen, most pairs fail it and cost one check.
-    /// A pair that clears the floor verifies the previous pair's answer
-    /// `hint` and its successor (adjacent pairs usually share their
-    /// frontier), then the ladder top, and only a genuinely moved
-    /// frontier falls back to bisection.
+    /// Largest feasible ladder index at fixed `(vdd, vbb)` in
+    /// `[floor_idx, top]`, or `None` when `floor_idx` is infeasible.
+    /// Exploits monotonicity: error rate and temperature both grow with
+    /// `f`, so feasibility is a prefix of the ladder. Callers prune by
+    /// passing one step above the best index found so far as the floor,
+    /// so the floor is probed first: once a good pair has been seen, most
+    /// pairs fail it and cost one check. A pair that clears the floor
+    /// verifies the previous pair's answer `hint` and its successor
+    /// (adjacent pairs usually share their frontier), then `top`, and
+    /// only a genuinely moved frontier falls back to bisection. `top` is
+    /// the ladder's last index or a proven upper bound on the answer, so
+    /// nothing above it is ever probed.
     fn fmax_index_at(
         eval: &SceneEval<'_>,
         cache: &mut SolveCache,
         vdd: f64,
         vbb: f64,
         floor_idx: usize,
+        top: usize,
         hint: Option<usize>,
     ) -> Option<usize> {
-        let last = FREQ_LADDER.len() - 1;
         let ok = |cache: &mut SolveCache, i: usize| eval.check_at(cache, i, vdd, vbb).is_some();
         if !ok(cache, floor_idx) {
             return None;
         }
-        let lo = match hint.map(|h| h.clamp(floor_idx, last)) {
+        let lo = match hint.map(|h| h.clamp(floor_idx, top)) {
             // Infeasible guess: the frontier is in `[floor_idx, h)`.
             Some(h) if h > floor_idx && !ok(cache, h) => {
                 return Some(Self::bisect(eval, cache, vdd, vbb, floor_idx, h));
             }
             // Feasible guess with an infeasible successor: `h` is it.
-            Some(h) if h == last || !ok(cache, h + 1) => return Some(h),
+            Some(h) if h == top || !ok(cache, h + 1) => return Some(h),
             // The frontier moved up past the guess.
             Some(h) => h + 1,
             None => floor_idx,
         };
-        if lo == last || ok(cache, last) {
-            return Some(last);
+        if lo == top || ok(cache, top) {
+            return Some(top);
         }
-        Some(Self::bisect(eval, cache, vdd, vbb, lo, last))
+        Some(Self::bisect(eval, cache, vdd, vbb, lo, top))
     }
 
     /// [`Optimizer::freq_max`] computed with the original uncached,
@@ -229,10 +245,32 @@ impl Optimizer for ExhaustiveOptimizer {
     }
 
     fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
+        self.freq_max_within(config, scene, 0..=FREQ_LADDER.len() - 1)
+    }
+
+    /// The one frequency search. It starts from `best = lo`, so the first
+    /// floor it probes is `lo + 1`, probes nothing above `hi`, and stops
+    /// scanning pairs once `best` reaches `hi`; `lo == hi` needs no
+    /// solve at all. Both ends are exact only when the bracket holds the
+    /// answer, which is the caller's promise (see the module doc). An
+    /// inverted bracket searches the whole ladder.
+    fn freq_max_within(
+        &self,
+        config: &EvalConfig,
+        scene: &SubsystemScene<'_>,
+        bracket: RangeInclusive<usize>,
+    ) -> f64 {
+        let last = FREQ_LADDER.len() - 1;
+        let (lo, hi) = match (*bracket.start(), (*bracket.end()).min(last)) {
+            (lo, hi) if lo <= hi => (lo, hi),
+            _ => (0, last),
+        };
+        if lo == hi {
+            return FREQ_LADDER.at(lo);
+        }
         let eval = SceneEval::new(config, scene);
         let cache = &mut *self.cache.borrow_mut();
-        let n = FREQ_LADDER.len();
-        let mut best: Option<usize> = None;
+        let mut best = lo;
         let mut hint: Option<usize> = None;
         // Scan the supply ladder from the top: the highest Vdd usually
         // holds the highest feasible frequency, so the first pair sets a
@@ -242,21 +280,20 @@ impl Optimizer for ExhaustiveOptimizer {
         // Pairs the screen rejects at a row's starting floor fail every
         // later (higher) floor too, and a failed floor probe changes
         // neither `best` nor `hint`, so skipping them is exact.
-        for &vdd in scene.vdd_options().iter().rev() {
-            let row_floor = best.map_or(0, |b| (b + 1).min(n - 1));
+        'rows: for &vdd in scene.vdd_options().iter().rev() {
             let vbbs = scene.vbb_options();
-            let start = Self::first_unscreened(&eval, FREQ_LADDER.at(row_floor), vdd, vbbs);
+            let start = Self::first_unscreened(&eval, FREQ_LADDER.at(best + 1), vdd, vbbs);
             for &vbb in &vbbs[start..] {
-                let floor = best.map_or(0, |b| (b + 1).min(n - 1));
-                if let Some(idx) = Self::fmax_index_at(&eval, cache, vdd, vbb, floor, hint) {
+                if let Some(idx) = Self::fmax_index_at(&eval, cache, vdd, vbb, best + 1, hi, hint) {
                     hint = Some(idx);
-                    if best.is_none_or(|b| idx > b) {
-                        best = Some(idx);
+                    best = idx;
+                    if best == hi {
+                        break 'rows;
                     }
                 }
             }
         }
-        FREQ_LADDER.at(best.unwrap_or(0))
+        FREQ_LADDER.at(best)
     }
 
     /// Scans each supply row in ascending body bias and keeps only the
@@ -462,7 +499,7 @@ mod tests {
 
     mod proptests {
         use super::*;
-        use crate::teacher::{variant_selection_for, TH_RANGE};
+        use crate::teacher::{variant_selection_for, ALPHA_RANGE, RHO_RANGE, TH_RANGE};
         use eval_core::SubsystemState;
         use proptest::prelude::*;
 
@@ -475,12 +512,11 @@ mod tests {
             Environment::TS_ABB_ASV,
         ];
 
-        /// A sensed scene for any subsystem, either variant, any of
-        /// [`ENVS`].
+        /// A sensed scene for any subsystem, either variant, in `env`.
         fn random_scene(
             state: &SubsystemState,
             alt: bool,
-            env: usize,
+            env: Environment,
             th: f64,
             alpha: f64,
             rho: f64,
@@ -492,7 +528,7 @@ mod tests {
                 alpha_f: alpha,
                 rho,
                 pe_budget: 1e-4 / N_SUBSYSTEMS as f64,
-                env: ENVS[env],
+                env,
             }
         }
 
@@ -530,7 +566,7 @@ mod tests {
                 let chip = factory().chip(chip_seed);
                 let opt = ExhaustiveOptimizer::new();
                 let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
-                let sc = random_scene(state, alt, env, th, alpha, rho);
+                let sc = random_scene(state, alt, ENVS[env], th, alpha, rho);
                 let fast = opt.freq_max(&cfg, &sc);
                 let reference = opt.freq_max_reference(&cfg, &sc);
                 prop_assert_eq!(fast.to_bits(), reference.to_bits());
@@ -557,7 +593,7 @@ mod tests {
                 let chip = factory().chip(chip_seed);
                 let opt = ExhaustiveOptimizer::new();
                 let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
-                let sc = random_scene(state, alt, env, th, alpha, rho);
+                let sc = random_scene(state, alt, ENVS[env], th, alpha, rho);
                 let fmax_idx = FREQ_LADDER.index_of(opt.freq_max(&cfg, &sc)).unwrap_or(0);
                 let f_idx = fmax_idx.saturating_sub(steps_below_fmax);
                 let f_core = core_freq(f_idx, off_ladder, frac);
@@ -592,7 +628,7 @@ mod tests {
                 let cfg = factory().config().clone();
                 let chip = factory().chip(chip_seed);
                 let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
-                let sc = random_scene(state, alt, env, th, alpha, rho);
+                let sc = random_scene(state, alt, ENVS[env], th, alpha, rho);
                 let eval = SceneEval::new(&cfg, &sc);
                 let f = core_freq(f_idx, off_ladder, frac);
                 let vdds = sc.vdd_options();
@@ -614,6 +650,79 @@ mod tests {
                 }
             }
 
+            /// The premise of the teacher's label brackets: within one
+            /// bank (chip, subsystem, variant, ladders), `fmax` never
+            /// rises when `th`, `alpha` or `rho` rises. `raise` picks
+            /// which inputs rise; each rises part of the way to the top
+            /// of the teacher's sampling range.
+            #[test]
+            fn prop_fmax_never_rises_with_th_alpha_or_rho(
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+                rho in 1e-3..RHO_RANGE.1,
+                up_th in 0.0f64..1.0,
+                up_alpha in 0.0f64..1.0,
+                up_rho in 0.0f64..1.0,
+                raise in 1u32..8,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                family in 0usize..Environment::TABLE2.len(),
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let opt = ExhaustiveOptimizer::new();
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                let env = Environment::TABLE2[family];
+                let rise = |bit: u32, x: f64, top: f64, frac: f64| {
+                    if raise & bit != 0 { x + frac * (top - x) } else { x }
+                };
+                let (th2, alpha2, rho2) = (
+                    rise(1, th, TH_RANGE.1, up_th),
+                    rise(2, alpha, ALPHA_RANGE.1, up_alpha),
+                    rise(4, rho, RHO_RANGE.1, up_rho),
+                );
+                let cool = opt.freq_max(&cfg, &random_scene(state, alt, env, th, alpha, rho));
+                let hot = opt.freq_max(&cfg, &random_scene(state, alt, env, th2, alpha2, rho2));
+                prop_assert!(
+                    hot <= cool,
+                    "{}: fmax({}, {}, {}) = {} > fmax({}, {}, {}) = {}",
+                    env.name, th2, alpha2, rho2, hot, th, alpha, rho, cool
+                );
+            }
+
+            /// Any bracket that holds the answer, `lo <= fmax <= hi`
+            /// (`hi` may run past the ladder top), gives the
+            /// reference's answer bit for bit, and so does an inverted
+            /// bracket.
+            #[test]
+            fn prop_bracketed_freq_max_matches_reference(
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in ALPHA_RANGE.0..ALPHA_RANGE.1,
+                rho in 1e-3..RHO_RANGE.1,
+                lo_pick in 0.0f64..1.0,
+                hi_pick in 0.0f64..1.0,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                family in 0usize..Environment::TABLE2.len(),
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let opt = ExhaustiveOptimizer::new();
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                let sc = random_scene(state, alt, Environment::TABLE2[family], th, alpha, rho);
+                let reference = opt.freq_max_reference(&cfg, &sc);
+                let truth = FREQ_LADDER.index_of(reference).expect("on the ladder");
+                let past_top = FREQ_LADDER.len() + 1;
+                let lo = (lo_pick * (truth + 1) as f64) as usize;
+                let hi = truth + (hi_pick * (past_top - truth + 1) as f64) as usize;
+                let bracketed = opt.freq_max_within(&cfg, &sc, lo..=hi);
+                prop_assert_eq!(bracketed.to_bits(), reference.to_bits(), "bracket {}..={}", lo, hi);
+                let inverted = opt.freq_max_within(&cfg, &sc, hi + 1..=lo);
+                prop_assert_eq!(inverted.to_bits(), reference.to_bits(), "inverted {}..={}", hi + 1, lo);
+            }
+
             /// The premise of the early exit: at fixed `(f, Vdd)`, power
             /// rises strictly with `Vbb` across the feasible points.
             #[test]
@@ -633,7 +742,7 @@ mod tests {
                 let chip = factory().chip(chip_seed);
                 let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
                 // ALL exposes both ladders; only the (f, Vdd) row matters.
-                let sc = random_scene(state, alt, 2, th, alpha, rho);
+                let sc = random_scene(state, alt, Environment::ALL, th, alpha, rho);
                 let f = core_freq(f_idx, off_ladder, frac);
                 let vdd = sc.vdd_options()[vdd_idx];
                 let mut prev: Option<(f64, f64)> = None;

@@ -94,7 +94,7 @@ impl LearnedOptimizer<FuzzyController> {
     /// [`ControllerTrained`](eval_trace::Event::ControllerTrained) event
     /// per (subsystem, variant) bank with the `Freq` controller's RMS
     /// error on its normalized training set. The result equals `env`'s
-    /// optimizer from [`FuzzyOptimizer::train_envs`] over any list that
+    /// optimizer from `FuzzyOptimizer::train_envs` over any list that
     /// holds `env`.
     pub fn train(
         config: &EvalConfig,

@@ -5,6 +5,8 @@
 // lint:hot-path — this module is on the operating-point fast path; the
 // no-alloc-in-check rule forbids Vec construction outside tests here.
 
+use std::ops::RangeInclusive;
+
 use eval_core::{
     Environment, EvalConfig, OperatingConditions, SubsystemState, VariantSelection,
 };
@@ -230,6 +232,22 @@ pub trait Optimizer {
     /// at which the subsystem can cycle using any permitted `(Vdd, Vbb)`
     /// without violating its temperature or error-rate constraints.
     fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64;
+
+    /// [`freq_max`] given a bracket of ladder indices known to hold the
+    /// answer: `bracket.start() <= index_of(fmax) <= bracket.end()`. The
+    /// bracket is only a hint that lets a search skip work; the answer
+    /// must not depend on it. The default ignores it. An empty
+    /// (inverted) bracket carries no information.
+    ///
+    /// [`freq_max`]: Optimizer::freq_max
+    fn freq_max_within(
+        &self,
+        config: &EvalConfig,
+        scene: &SubsystemScene<'_>,
+        _bracket: RangeInclusive<usize>,
+    ) -> f64 {
+        self.freq_max(config, scene)
+    }
 
     /// The `Power` algorithm for one subsystem: the `(Vdd, Vbb)` that
     /// minimizes subsystem power at core frequency `f_core` without

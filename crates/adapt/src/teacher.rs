@@ -24,6 +24,8 @@
 //!
 //! [`ExhaustiveOptimizer`]: crate::exhaustive::ExhaustiveOptimizer
 
+use std::ops::RangeInclusive;
+
 use eval_core::{
     Environment, EvalConfig, FuChoice, QueueChoice, SubsystemId, SubsystemState, VariantSelection,
     FREQ_LADDER,
@@ -134,6 +136,10 @@ pub struct TeacherExamples {
 /// (`SceneEval::check_free`, one cold thermal solve per `(Vdd, Vbb)`
 /// point it visits); only the `Freq` query goes through the oracle's
 /// solve cache.
+///
+/// Each `Freq` query carries the bracket that the bank's earlier labels
+/// put on it (`label_bracket`), which the exhaustive oracle searches
+/// inside; the labels are the same as unbracketed queries give.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_bank(
     oracle: &dyn Optimizer,
@@ -150,6 +156,7 @@ pub fn sample_bank(
         vdd: Vec::with_capacity(examples),
         vbb: Vec::with_capacity(examples),
     };
+    let mut labelled: Vec<([f64; 3], usize)> = Vec::with_capacity(examples);
     for _ in 0..examples {
         let th = rng.gen_range(TH_RANGE.0..TH_RANGE.1);
         let alpha = rng.gen_range(ALPHA_RANGE.0..ALPHA_RANGE.1);
@@ -163,14 +170,39 @@ pub fn sample_bank(
             pe_budget,
             env,
         };
-        let fmax = oracle.freq_max(config, &scene);
-        out.freq.push((vec![th, alpha, rho], fmax));
+        let x = [th, alpha, rho];
+        let fmax = oracle.freq_max_within(config, &scene, label_bracket(&labelled, x));
+        // An off-ladder answer (an oracle other than the exhaustive
+        // search) bounds nothing.
+        if let Some(idx) = FREQ_LADDER.index_of(fmax) {
+            labelled.push((x, idx));
+        }
+        out.freq.push((x.to_vec(), fmax));
         let f_core = rng.gen_range(FREQ_LADDER.min..=fmax.max(FREQ_LADDER.min));
         let (vdd, vbb) = oracle.power_settings(config, &scene, f_core);
         out.vdd.push((vec![th, alpha, rho, f_core], vdd));
         out.vbb.push((vec![th, alpha, rho, f_core], vbb));
     }
     out
+}
+
+/// The ladder-index bracket that earlier labels of one bank put on the
+/// `Freq` label of a scene with sensed inputs `x = [th, alpha, rho]`.
+/// Within a bank the oracle's `fmax` never rises when an input rises
+/// (see the `exhaustive` module doc), so a labelled scene that
+/// dominates `x` (every input `>=`) bounds the label from below, and one
+/// that `x` dominates bounds it from above.
+fn label_bracket(labelled: &[([f64; 3], usize)], x: [f64; 3]) -> RangeInclusive<usize> {
+    let (mut lo, mut hi) = (0, FREQ_LADDER.len() - 1);
+    for (y, idx) in labelled {
+        if y.iter().zip(&x).all(|(a, b)| a >= b) {
+            lo = lo.max(*idx);
+        }
+        if y.iter().zip(&x).all(|(a, b)| a <= b) {
+            hi = hi.min(*idx);
+        }
+    }
+    lo..=hi
 }
 
 /// The variant selection that enables (or not) subsystem `id`'s
@@ -245,5 +277,52 @@ mod tests {
         for (x, _) in &a.vdd {
             assert_eq!(x.len(), 4);
         }
+    }
+
+    /// The exhaustive oracle with the trait's default `freq_max_within`,
+    /// which ignores the bracket: every label is a plain `freq_max`.
+    struct Unbracketed(ExhaustiveOptimizer);
+
+    impl Optimizer for Unbracketed {
+        fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
+            self.0.freq_max(config, scene)
+        }
+
+        fn power_settings(
+            &self,
+            config: &EvalConfig,
+            scene: &SubsystemScene<'_>,
+            f_core: f64,
+        ) -> (f64, f64) {
+            self.0.power_settings(config, scene, f_core)
+        }
+    }
+
+    #[test]
+    fn bracketed_bank_equals_plain_freq_max_labels() {
+        let factory = ChipFactory::new(EvalConfig::micro08());
+        let cfg = factory.config().clone();
+        let chip = factory.chip(3);
+        let state = chip.core(0).subsystem(SubsystemId::IntQueue);
+        let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
+        let label = |oracle: &dyn Optimizer| {
+            let mut rng = ChaCha12Rng::seed_from_u64(11);
+            sample_bank(
+                oracle,
+                &cfg,
+                state,
+                VariantSelection::default(),
+                Environment::TS_ASV_ABB,
+                pe_budget,
+                260,
+                &mut rng,
+            )
+        };
+        let bracketed = label(&ExhaustiveOptimizer::new());
+        let plain = label(&Unbracketed(ExhaustiveOptimizer::new()));
+        assert_eq!(bracketed, plain);
+        let distinct: std::collections::BTreeSet<u64> =
+            plain.freq.iter().map(|(_, f)| f.to_bits()).collect();
+        assert!(distinct.len() > 3, "labels span the ladder: {distinct:?}");
     }
 }

@@ -17,6 +17,7 @@
 //! workspace root is this binary's output.
 
 use std::hint::black_box;
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use eval_adapt::{
@@ -136,12 +137,22 @@ const TEACHER_BANK_EXAMPLES: usize = 65;
 
 /// The exhaustive oracle with its `Power` search replaced by the
 /// full-grid [`ExhaustiveOptimizer::power_settings_reference`] — the
-/// reference side of the `teacher_sample_bank_abb` row.
+/// reference side of the `teacher_sample_bank_abb` row. Both `Freq`
+/// queries forward, so the bracketed labels are the same on both sides.
 struct FullGridPowerOracle(ExhaustiveOptimizer);
 
 impl Optimizer for FullGridPowerOracle {
     fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
         self.0.freq_max(config, scene)
+    }
+
+    fn freq_max_within(
+        &self,
+        config: &EvalConfig,
+        scene: &SubsystemScene<'_>,
+        bracket: RangeInclusive<usize>,
+    ) -> f64 {
+        self.0.freq_max_within(config, scene, bracket)
     }
 
     fn power_settings(

@@ -537,7 +537,7 @@ pub fn check(baseline: &BenchFile, fresh: &BenchFile, tol: &Tolerances) -> Check
 ///
 /// In history mode the significance bar is additionally floored at the
 /// worst between-run drift the window has already demonstrated (see
-/// [`between_run_drift`]): a shift inside the machine's documented
+/// `between_run_drift`): a shift inside the machine's documented
 /// wobble is noise, not a regression.
 pub fn check_distribution(
     baseline: &BenchFile,

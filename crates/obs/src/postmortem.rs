@@ -199,15 +199,18 @@ pub fn render_text(b: &Bundle) -> String {
         );
         return out;
     }
+    // The env column is as wide as its longest name (`TS+ASV+Q+FU` is
+    // 11 characters), and never narrower than 8.
+    let env_w = b.entries.iter().map(|e| e.env.len()).fold(8, usize::max);
     let _ = writeln!(
         w,
-        "\n{:>5} {:<11} {:<8} {:<10} {:>5} {:>7} {:>10} {:>8}  {:<13} outcome",
+        "\n{:>5} {:<11} {:<env_w$} {:<10} {:>5} {:>7} {:>10} {:>8}  {:<13} outcome",
         "seq", "scheme", "env", "workload", "phase", "f_ghz", "pe", "power_w", "binding",
     );
     for e in &b.entries {
         let _ = writeln!(
             w,
-            "{:>5} {:<11} {:<8} {:<10} {:>5} {:>7.3} {:>10.3e} {:>8.1}  {:<13} {}",
+            "{:>5} {:<11} {:<env_w$} {:<10} {:>5} {:>7.3} {:>10.3e} {:>8.1}  {:<13} {}",
             e.seq,
             e.scheme,
             e.env,
@@ -347,6 +350,32 @@ mod tests {
             "bound by error-rate",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn table_columns_align_for_the_longest_environment_name() {
+        let records: Vec<Record> = ["TS", "TS+ASV+Q+FU", "TS+ASV"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, env)| {
+                let mut r = decision("exhaustive", i as u64, 4.0, 1e-5, 70.0, "power");
+                if let Record::Event(Event::Decision(d)) = &mut r {
+                    d.env = env;
+                }
+                r
+            })
+            .collect();
+        let text = render_text(&parse_bundle(&render(&records)).expect("parses"));
+        let header = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("seq"))
+            .expect("table header");
+        let col = header.find("workload").expect("workload column");
+        let rows: Vec<&str> = text.lines().filter(|l| l.contains(" gzip ")).collect();
+        assert_eq!(rows.len(), 3, "{text}");
+        for row in rows {
+            assert_eq!(row.find("gzip"), Some(col), "misaligned row {row:?} in:\n{text}");
         }
     }
 

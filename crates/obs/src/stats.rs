@@ -81,7 +81,7 @@ pub struct EffectSize {
     /// Which decile shifted the most (1..=9, i.e. P10..P90).
     pub worst_decile: usize,
     /// Baseline spread: P90 − P10, in nanoseconds (floored, see
-    /// [`spread_floor`]).
+    /// `spread_floor`).
     pub spread_ns: f64,
     /// `max_shift_ns / spread_ns` — the effect in units of baseline
     /// noise; the scale-free number to read first.

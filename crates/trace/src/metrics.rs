@@ -259,7 +259,7 @@ impl Registry {
     }
 
     /// Pre-registers a histogram with explicit boundaries (otherwise the
-    /// first observation creates it with decade [`DEFAULT_BOUNDS`]).
+    /// first observation creates it with decade `DEFAULT_BOUNDS`).
     pub fn register_histogram(&mut self, name: impl Into<MetricName>, bounds: &[f64]) {
         self.histograms.insert(name.into(), Histogram::new(bounds));
     }
