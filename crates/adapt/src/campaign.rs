@@ -1346,6 +1346,45 @@ mod tests {
     }
 
     #[test]
+    fn figure13_variants_in_one_campaign_match_their_own_campaigns() {
+        use eval_trace::Collector;
+        let mut c = tiny_campaign();
+        c.workloads.truncate(1);
+        c.training.examples = 30;
+        // TS+ABB with no opt and with FU+Queue share every ABB bank key;
+        // TS+ASV with Queue shares none with them.
+        let variants = [
+            Environment::FIGURE13[1],
+            Environment::FIGURE13[13],
+            Environment::FIGURE13[10],
+        ];
+        let sink = Collector::new();
+        let joint = c
+            .run_traced(&variants, &[Scheme::FuzzyDyn], Tracer::new(&sink))
+            .expect("joint campaign runs");
+        let mut trained_alone = 0;
+        for env in variants {
+            let alone_sink = Collector::new();
+            let alone = c
+                .run_traced(&[env], &[Scheme::FuzzyDyn], Tracer::new(&alone_sink))
+                .expect("one-environment campaign runs");
+            trained_alone += alone_sink
+                .registry()
+                .counter(names::FUZZY_CONTROLLERS_TRAINED);
+            assert_eq!(
+                joint.cell(env, Scheme::FuzzyDyn),
+                alone.cell(env, Scheme::FuzzyDyn),
+                "{}",
+                env.name
+            );
+            assert_eq!(joint.baseline, alone.baseline);
+        }
+        // The shared keys are trained once per chip, not once per variant.
+        let trained = sink.registry().counter(names::FUZZY_CONTROLLERS_TRAINED);
+        assert!(trained < trained_alone, "{trained} vs {trained_alone}");
+    }
+
+    #[test]
     fn dynamic_cells_record_outcomes() {
         let c = tiny_campaign();
         let r = c

@@ -10,15 +10,13 @@
 //! the structured JSONL event/metric stream and an end-of-run summary;
 //! `--checkpoint <path>` / `--resume` make the campaign restartable.
 
-use eval_adapt::{Campaign, Scheme};
-use eval_bench::{chips_from_env, fail_chip_from_env, run_campaign, workloads_from_env, TraceSession};
+use eval_adapt::Scheme;
+use eval_bench::{run_campaign, standard_campaign, TraceSession};
 use eval_core::{AreaBreakdown, Environment};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = TraceSession::from_env()?;
-    let mut campaign = Campaign::new(chips_from_env(15)?);
-    campaign.workloads = workloads_from_env()?;
-    campaign.fail_chip = fail_chip_from_env(campaign.chips)?;
+    let campaign = standard_campaign(15)?;
     eprintln!(
         "# headline campaign: {} chips x {} workloads",
         campaign.chips,

@@ -261,12 +261,12 @@ impl TraceSession {
 
     /// The checkpoint sidecar configuration, when `--checkpoint` or
     /// `--resume` was requested.
-    pub fn checkpoint_options(&self) -> Option<&CheckpointOptions> {
+    fn checkpoint_options(&self) -> Option<&CheckpointOptions> {
         self.checkpoint.as_ref()
     }
 
     /// The trace output path, when `--trace` was requested.
-    pub fn trace_path(&self) -> Option<&Path> {
+    fn trace_path(&self) -> Option<&Path> {
         self.trace_path.as_deref()
     }
 
@@ -541,7 +541,9 @@ pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, BadEnv> {
     })
 }
 
-/// Builds the standard Figures 10–12 campaign.
+/// Builds the paper-protocol campaign the experiment binaries share,
+/// sized by `EVAL_CHIPS` (else `default_chips`), `EVAL_WORKLOADS` and
+/// `EVAL_FAIL_CHIP`.
 ///
 /// # Errors
 ///

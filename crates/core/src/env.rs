@@ -1,5 +1,5 @@
-//! The environments of Table 1 (plus the ABB-only variants used by
-//! Table 2 and Figure 13).
+//! The environments of Table 1, plus the ABB-only variants used by
+//! Table 2 and the sixteen technique variants of Figure 13.
 
 use std::fmt;
 
@@ -129,6 +129,45 @@ impl Environment {
     pub const TABLE2: [Environment; 4] =
         [Self::TS, Self::TS_ABB, Self::TS_ASV, Self::TS_ABB_ASV];
 
+    /// The sixteen variants of Figure 13, technique-major: each
+    /// microarchitecture-technique set (none, FU replication, queue
+    /// resizing, both) over the four [`Self::TABLE2`] environments. Every
+    /// variant has its own name, so the traces of one campaign over all
+    /// sixteen tell them apart.
+    pub const FIGURE13: [Environment; 16] = [
+        Self::TS,
+        Self::TS_ABB,
+        Self::TS_ASV,
+        Self::TS_ABB_ASV,
+        Self::TS.with_techniques("TS+FU", false, true),
+        Self::TS_ABB.with_techniques("TS+ABB+FU", false, true),
+        Self::TS_ASV.with_techniques("TS+ASV+FU", false, true),
+        Self::TS_ABB_ASV.with_techniques("TS+ABB+ASV+FU", false, true),
+        Self::TS.with_techniques("TS+Q", true, false),
+        Self::TS_ABB.with_techniques("TS+ABB+Q", true, false),
+        Self::TS_ASV.with_techniques("TS+ASV+Q", true, false),
+        Self::TS_ABB_ASV.with_techniques("TS+ABB+ASV+Q", true, false),
+        Self::TS.with_techniques("TS+Q+FU", true, true),
+        Self::TS_ABB.with_techniques("TS+ABB+Q+FU", true, true),
+        Self::TS_ASV.with_techniques("TS+ASV+Q+FU", true, true),
+        Self::TS_ABB_ASV.with_techniques("TS+ABB+ASV+Q+FU", true, true),
+    ];
+
+    /// This environment with the given technique set, under `name`.
+    const fn with_techniques(
+        self,
+        name: &'static str,
+        queue: bool,
+        fu_replication: bool,
+    ) -> Environment {
+        Environment {
+            name,
+            queue,
+            fu_replication,
+            ..self
+        }
+    }
+
     /// Whether any per-subsystem voltage knob exists.
     pub fn has_voltage_control(&self) -> bool {
         self.asv || self.abb
@@ -161,14 +200,24 @@ mod tests {
     }
 
     #[test]
-    fn names_are_unique() {
-        let mut names: Vec<&str> = Environment::FIGURE10.iter().map(|e| e.name).collect();
-        names.extend(Environment::TABLE2.iter().map(|e| e.name));
-        names.push(Environment::BASELINE.name);
-        names.push(Environment::NOVAR.name);
-        names.sort_unstable();
-        let mut dedup = names.clone();
-        dedup.dedup();
-        assert_eq!(names.len(), dedup.len() + 2); // TS appears in both lists
+    fn a_name_names_one_environment() {
+        let envs: Vec<Environment> = Environment::FIGURE10
+            .iter()
+            .chain(&Environment::TABLE2)
+            .chain(&Environment::FIGURE13)
+            .chain(&[Environment::BASELINE, Environment::NOVAR])
+            .copied()
+            .collect();
+        for a in &envs {
+            for b in &envs {
+                assert!(a.name != b.name || a == b, "{a:?} vs {b:?}");
+            }
+        }
+        // The sixteen Figure 13 variants are sixteen technique sets.
+        for (i, a) in Environment::FIGURE13.iter().enumerate() {
+            for b in &Environment::FIGURE13[..i] {
+                assert_ne!(Environment { name: a.name, ..*b }, *a, "{a:?} vs {b:?}");
+            }
+        }
     }
 }

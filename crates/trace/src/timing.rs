@@ -55,23 +55,18 @@ pub(crate) const LATENCY_US_BOUNDS: [f64; 13] = [
     50_000.0, 100_000.0,
 ];
 
-/// The decision-latency timer names: the aggregate plus one per scheme
-/// (`*_us` suffix marks them wall-clock, routed to the timing sidecar).
-pub(crate) const LATENCY_METRICS: [&str; 5] = [
-    names::DECISION_LATENCY_US,
-    names::DECISION_LATENCY_STATIC_US,
-    names::DECISION_LATENCY_FUZZY_US,
-    names::DECISION_LATENCY_EXHAUSTIVE_US,
-    names::DECISION_LATENCY_GLOBAL_DVFS_US,
-];
-
-/// The registry a timing-side sink starts from: the latency histograms
-/// pre-registered with their fixed boundaries, so two sidecars that
-/// observe the same values render byte-identical tail lines.
+/// The registry a timing-side sink starts from: every decision-latency
+/// histogram (the aggregate plus one per scheme, each named under
+/// [`names::DECISION_LATENCY_PREFIX`]) pre-registered with the
+/// `LATENCY_US_BOUNDS` buckets, so two sidecars that observe the same
+/// values render byte-identical tail lines.
 pub fn timing_registry() -> Registry {
     let mut registry = Registry::new();
-    for name in LATENCY_METRICS {
-        registry.register_histogram(name, &LATENCY_US_BOUNDS);
+    for name in names::ALL_METRICS
+        .iter()
+        .filter(|name| name.starts_with(names::DECISION_LATENCY_PREFIX))
+    {
+        registry.register_histogram(*name, &LATENCY_US_BOUNDS);
     }
     registry
 }
@@ -262,6 +257,25 @@ mod tests {
         let full = std::fs::read_to_string(&path).expect("readable");
         assert!(!full.contains("chip-start"), "{full}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_decision_latency_histogram_gets_the_latency_bounds() {
+        let registry = timing_registry();
+        let latency: Vec<&str> = names::ALL_METRICS
+            .iter()
+            .copied()
+            .filter(|name| name.starts_with(names::DECISION_LATENCY_PREFIX))
+            .collect();
+        // The aggregate, seven schemes (four hand-written, three learned)
+        // and the catch-all `other`.
+        assert_eq!(latency.len(), 9);
+        for name in latency {
+            let hist = registry
+                .histogram(name)
+                .unwrap_or_else(|| panic!("{name} is not pre-registered"));
+            assert_eq!(hist.bounds(), LATENCY_US_BOUNDS, "{name}");
+        }
     }
 
     #[test]

@@ -106,15 +106,27 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
     // Clean, and with chip 1 quarantined: its failed record is the
     // sidecar's second line and it left no trace segment.
     for fail_chip in [None, Some(1)] {
-        kill_after_two_chips_then_resume(fail_chip);
+        kill_after_two_chips_then_resume("exh", &ENVS, &SCHEMES, fail_chip);
     }
 }
 
-fn kill_after_two_chips_then_resume(fail_chip: Option<usize>) {
-    let trace_full = scratch("full.jsonl");
-    let ckpt_full = scratch("full.ckpt.jsonl");
-    let trace_crash = scratch("crash.jsonl");
-    let ckpt_crash = scratch("crash.ckpt.jsonl");
+#[test]
+fn figure13_campaign_killed_after_two_chips_resumes_to_the_full_run() {
+    // The `fig13` campaign: sixteen Fuzzy-Dyn variants whose teacher
+    // banks are shared across variants, streamed and checkpointed.
+    kill_after_two_chips_then_resume("fig13", &Environment::FIGURE13, &[Scheme::FuzzyDyn], None);
+}
+
+fn kill_after_two_chips_then_resume(
+    tag: &str,
+    envs: &[Environment],
+    schemes: &[Scheme],
+    fail_chip: Option<usize>,
+) {
+    let trace_full = scratch(&format!("{tag}-full.jsonl"));
+    let ckpt_full = scratch(&format!("{tag}-full.ckpt.jsonl"));
+    let trace_crash = scratch(&format!("{tag}-crash.jsonl"));
+    let ckpt_crash = scratch(&format!("{tag}-crash.ckpt.jsonl"));
     for p in [&trace_full, &ckpt_full, &trace_crash, &ckpt_crash] {
         std::fs::remove_file(p).ok();
     }
@@ -124,8 +136,8 @@ fn kill_after_two_chips_then_resume(fail_chip: Option<usize>) {
     let stream = StreamingJsonl::create(&trace_full).expect("creates trace");
     let full = campaign
         .run_checkpointed(
-            &ENVS,
-            &SCHEMES,
+            envs,
+            schemes,
             Tracer::new(&stream),
             &CheckpointOptions::fresh(&ckpt_full),
         )
@@ -161,8 +173,8 @@ fn kill_after_two_chips_then_resume(fail_chip: Option<usize>) {
     let stream = StreamingJsonl::resume(&trace_crash, segments).expect("trace reconciles");
     let resumed = campaign
         .run_checkpointed(
-            &ENVS,
-            &SCHEMES,
+            envs,
+            schemes,
             Tracer::new(&stream),
             &CheckpointOptions::resuming(&ckpt_crash),
         )
