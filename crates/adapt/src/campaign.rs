@@ -184,6 +184,61 @@ pub struct CellResult {
     pub outcomes: OutcomeCounts,
 }
 
+impl CellResult {
+    fn accumulate(&mut self, cell: &CellResult) {
+        self.freq_rel += cell.freq_rel;
+        self.perf_rel += cell.perf_rel;
+        self.power_w += cell.power_w;
+        self.outcomes.merge(&cell.outcomes);
+    }
+
+    fn normalize(&mut self, samples: usize) {
+        let n = samples as f64;
+        self.freq_rel /= n;
+        self.perf_rel /= n;
+        self.power_w /= n;
+    }
+}
+
+/// The sums for one (environment, scheme) pair: the suite cell, each
+/// phase weighted `ph.weight / workloads`, and one cell per workload,
+/// each phase weighted `ph.weight` — what a one-workload campaign sums
+/// into its suite cell.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tally {
+    pub suite: CellResult,
+    pub workloads: Vec<CellResult>,
+}
+
+impl Tally {
+    pub(crate) fn new(workloads: usize) -> Self {
+        Self {
+            suite: CellResult::default(),
+            workloads: vec![CellResult::default(); workloads],
+        }
+    }
+
+    /// Adds one phase of workload `w`, measured once: `add(cell, weight)`
+    /// runs for the suite cell and for `w`'s cell.
+    fn add_phase(&mut self, w: usize, ph_weight: f64, add: impl Fn(&mut CellResult, f64)) {
+        add(&mut self.suite, ph_weight / self.workloads.len() as f64);
+        add(&mut self.workloads[w], ph_weight);
+    }
+
+    fn accumulate(&mut self, other: &Tally) {
+        self.suite.accumulate(&other.suite);
+        for (acc, cell) in self.workloads.iter_mut().zip(&other.workloads) {
+            acc.accumulate(cell);
+        }
+    }
+
+    fn normalize(&mut self, samples: usize) {
+        for cell in std::iter::once(&mut self.suite).chain(&mut self.workloads) {
+            cell.normalize(samples);
+        }
+    }
+}
+
 /// A full campaign result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
@@ -193,6 +248,10 @@ pub struct CampaignResult {
     pub novar: CellResult,
     /// One cell per requested (environment, scheme) pair, in request order.
     pub cells: Vec<(Environment, Scheme, CellResult)>,
+    /// Per entry of `cells`, one cell per workload in
+    /// [`Campaign::workloads`] order: the workload's mean over the chip
+    /// population (the per-application detail behind the suite average).
+    per_workload: Vec<Vec<CellResult>>,
     /// Chips quarantined by per-chip faults, in chip order (empty on a
     /// clean run). Quarantined chips are excluded from the averages
     /// above, which normalize by the number of *completed* chips.
@@ -202,10 +261,20 @@ pub struct CampaignResult {
 impl CampaignResult {
     /// Looks up a cell.
     pub fn cell(&self, env: Environment, scheme: Scheme) -> Option<&CellResult> {
+        self.pair_index(env, scheme).map(|i| &self.cells[i].2)
+    }
+
+    /// Looks up a pair's per-workload cells, in [`Campaign::workloads`]
+    /// order.
+    pub fn workload_cells(&self, env: Environment, scheme: Scheme) -> Option<&[CellResult]> {
+        self.pair_index(env, scheme)
+            .map(|i| self.per_workload[i].as_slice())
+    }
+
+    fn pair_index(&self, env: Environment, scheme: Scheme) -> Option<usize> {
         self.cells
             .iter()
-            .find(|(e, s, _)| *e == env && *s == scheme)
-            .map(|(_, _, c)| c)
+            .position(|(e, s, _)| *e == env && *s == scheme)
     }
 }
 
@@ -423,19 +492,16 @@ impl Campaign {
         // Sums run in chip order: the resumed prefix, then each chip as
         // it commits.
         let mut baseline = CellResult::default();
-        let mut cells: Vec<(Environment, Scheme, CellResult)> = pairs
-            .iter()
-            .map(|(e, s)| (*e, *s, CellResult::default()))
-            .collect();
+        let mut sums = vec![Tally::new(profiles.len()); pairs.len()];
         let mut chips_failed: Vec<ChipFailure> = Vec::new();
         let mut merge = |chip: usize, outcome: &RecordedOutcome| match outcome {
             RecordedOutcome::Ok {
                 baseline: chip_baseline,
                 cells: chip_cells,
             } => {
-                accumulate(&mut baseline, chip_baseline);
-                for ((_, _, acc), cell) in cells.iter_mut().zip(chip_cells) {
-                    accumulate(acc, cell);
+                baseline.accumulate(chip_baseline);
+                for (acc, cell) in sums.iter_mut().zip(chip_cells) {
+                    acc.accumulate(cell);
                 }
             }
             RecordedOutcome::Failed { error } => {
@@ -539,14 +605,19 @@ impl Campaign {
         // Quarantined chips contribute nothing, so the averages normalize
         // by the chips that actually completed.
         let samples = ok_chips * self.cores_per_chip;
-        normalize(&mut baseline, samples);
-        for (_, _, c) in cells.iter_mut() {
-            normalize(c, samples);
+        baseline.normalize(samples);
+        for sum in &mut sums {
+            sum.normalize(samples);
         }
         Ok(CampaignResult {
             baseline,
             novar,
-            cells,
+            cells: pairs
+                .iter()
+                .zip(&sums)
+                .map(|((e, s), t)| (*e, *s, t.suite))
+                .collect(),
+            per_workload: sums.into_iter().map(|t| t.workloads).collect(),
             chips_failed,
         })
     }
@@ -599,6 +670,13 @@ impl Campaign {
                         cells.len(),
                     )));
                 }
+                let workloads = self.workloads.len();
+                if let Some(cell) = cells.iter().find(|c| c.workloads.len() != workloads) {
+                    return Err(corrupt(format!(
+                        "chip {i} has {} per-workload cells, campaign runs {workloads} workloads",
+                        cell.workloads.len(),
+                    )));
+                }
             }
         }
         Ok(loaded.records)
@@ -632,7 +710,7 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-    ) -> Result<(CellResult, Vec<CellResult>), CampaignError> {
+    ) -> Result<(CellResult, Vec<Tally>), CampaignError> {
         let _chip_span = tracer.span("chip");
         tracer.event(|| Event::ChipStart {
             chip: chip_idx as u64,
@@ -643,10 +721,8 @@ impl Campaign {
             // Baseline: clocked at fvar, error free.
             let core = chip.core(core_idx);
             let fvar = core.fvar_nominal(&self.config);
-            accumulate(
-                &mut baseline,
-                &self.reference_cell(core, fvar, profiles, novar_perf, tracer)?,
-            );
+            let cell = self.reference_cell(core, fvar, profiles, novar_perf, tracer)?;
+            baseline.accumulate(&cell);
         }
 
         let fuzzy_envs: Vec<Environment> = pairs
@@ -671,7 +747,7 @@ impl Campaign {
                 .collect()
         };
 
-        let mut cells = vec![CellResult::default(); pairs.len()];
+        let mut cells = vec![Tally::new(profiles.len()); pairs.len()];
         let mut fault = None;
         fan_out::ordered(
             0..self.cores_per_chip * pairs.len(),
@@ -692,7 +768,7 @@ impl Campaign {
                 tracer.replay(records);
                 match outcome {
                     Ok(cell) => {
-                        accumulate(&mut cells[unit % pairs.len()], &cell);
+                        cells[unit % pairs.len()].accumulate(&cell);
                         ControlFlow::Continue(())
                     }
                     Err(error) => {
@@ -727,7 +803,7 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-    ) -> Result<CellResult, CampaignError> {
+    ) -> Result<Tally, CampaignError> {
         let (core_idx, pair_idx) = (unit / pairs.len(), unit % pairs.len());
         let (env, scheme) = pairs[pair_idx];
         let core = chip.core(core_idx);
@@ -746,85 +822,6 @@ impl Campaign {
                 Ok(self.run_dynamic(core, env, &exhaustive, scheme, profiles, novar_perf, tracer))
             }
         }
-    }
-
-    /// Per-workload breakdown for one (environment, scheme) pair: the mean
-    /// cell of each workload over the chip population, in suite order.
-    /// (Figures 10–12 report suite averages; this exposes the per-app
-    /// detail an artifact evaluation wants.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError`] if a statically provisioned operating
-    /// point turns out to be thermally infeasible on some chip.
-    pub fn run_per_workload(
-        &self,
-        env: Environment,
-        scheme: Scheme,
-    ) -> Result<Vec<(&'static str, CellResult)>, CampaignError> {
-        assert!(self.chips > 0, "need at least one chip");
-        let factory = ChipFactory::new(self.config.clone());
-        let profiles = fan_out::profiles(
-            &self.workloads,
-            self.profile_budget,
-            self.base_seed,
-            self.threads,
-        );
-        let mut out: Vec<(&'static str, CellResult)> = self
-            .workloads
-            .iter()
-            .map(|w| (w.name, CellResult::default()))
-            .collect();
-        for chip_idx in 0..self.chips {
-            let chip = factory.chip(self.chip_seed(chip_idx));
-            for core_idx in 0..self.cores_per_chip {
-                let core = chip.core(core_idx);
-                let fuzzy = matches!(scheme, Scheme::FuzzyDyn).then(|| {
-                    FuzzyOptimizer::train(
-                        &self.config,
-                        &chip,
-                        core_idx,
-                        env,
-                        &self.training,
-                        Tracer::noop(),
-                    )
-                });
-                let exhaustive = ExhaustiveOptimizer::new();
-                for (profile, (_, acc)) in profiles.iter().zip(out.iter_mut()) {
-                    let single = std::slice::from_ref(profile);
-                    let ref_perf = [self.novar_perf(profile)];
-                    let cell = match (scheme, fuzzy.as_ref()) {
-                        (Scheme::Static, _) => {
-                            self.run_static(core, env, single, &ref_perf, Tracer::noop())?
-                        }
-                        (Scheme::FuzzyDyn, Some(fuzzy)) => self.run_dynamic(
-                            core,
-                            env,
-                            fuzzy,
-                            scheme,
-                            single,
-                            &ref_perf,
-                            Tracer::noop(),
-                        ),
-                        _ => self.run_dynamic(
-                            core,
-                            env,
-                            &exhaustive,
-                            scheme,
-                            single,
-                            &ref_perf,
-                            Tracer::noop(),
-                        ),
-                    };
-                    accumulate(acc, &cell);
-                }
-            }
-        }
-        let samples = self.chips * self.cores_per_chip;
-        for (_, c) in out.iter_mut() {
-            normalize(c, samples);
-        }
-        Ok(out)
     }
 
     /// NoVar performance of one workload (nominal f, no errors), weighted
@@ -901,13 +898,12 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-    ) -> CellResult {
+    ) -> Tally {
         let controller = OptimizerController::new(scheme.trace_label(), optimizer);
         let timeline = AdaptationTimeline::micro08();
-        let mut cell = CellResult::default();
-        for (profile, &ref_perf) in profiles.iter().zip(novar_perf) {
+        let mut tally = Tally::new(profiles.len());
+        for (w, (profile, &ref_perf)) in profiles.iter().zip(novar_perf).enumerate() {
             for ph in &profile.phases {
-                let weight = ph.weight / profiles.len() as f64;
                 let d = controller.decide(
                     &self.config,
                     core,
@@ -921,15 +917,18 @@ impl Campaign {
                     tracer,
                 );
                 let overhead = timeline.overhead_fraction(d.retune_steps);
-                cell.freq_rel += weight * d.f_ghz / self.config.f_nominal_ghz;
-                cell.perf_rel += weight * d.perf_bips * (1.0 - overhead) / ref_perf;
-                cell.power_w += weight * self.billed_power(env, d.evaluation.total_power_w);
-                cell.outcomes.add(d.outcome);
+                let power_w = self.billed_power(env, d.evaluation.total_power_w);
+                tally.add_phase(w, ph.weight, |cell, weight| {
+                    cell.freq_rel += weight * d.f_ghz / self.config.f_nominal_ghz;
+                    cell.perf_rel += weight * d.perf_bips * (1.0 - overhead) / ref_perf;
+                    cell.power_w += weight * power_w;
+                    cell.outcomes.add(d.outcome);
+                });
             }
         }
         // Metrics only (never golden event lines): solver cache counters.
         controller.flush_metrics(tracer);
-        cell
+        tally
     }
 
     /// Static scheme: one conservative configuration per (chip, workload),
@@ -943,11 +942,11 @@ impl Campaign {
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-    ) -> Result<CellResult, CampaignError> {
+    ) -> Result<Tally, CampaignError> {
         let exhaustive = ExhaustiveOptimizer::new();
         let controller = StaticController::new(&exhaustive);
-        let mut cell = CellResult::default();
-        for (profile, &ref_perf) in profiles.iter().zip(novar_perf) {
+        let mut tally = Tally::new(profiles.len());
+        for (w, (profile, &ref_perf)) in profiles.iter().zip(novar_perf).enumerate() {
             let worst = synthetic_worst_phase(profile);
             let d = controller.decide(
                 &self.config,
@@ -963,7 +962,6 @@ impl Campaign {
             );
             // Hold (f, settings, variants) fixed; per-phase consequences.
             for ph in &profile.phases {
-                let weight = ph.weight / profiles.len() as f64;
                 let eval = core
                     .evaluate(
                         &self.config,
@@ -989,14 +987,17 @@ impl Campaign {
                     profile.rp_cycles,
                 )
                 .perf(d.f_ghz, eval.pe_per_instruction.clamp(0.0, 1.0));
-                cell.freq_rel += weight * d.f_ghz / self.config.f_nominal_ghz;
-                cell.perf_rel += weight * perf / ref_perf;
-                cell.power_w += weight * self.billed_power(env, eval.total_power_w);
+                let power_w = self.billed_power(env, eval.total_power_w);
+                tally.add_phase(w, ph.weight, |cell, weight| {
+                    cell.freq_rel += weight * d.f_ghz / self.config.f_nominal_ghz;
+                    cell.perf_rel += weight * perf / ref_perf;
+                    cell.power_w += weight * power_w;
+                });
             }
         }
         // Metrics only (never golden event lines): solver cache counters.
         controller.flush_metrics(tracer);
-        Ok(cell)
+        Ok(tally)
     }
 
     /// Checker power is only billed when the environment has a checker.
@@ -1070,20 +1071,6 @@ impl PostmortemSink<'_> {
             ),
         }
     }
-}
-
-fn accumulate(acc: &mut CellResult, cell: &CellResult) {
-    acc.freq_rel += cell.freq_rel;
-    acc.perf_rel += cell.perf_rel;
-    acc.power_w += cell.power_w;
-    acc.outcomes.merge(&cell.outcomes);
-}
-
-fn normalize(cell: &mut CellResult, samples: usize) {
-    let n = samples as f64;
-    cell.freq_rel /= n;
-    cell.perf_rel /= n;
-    cell.power_w /= n;
 }
 
 #[cfg(test)]
@@ -1382,6 +1369,82 @@ mod tests {
         // The shared keys are trained once per chip, not once per variant.
         let trained = sink.registry().counter(names::FUZZY_CONTROLLERS_TRAINED);
         assert!(trained < trained_alone, "{trained} vs {trained_alone}");
+    }
+
+    #[test]
+    fn per_workload_cells_equal_one_workload_campaigns_bit_for_bit() {
+        // Three chips of two cores: chip and core sums have three or more
+        // terms, so a change in their order shows in the bits.
+        let mut c = tiny_campaign();
+        c.workloads.push(Workload::by_name("gzip").unwrap());
+        c.chips = 3;
+        c.cores_per_chip = 2;
+        c.training.examples = 30;
+        let env = Environment::TS_ASV;
+        let joint = c
+            .run_traced(&[env], &Scheme::ALL, Tracer::noop())
+            .expect("joint campaign runs");
+        for (w, workload) in c.workloads.iter().enumerate() {
+            let mut alone = c.clone();
+            alone.workloads = vec![workload.clone()];
+            let r = alone
+                .run_traced(&[env], &Scheme::ALL, Tracer::noop())
+                .expect("one-workload campaign runs");
+            for scheme in Scheme::ALL {
+                let cells = joint.workload_cells(env, scheme).expect("pair requested");
+                assert_eq!(cells.len(), 3);
+                let (got, want) = (cells[w], *r.cell(env, scheme).expect("pair requested"));
+                assert_eq!(
+                    [got.freq_rel, got.perf_rel, got.power_w].map(f64::to_bits),
+                    [want.freq_rel, want.perf_rel, want.power_w].map(f64::to_bits),
+                    "{} {}",
+                    workload.name,
+                    scheme.label()
+                );
+                assert_eq!(got.outcomes, want.outcomes);
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_record_with_the_wrong_workload_count() {
+        use crate::checkpoint::{CapturedMetrics, CheckpointOptions, CheckpointWriter, ChipRecord};
+        let c = tiny_campaign();
+        let (envs, schemes) = ([Environment::TS], [Scheme::Static]);
+        let path = std::env::temp_dir().join(format!(
+            "eval-adapt-workload-count-{}.ckpt.jsonl",
+            std::process::id()
+        ));
+        // Chip 0 committed one per-workload cell; the campaign runs two.
+        let fp = checkpoint::fingerprint(&c, &envs, &schemes);
+        let mut writer = CheckpointWriter::create(&path, fp, c.chips).expect("creates");
+        writer
+            .append(&ChipRecord {
+                chip: 0,
+                seed: c.chip_seed(0),
+                outcome: RecordedOutcome::Ok {
+                    baseline: CellResult::default(),
+                    cells: vec![Tally::new(1)],
+                },
+                metrics: CapturedMetrics::default(),
+            })
+            .expect("appends");
+        drop(writer);
+        let err = c
+            .run_checkpointed(
+                &envs,
+                &schemes,
+                Tracer::noop(),
+                &CheckpointOptions::resuming(&path),
+            )
+            .expect_err("refused");
+        match err {
+            CampaignError::Checkpoint(CheckpointError::Corrupt { line: 2, message }) => {
+                assert!(message.contains("1 per-workload cells"), "{message}");
+            }
+            other => panic!("expected Corrupt at line 2, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! After each chip's buffered records are committed to the trace sink,
 //! the campaign appends one compact record to a sidecar `*.ckpt.jsonl`
 //! file: the chip index, its RNG stream seed, the merged per-cell
-//! results (f64s as raw bit patterns, so resume is bit-exact), and the
-//! chip's metric contributions. A header line carries a fingerprint of
+//! results and each cell's per-workload results (f64s as raw bit
+//! patterns, so resume is bit-exact), and the chip's metric
+//! contributions. A header line carries a fingerprint of
 //! the campaign configuration plus the requested environment/scheme
 //! sets; resume refuses a sidecar whose fingerprint does not match.
 //!
@@ -25,12 +26,13 @@ use eval_trace::json::{array, push_str_literal, Json, JsonObject};
 use eval_trace::provenance::{self, fnv1a64, Provenance};
 use eval_trace::{MetricUpdate, Record};
 
-use crate::campaign::{Campaign, CellResult, OutcomeCounts, Scheme};
+use crate::campaign::{Campaign, CellResult, OutcomeCounts, Scheme, Tally};
 use crate::teacher::TEACHER_CONTRACT;
 use eval_core::Environment;
 
 /// Sidecar format version (the `version` field of the header line).
-const VERSION: u64 = 1;
+/// Version 2 added the per-workload cells of each chip record.
+const VERSION: u64 = 2;
 
 /// Where the campaign checkpoints to, and whether to resume from it.
 #[derive(Debug, Clone)]
@@ -251,7 +253,8 @@ pub(crate) struct ChipRecord {
 pub(crate) enum RecordedOutcome {
     Ok {
         baseline: CellResult,
-        cells: Vec<CellResult>,
+        /// One tally per requested (environment, scheme) pair.
+        cells: Vec<Tally>,
     },
     Failed {
         error: String,
@@ -324,7 +327,11 @@ fn render_record(rec: &ChipRecord) -> String {
             obj = obj
                 .str("status", "ok")
                 .raw("baseline", &render_cell(baseline))
-                .raw("cells", &array(cells, render_cell));
+                .raw("cells", &array(cells, |t| render_cell(&t.suite)))
+                .raw(
+                    "workloads",
+                    &array(cells, |t| array(&t.workloads, render_cell)),
+                );
         }
         RecordedOutcome::Failed { error } => {
             obj = obj.str("status", "failed").str("error", error);
@@ -353,6 +360,10 @@ fn cell_from_json(v: &Json) -> Option<CellResult> {
     })
 }
 
+fn cells_from_json(v: &Json) -> Option<Vec<CellResult>> {
+    v.as_arr()?.iter().map(cell_from_json).collect()
+}
+
 fn record_from_json(v: &Json) -> Option<ChipRecord> {
     if v.str_field("kind") != Some("chip") {
         return None;
@@ -360,15 +371,26 @@ fn record_from_json(v: &Json) -> Option<ChipRecord> {
     let chip = v.u64_field("chip")? as usize;
     let seed = v.u64_field("seed")?;
     let outcome = match v.str_field("status")? {
-        "ok" => RecordedOutcome::Ok {
-            baseline: cell_from_json(v.get("baseline")?)?,
-            cells: v
-                .get("cells")?
-                .as_arr()?
-                .iter()
-                .map(cell_from_json)
-                .collect::<Option<Vec<_>>>()?,
-        },
+        "ok" => {
+            let suites = cells_from_json(v.get("cells")?)?;
+            let workloads = v.get("workloads")?.as_arr()?;
+            if workloads.len() != suites.len() {
+                return None;
+            }
+            RecordedOutcome::Ok {
+                baseline: cell_from_json(v.get("baseline")?)?,
+                cells: suites
+                    .into_iter()
+                    .zip(workloads)
+                    .map(|(suite, w)| {
+                        Some(Tally {
+                            suite,
+                            workloads: cells_from_json(w)?,
+                        })
+                    })
+                    .collect::<Option<Vec<_>>>()?,
+            }
+        }
         "failed" => RecordedOutcome::Failed {
             error: v.str_field("error")?.to_string(),
         },
@@ -500,7 +522,9 @@ pub fn committed_cells(path: &Path) -> Result<Vec<CommittedChip>, CheckpointErro
             .map(|rec| CommittedChip {
                 seed: rec.seed,
                 cells: match rec.outcome {
-                    RecordedOutcome::Ok { cells, .. } => Some(cells),
+                    RecordedOutcome::Ok { cells, .. } => {
+                        Some(cells.into_iter().map(|t| t.suite).collect())
+                    }
                     RecordedOutcome::Failed { .. } => None,
                 },
             })
@@ -623,12 +647,26 @@ mod tests {
                     power_w: 23.5,
                     outcomes: OutcomeCounts::from_array([1, 2, 3, 4, 5]),
                 },
-                cells: vec![CellResult::default(), CellResult {
-                    freq_rel: -0.0,
-                    perf_rel: f64::MIN_POSITIVE,
-                    power_w: 1.0 / 3.0,
-                    outcomes: OutcomeCounts::default(),
-                }],
+                cells: vec![
+                    Tally::new(2),
+                    Tally {
+                        suite: CellResult {
+                            freq_rel: -0.0,
+                            perf_rel: f64::MIN_POSITIVE,
+                            power_w: 1.0 / 3.0,
+                            outcomes: OutcomeCounts::default(),
+                        },
+                        workloads: vec![
+                            CellResult {
+                                freq_rel: 1.1,
+                                perf_rel: f64::EPSILON,
+                                power_w: -0.0,
+                                outcomes: OutcomeCounts::from_array([0, 1, 0, 0, 9]),
+                            },
+                            CellResult::default(),
+                        ],
+                    },
+                ],
             },
             metrics: CapturedMetrics {
                 counters: vec![("cache.hit".to_string(), 7)],
@@ -709,7 +747,7 @@ mod tests {
             vec![
                 CommittedChip {
                     seed: 2008,
-                    cells: Some(cells),
+                    cells: Some(cells.into_iter().map(|t| t.suite).collect()),
                 },
                 CommittedChip {
                     seed: 11,
@@ -743,6 +781,43 @@ mod tests {
             load(&path),
             Err(CheckpointError::Corrupt { line: 3, .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn loader_refuses_version_1_sidecars_and_unpaired_workload_rows() {
+        let path = temp_path("version");
+        let mut w = CheckpointWriter::create(&path, 1, 3).expect("creates");
+        w.append(&sample_record(0)).expect("appends");
+        drop(w);
+        let full = std::fs::read_to_string(&path).expect("readable");
+        // A version-1 sidecar has no per-workload cells to resume from.
+        let old = full.replacen("\"version\":2", "\"version\":1", 1);
+        assert_ne!(old, full);
+        std::fs::write(&path, &old).expect("writable");
+        match load(&path) {
+            Err(CheckpointError::Corrupt { line: 1, message }) => {
+                assert!(
+                    message.contains("unsupported checkpoint version"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected Corrupt at line 1, got {other:?}"),
+        }
+        // One per-workload row per cell: a record with one row for its
+        // two cells is malformed.
+        let line = render_record(&sample_record(0));
+        let at = line.find(",\"workloads\":").expect("rendered");
+        let rest = &line[at + line[at..].find(",\"counters\":").expect("rendered")..];
+        let header = full.lines().next().expect("header");
+        let unpaired = format!("{header}\n{},\"workloads\":[[]]{rest}\n", &line[..at]);
+        std::fs::write(&path, &unpaired).expect("writable");
+        match load(&path) {
+            Err(CheckpointError::Corrupt { line: 2, message }) => {
+                assert_eq!(message, "malformed chip record");
+            }
+            other => panic!("expected Corrupt at line 2, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

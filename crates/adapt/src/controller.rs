@@ -47,7 +47,8 @@ pub struct PhaseDecision {
 /// decision itself never reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionContext {
-    /// Scheme label (`static`, `fuzzy`, `exhaustive`, `global-dvfs`).
+    /// Scheme label (`static`, `fuzzy`, `exhaustive`, `nn-table`, `tree`,
+    /// `mlp`).
     pub scheme: &'static str,
     /// Workload name, or `runtime` for the deployed adaptation loop.
     pub workload: &'static str,
@@ -71,7 +72,6 @@ fn scheme_counter(scheme: &str) -> &'static str {
         "static" => names::DECISION_COUNT_STATIC,
         "fuzzy" => names::DECISION_COUNT_FUZZY,
         "exhaustive" => names::DECISION_COUNT_EXHAUSTIVE,
-        "global-dvfs" => names::DECISION_COUNT_GLOBAL_DVFS,
         "nn-table" => names::DECISION_COUNT_NN_TABLE,
         "tree" => names::DECISION_COUNT_TREE,
         "mlp" => names::DECISION_COUNT_MLP,
@@ -87,7 +87,6 @@ fn scheme_latency(scheme: &str) -> &'static str {
         "static" => names::DECISION_LATENCY_STATIC_US,
         "fuzzy" => names::DECISION_LATENCY_FUZZY_US,
         "exhaustive" => names::DECISION_LATENCY_EXHAUSTIVE_US,
-        "global-dvfs" => names::DECISION_LATENCY_GLOBAL_DVFS_US,
         "nn-table" => names::DECISION_LATENCY_NN_TABLE_US,
         "tree" => names::DECISION_LATENCY_TREE_US,
         "mlp" => names::DECISION_LATENCY_MLP_US,

@@ -3,33 +3,20 @@
 //! Prior adaptive proposals applied one supply voltage to the whole core
 //! ("the application of whole-chip ABB and DVFS"); EVAL's point is that
 //! *fine-grain, per-subsystem* control plus global optimization does
-//! better. This optimizer restricts the search to a single shared `Vdd`
-//! (no body bias), so campaigns can quantify exactly what the extra
-//! dimensionality buys.
+//! better. This comparator restricts the search to a single shared `Vdd`
+//! (no body bias), so the ablation and the §7 tests can quantify exactly
+//! what the extra dimensionality buys.
 
 use eval_core::{EvalConfig, FREQ_LADDER, VDD_LADDER};
 
-use crate::optimizer::{Optimizer, SubsystemScene};
+use crate::optimizer::SubsystemScene;
 
-/// Whole-core DVFS: one `(f, Vdd)` pair for the entire core.
-///
-/// `freq_max` for a subsystem reports the best frequency it could reach at
-/// *some* shared voltage; the caller's min-reduction over subsystems is
-/// then refined by [`GlobalDvfsOptimizer::best_shared_setting`], which
-/// scans the shared ladder directly.
+/// Whole-core DVFS: one `(f, Vdd)` pair for the entire core, found by
+/// [`GlobalDvfsOptimizer::best_shared_setting`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalDvfsOptimizer {
-    /// The shared supply chosen for the current phase (set by
-    /// [`GlobalDvfsOptimizer::best_shared_setting`]; nominal by default).
-    pub shared_vdd: f64,
-}
+pub struct GlobalDvfsOptimizer;
 
 impl GlobalDvfsOptimizer {
-    /// Creates the optimizer at the nominal shared supply.
-    pub fn new() -> Self {
-        Self { shared_vdd: 1.0 }
-    }
-
     /// Scans the shared-voltage ladder and returns `(vdd, f_core)` with the
     /// highest core frequency: for each voltage, the core frequency is the
     /// minimum over all subsystem scenes of that subsystem's feasible
@@ -72,39 +59,11 @@ impl GlobalDvfsOptimizer {
     }
 }
 
-impl Optimizer for GlobalDvfsOptimizer {
-    fn name(&self) -> &'static str {
-        "global-dvfs"
-    }
-
-    fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
-        // Per-subsystem view at the currently shared voltage.
-        let mut fmax = FREQ_LADDER.min;
-        for i in (0..FREQ_LADDER.len()).rev() {
-            let f = FREQ_LADDER.at(i);
-            if scene.check(config, f, self.shared_vdd, 0.0).is_some() {
-                fmax = f;
-                break;
-            }
-        }
-        fmax
-    }
-
-    fn power_settings(
-        &self,
-        _config: &EvalConfig,
-        _scene: &SubsystemScene<'_>,
-        _f_core: f64,
-    ) -> (f64, f64) {
-        // One voltage for everyone: no per-subsystem reshaping possible.
-        (self.shared_vdd, 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
+    use crate::optimizer::Optimizer;
     use crate::test_support::factory;
     use eval_core::{Environment, SubsystemId, VariantSelection, N_SUBSYSTEMS};
 
@@ -169,21 +128,5 @@ mod tests {
         }
         assert!(wins + ties == 4);
         assert!(wins >= 1, "fine-grain should win somewhere");
-    }
-
-    #[test]
-    fn global_optimizer_reports_consistent_per_subsystem_view() {
-        let cfg = factory().config().clone();
-        let chip = factory().chip(35);
-        let sc = scenes(&chip);
-        let (vdd, fcore) = GlobalDvfsOptimizer::best_shared_setting(&cfg, &sc);
-        let opt = GlobalDvfsOptimizer { shared_vdd: vdd };
-        let min_view = sc
-            .iter()
-            .map(|s| opt.freq_max(&cfg, s))
-            .fold(f64::INFINITY, f64::min);
-        assert!((min_view - fcore).abs() < 1e-9);
-        // Power settings echo the shared voltage.
-        assert_eq!(opt.power_settings(&cfg, &sc[0], fcore), (vdd, 0.0));
     }
 }

@@ -1,26 +1,35 @@
 //! Per-workload breakdown of the preferred scheme (TS+ASV+Q+FU, Fuzzy-Dyn)
 //! — the per-application detail behind the Figure 10/11 averages.
 //!
-//! Protocol knobs: `EVAL_CHIPS` (default 6) and `EVAL_WORKLOADS`.
+//! One Fuzzy-Dyn campaign over TS+ASV+Q+FU; each row is the workload's
+//! cell of that campaign ([`eval_adapt::CampaignResult::workload_cells`]),
+//! the suite means line its suite cell. Protocol knobs: `EVAL_CHIPS`
+//! (default 6) and `EVAL_WORKLOADS`; `--trace <path>` / `EVAL_TRACE`,
+//! `--checkpoint`, `--resume` and the postmortem bundles work as in every
+//! other campaign binary (see `eval_bench::TraceSession`).
 
 use eval_adapt::Scheme;
-use eval_bench::standard_campaign;
+use eval_bench::{run_campaign, standard_campaign, TraceSession};
 use eval_core::Environment;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let trace = TraceSession::from_env()?;
     let campaign = standard_campaign(6)?;
     eprintln!(
         "# per-workload breakdown: {} chips x {} workloads (TS+ASV+Q+FU, Fuzzy-Dyn)",
         campaign.chips,
         campaign.workloads.len()
     );
-    let rows = campaign.run_per_workload(Environment::TS_ASV_Q_FU, Scheme::FuzzyDyn)?;
+    let (env, scheme) = (Environment::TS_ASV_Q_FU, Scheme::FuzzyDyn);
+    let result = run_campaign(&campaign, &[env], &[scheme], &trace)?;
+    let rows = result.workload_cells(env, scheme).expect("cell exists");
     println!(
         "{:<10} {:>9} {:>9} {:>9}",
         "workload", "freq_rel", "perf_rel", "power_W"
     );
     println!("csv,workload,freq_rel,perf_rel,power_w");
-    for (name, cell) in &rows {
+    for (workload, cell) in campaign.workloads.iter().zip(rows) {
+        let name = workload.name;
         println!(
             "{name:<10} {:>9.3} {:>9.3} {:>9.1}",
             cell.freq_rel, cell.perf_rel, cell.power_w
@@ -30,14 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cell.freq_rel, cell.perf_rel, cell.power_w
         );
     }
-    let mean = |f: fn(&eval_adapt::CellResult) -> f64| {
-        rows.iter().map(|(_, c)| f(c)).sum::<f64>() / rows.len() as f64
-    };
+    let suite = result.cell(env, scheme).expect("cell exists");
     println!(
         "# suite means: freq {:.3}, perf {:.3}, power {:.1} W",
-        mean(|c| c.freq_rel),
-        mean(|c| c.perf_rel),
-        mean(|c| c.power_w)
+        suite.freq_rel, suite.perf_rel, suite.power_w
     );
+    if let Some(session) = trace {
+        session.finish()?;
+    }
     Ok(())
 }

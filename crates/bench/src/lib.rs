@@ -17,7 +17,7 @@
 //! | `table2` | Table 2: fuzzy-vs-exhaustive selection error |
 //! | `headline` | §6 headline numbers, paper vs measured |
 //! | `figures` | Figures 10–12 from one shared campaign |
-//! | `breakdown` | per-workload detail behind the averages |
+//! | `breakdown` | per-workload detail behind the averages (`--trace`, `--checkpoint`, `--resume`) |
 //! | `retiming` | §7 baseline: EVAL vs ReCycle-style time borrowing |
 //! | `ablation` | σ/μ, φ, rule-count and DVFS-granularity sensitivity |
 //! | `varmap` | ASCII view of sampled variation maps |

@@ -5,7 +5,7 @@
 //! cores comprise the 15 subsystems of Figure 7(b), and defines
 //!
 //! * the **environments** of Table 1 (`Baseline`, `TS`, `TS+ASV`, …,
-//!   `NoVar`) as capability sets ([`env`]),
+//!   `NoVar`) as capability sets ([`env`](mod@env)),
 //! * the **performance model** of Equation 5 ([`perf`]),
 //! * the **constraint set** and actuator ladders (re-exported from
 //!   `eval-power`),

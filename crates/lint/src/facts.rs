@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn metric_name_shape() {
         assert!(is_metric_name("campaign.chips_done"));
-        assert!(is_metric_name("decision.latency.global-dvfs_us"));
+        assert!(is_metric_name("decision.latency.nn-table_us"));
         assert!(!is_metric_name("ckpt.jsonl"));
         assert!(!is_metric_name("metrics.prom"));
         assert!(!is_metric_name("no_dot"));

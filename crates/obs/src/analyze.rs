@@ -26,17 +26,7 @@ use std::io::BufRead;
 
 use eval_trace::json::{Json, JsonObject};
 use eval_trace::provenance::Provenance;
-use eval_trace::{names, Histogram};
-
-/// Chosen-frequency digest boundaries — the retuning ladder in 250 MHz
-/// steps, mirroring the collector's `decision.f_ghz` histogram.
-const F_GHZ_BOUNDS: [f64; 13] = [
-    2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0,
-];
-
-/// Error-rate digest boundaries — decades around the `PEMAX = 1e-4`
-/// constraint, mirroring the collector's `decision.pe_per_instruction`.
-const PE_BOUNDS: [f64; 8] = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
+use eval_trace::{names, Histogram, DECISION_F_GHZ_BOUNDS, DECISION_PE_BOUNDS};
 
 /// A malformed trace line (bad JSON or a record missing required fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,9 +56,11 @@ pub struct SchemeRollup {
     pub f_min: f64,
     /// Maximum chosen frequency.
     pub f_max: f64,
-    /// Chosen-frequency digest over the retuning ladder.
+    /// Chosen-frequency digest over the retuning ladder (the collector's
+    /// `decision.f_ghz` buckets).
     pub f_digest: Histogram,
-    /// Error-rate digest (decades around `PEMAX`).
+    /// Error-rate digest, decades around `PEMAX` (the collector's
+    /// `decision.pe_per_instruction` buckets).
     pub pe_digest: Histogram,
     /// Decisions by binding constraint at the chosen point.
     pub bindings: BTreeMap<String, u64>,
@@ -87,8 +79,8 @@ impl Default for SchemeRollup {
             f_sum: 0.0,
             f_min: f64::INFINITY,
             f_max: f64::NEG_INFINITY,
-            f_digest: Histogram::new(&F_GHZ_BOUNDS),
-            pe_digest: Histogram::new(&PE_BOUNDS),
+            f_digest: Histogram::new(&DECISION_F_GHZ_BOUNDS),
+            pe_digest: Histogram::new(&DECISION_PE_BOUNDS),
             bindings: BTreeMap::new(),
             outcomes: BTreeMap::new(),
             retune_steps: 0,
@@ -943,6 +935,19 @@ pub fn analyze_reader(reader: impl BufRead) -> Result<Analysis, AnalyzeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scheme_digests_merge_into_the_collectors_decision_histograms() {
+        let registry = eval_trace::default_registry();
+        let rollup = SchemeRollup::default();
+        for (name, digest) in [
+            (names::DECISION_F_GHZ, &rollup.f_digest),
+            (names::DECISION_PE_PER_INSTRUCTION, &rollup.pe_digest),
+        ] {
+            let mut collected = registry.histogram(name).expect("pre-registered").clone();
+            assert_eq!(collected.merge(digest), Ok(()), "{name}");
+        }
+    }
 
     fn mini_trace() -> String {
         let decision = |scheme: &str, chipless: bool, f: f64, binding: &str| {

@@ -202,7 +202,10 @@ mod tests {
 
     #[test]
     fn names_are_sanitized() {
-        assert_eq!(metric_name("decision.latency.global-dvfs_us"), "eval_decision_latency_global_dvfs_us");
+        assert_eq!(
+            metric_name("decision.latency.nn-table_us"),
+            "eval_decision_latency_nn_table_us"
+        );
     }
 
     #[test]

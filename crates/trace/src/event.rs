@@ -24,7 +24,7 @@ pub struct RejectedCandidate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionEvent {
     /// Which scheme produced the decision (`static`, `fuzzy`, `exhaustive`,
-    /// `global-dvfs`).
+    /// `nn-table`, `tree`, `mlp`).
     pub scheme: &'static str,
     /// Environment label (Table 1), e.g. `TS+ASV`.
     pub env: &'static str,

@@ -52,7 +52,10 @@ pub use flight::{PostmortemHeader, POSTMORTEM_DECISIONS};
 pub use json::{Json, JsonError};
 pub use metrics::{Histogram, HistogramMismatch, MetricName, MetricUpdate, Registry};
 pub use provenance::Provenance;
-pub use sink::{default_registry, BufferSink, Collector, Record, TraceSink, Tracer};
+pub use sink::{
+    default_registry, BufferSink, Collector, Record, TraceSink, Tracer, DECISION_F_GHZ_BOUNDS,
+    DECISION_PE_BOUNDS,
+};
 pub use span::{span_report, SpanGuard, SpanStat, TimerGuard};
 pub use stream::StreamingJsonl;
 pub use timing::{timing_registry, timing_sidecar_path, TimingSidecar};

@@ -45,8 +45,6 @@ pub const DECISION_COUNT_STATIC: &str = "decision.count.static";
 pub const DECISION_COUNT_FUZZY: &str = "decision.count.fuzzy";
 /// Decisions taken by the `exhaustive` scheme (counter).
 pub const DECISION_COUNT_EXHAUSTIVE: &str = "decision.count.exhaustive";
-/// Decisions taken by the `global-dvfs` scheme (counter).
-pub const DECISION_COUNT_GLOBAL_DVFS: &str = "decision.count.global-dvfs";
 /// Decisions taken by the learned `nn-table` scheme (counter).
 pub const DECISION_COUNT_NN_TABLE: &str = "decision.count.nn-table";
 /// Decisions taken by the learned `tree` scheme (counter).
@@ -67,8 +65,6 @@ pub const DECISION_LATENCY_STATIC_US: &str = "decision.latency.static_us";
 pub const DECISION_LATENCY_FUZZY_US: &str = "decision.latency.fuzzy_us";
 /// Wall-clock decision latency of the `exhaustive` scheme (µs).
 pub const DECISION_LATENCY_EXHAUSTIVE_US: &str = "decision.latency.exhaustive_us";
-/// Wall-clock decision latency of the `global-dvfs` scheme (µs).
-pub const DECISION_LATENCY_GLOBAL_DVFS_US: &str = "decision.latency.global-dvfs_us";
 /// Wall-clock decision latency of the learned `nn-table` scheme (µs).
 pub const DECISION_LATENCY_NN_TABLE_US: &str = "decision.latency.nn-table_us";
 /// Wall-clock decision latency of the learned `tree` scheme (µs).
@@ -168,7 +164,6 @@ pub const ALL_METRICS: &[&str] = &[
     DECISION_COUNT_STATIC,
     DECISION_COUNT_FUZZY,
     DECISION_COUNT_EXHAUSTIVE,
-    DECISION_COUNT_GLOBAL_DVFS,
     DECISION_COUNT_NN_TABLE,
     DECISION_COUNT_TREE,
     DECISION_COUNT_MLP,
@@ -177,7 +172,6 @@ pub const ALL_METRICS: &[&str] = &[
     DECISION_LATENCY_STATIC_US,
     DECISION_LATENCY_FUZZY_US,
     DECISION_LATENCY_EXHAUSTIVE_US,
-    DECISION_LATENCY_GLOBAL_DVFS_US,
     DECISION_LATENCY_NN_TABLE_US,
     DECISION_LATENCY_TREE_US,
     DECISION_LATENCY_MLP_US,

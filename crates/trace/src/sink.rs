@@ -260,15 +260,17 @@ pub struct Collector {
     inner: Mutex<CollectorInner>,
 }
 
-/// Bucket boundaries for the chosen-frequency histogram: the f ladder
-/// the retuning loop walks, in 250 MHz steps over the plausible range.
-const F_GHZ_BOUNDS: [f64; 13] = [
+/// Bucket boundaries for the chosen-frequency histogram
+/// ([`names::DECISION_F_GHZ`]): the f ladder the retuning loop walks, in
+/// 250 MHz steps over the plausible range.
+pub const DECISION_F_GHZ_BOUNDS: [f64; 13] = [
     2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0, 4.25, 4.5, 4.75, 5.0,
 ];
 
-/// Bucket boundaries for error rates at the chosen point (decades around
-/// the PEMAX=1e-4 constraint).
-const PE_BOUNDS: [f64; 8] = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
+/// Bucket boundaries for error rates at the chosen point
+/// ([`names::DECISION_PE_PER_INSTRUCTION`]): decades around the
+/// PEMAX=1e-4 constraint.
+pub const DECISION_PE_BOUNDS: [f64; 8] = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 
 /// The registry every *primary* terminal sink starts from: the
 /// EVAL-specific deterministic histograms pre-registered with their
@@ -280,8 +282,8 @@ const PE_BOUNDS: [f64; 8] = [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2];
 /// sidecar, never to the primary trace.
 pub fn default_registry() -> Registry {
     let mut registry = Registry::new();
-    registry.register_histogram(names::DECISION_F_GHZ, &F_GHZ_BOUNDS);
-    registry.register_histogram(names::DECISION_PE_PER_INSTRUCTION, &PE_BOUNDS);
+    registry.register_histogram(names::DECISION_F_GHZ, &DECISION_F_GHZ_BOUNDS);
+    registry.register_histogram(names::DECISION_PE_PER_INSTRUCTION, &DECISION_PE_BOUNDS);
     registry
 }
 

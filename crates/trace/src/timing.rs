@@ -267,9 +267,9 @@ mod tests {
             .copied()
             .filter(|name| name.starts_with(names::DECISION_LATENCY_PREFIX))
             .collect();
-        // The aggregate, seven schemes (four hand-written, three learned)
+        // The aggregate, six schemes (three hand-written, three learned)
         // and the catch-all `other`.
-        assert_eq!(latency.len(), 9);
+        assert_eq!(latency.len(), 8);
         for name in latency {
             let hist = registry
                 .histogram(name)

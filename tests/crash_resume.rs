@@ -6,7 +6,8 @@
 use std::path::{Path, PathBuf};
 
 use eval_adapt::{
-    committed_cells, Campaign, CampaignError, CheckpointError, CheckpointOptions, Scheme,
+    committed_cells, Campaign, CampaignError, CampaignResult, CheckpointError, CheckpointOptions,
+    Scheme,
 };
 use eval_core::Environment;
 use eval_trace::{Collector, Json, StreamingJsonl, Tracer};
@@ -106,7 +107,28 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
     // Clean, and with chip 1 quarantined: its failed record is the
     // sidecar's second line and it left no trace segment.
     for fail_chip in [None, Some(1)] {
-        kill_after_two_chips_then_resume("exh", &ENVS, &SCHEMES, fail_chip);
+        let mut campaign = small_campaign(3);
+        campaign.fail_chip = fail_chip;
+        kill_after_two_chips_then_resume("exh", &campaign, &ENVS, &SCHEMES);
+    }
+}
+
+#[test]
+fn multi_workload_campaign_killed_after_two_chips_resumes_to_identical_per_workload_cells() {
+    // The sidecar carries each chip's per-workload cells, so the resumed
+    // run's breakdown is the full run's, bit for bit.
+    let mut campaign = small_campaign(3);
+    campaign
+        .workloads
+        .push(Workload::by_name("swim").expect("workload exists"));
+    let schemes = [Scheme::Static, Scheme::ExhDyn];
+    let full = kill_after_two_chips_then_resume("workloads", &campaign, &ENVS, &schemes);
+    for scheme in schemes {
+        let cells = full
+            .workload_cells(ENVS[0], scheme)
+            .expect("pair requested");
+        assert_eq!(cells.len(), 2);
+        assert_ne!(cells[0], cells[1], "{}", scheme.label());
     }
 }
 
@@ -114,15 +136,23 @@ fn kill_after_two_chips_then_resume_reproduces_the_full_run() {
 fn figure13_campaign_killed_after_two_chips_resumes_to_the_full_run() {
     // The `fig13` campaign: sixteen Fuzzy-Dyn variants whose teacher
     // banks are shared across variants, streamed and checkpointed.
-    kill_after_two_chips_then_resume("fig13", &Environment::FIGURE13, &[Scheme::FuzzyDyn], None);
+    kill_after_two_chips_then_resume(
+        "fig13",
+        &small_campaign(3),
+        &Environment::FIGURE13,
+        &[Scheme::FuzzyDyn],
+    );
 }
 
+/// Runs `campaign` (three chips) checkpointed, forges the state a kill
+/// after chip 1's commit leaves, resumes, and checks the resumed result
+/// and trace against the full run's. Returns the full run's result.
 fn kill_after_two_chips_then_resume(
     tag: &str,
+    campaign: &Campaign,
     envs: &[Environment],
     schemes: &[Scheme],
-    fail_chip: Option<usize>,
-) {
+) -> CampaignResult {
     let trace_full = scratch(&format!("{tag}-full.jsonl"));
     let ckpt_full = scratch(&format!("{tag}-full.ckpt.jsonl"));
     let trace_crash = scratch(&format!("{tag}-crash.jsonl"));
@@ -131,8 +161,7 @@ fn kill_after_two_chips_then_resume(
         std::fs::remove_file(p).ok();
     }
 
-    let mut campaign = small_campaign(3);
-    campaign.fail_chip = fail_chip;
+    let fail_chip = campaign.fail_chip;
     let stream = StreamingJsonl::create(&trace_full).expect("creates trace");
     let full = campaign
         .run_checkpointed(
@@ -197,6 +226,7 @@ fn kill_after_two_chips_then_resume(
     for p in [&trace_full, &ckpt_full, &trace_crash, &ckpt_crash] {
         std::fs::remove_file(p).ok();
     }
+    full
 }
 
 /// The flight lines of a postmortem bundle, minus the header and the
