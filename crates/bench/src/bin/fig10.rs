@@ -1,5 +1,7 @@
-//! Figure 10: processor frequency for each environment, normalized to
-//! `NoVar` (Static / Fuzzy-Dyn / Exh-Dyn bars per environment).
+//! Figures 10–12 from one campaign: processor frequency and performance
+//! normalized to `NoVar`, and processor power (core + L1 + L2, plus the
+//! checker where one exists), each as Static / Fuzzy-Dyn / Exh-Dyn bars
+//! per environment.
 //!
 //! Protocol knobs: `EVAL_CHIPS` (default 10; the paper uses 100) and
 //! `EVAL_WORKLOADS` (default: all 16). `--trace <path>` / `EVAL_TRACE`
@@ -20,12 +22,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         |c| c.freq_rel,
     );
     println!();
-    print_environment_csv("freq_rel", &result, |c| c.freq_rel);
-    println!();
-    println!(
-        "# paper shape: Baseline 0.78; TS ~0.87; TS+ASV static 0.97, dynamic ~1.05;"
+    print_environment_matrix(
+        "Figure 11: relative performance (NoVar = 1.0)",
+        "x NoVar",
+        &result,
+        |c| c.perf_rel,
     );
-    println!("# adding Q+FU with dynamic adaptation reaches 1.21 (their best).");
+    println!();
+    print_environment_matrix("Figure 12: processor power (watts)", "W", &result, |c| {
+        c.power_w
+    });
+    println!();
+    print_environment_csv("freq_rel", &result, |c| c.freq_rel);
+    print_environment_csv("perf_rel", &result, |c| c.perf_rel);
+    print_environment_csv("power_w", &result, |c| c.power_w);
     if let Some(session) = trace {
         session.finish()?;
     }

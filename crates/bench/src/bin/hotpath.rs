@@ -231,7 +231,7 @@ fn small_fuzzy_campaign() {
 /// into the JSON so `eval-obs bench-check` can gate on cache hit-rate
 /// alongside raw latency. When the binary carries a [`TraceSession`]
 /// (`--trace`/`--checkpoint`/...), the campaign runs through it so the
-/// session's trace, sidecar and metrics cover this run too.
+/// session's trace and sidecar cover this run too.
 fn campaign_metrics(
     session: &Option<TraceSession>,
 ) -> Result<Vec<(&'static str, f64)>, Box<dyn std::error::Error>> {
@@ -300,12 +300,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 samples_override = Some(parse_samples(&n)?);
             }
             // Session flags, parsed by TraceSession::from_env below.
-            "--trace" | "--metrics-out" | "--checkpoint" => {
+            "--trace" | "--checkpoint" => {
                 args.next();
             }
             "--progress" | "--resume" | "--timing" => {}
             other if other.starts_with("--trace=")
-                || other.starts_with("--metrics-out=")
                 || other.starts_with("--checkpoint=")
                 || other.starts_with("--bench-json=")
                 || other.starts_with("--samples=") =>

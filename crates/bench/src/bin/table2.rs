@@ -12,7 +12,7 @@ use eval_core::{Environment, EvalConfig};
 fn main() -> Result<(), BadEnv> {
     let config = EvalConfig::micro08();
     let chips = chips_from_env(3)?;
-    let queries = usize_from_env("EVAL_QUERIES", 0)?.unwrap_or(60);
+    let queries = usize_from_env("EVAL_QUERIES", 1)?.unwrap_or(60);
     eprintln!("# fidelity: {chips} chips x {queries} scenes x 4 environments");
 
     let rows = fidelity_table(

@@ -10,13 +10,10 @@
 //! | `fig2` | Figure 2: tolerate / tilt / shift / reshape / adapt |
 //! | `fig8` | Figure 8: subsystem `PE` and processor `Perf` vs `f` |
 //! | `fig9` | Figure 9: power vs error rate vs frequency/performance |
-//! | `fig10` | Figure 10: relative frequency per environment |
-//! | `fig11` | Figure 11: relative performance per environment |
-//! | `fig12` | Figure 12: power per environment |
+//! | `fig10` | Figures 10–12: relative frequency, relative performance and power per environment, from one campaign |
 //! | `fig13` | Figure 13: controller outcome mix |
 //! | `table2` | Table 2: fuzzy-vs-exhaustive selection error |
 //! | `headline` | §6 headline numbers, paper vs measured |
-//! | `figures` | Figures 10–12 from one shared campaign |
 //! | `breakdown` | per-workload detail behind the averages (`--trace`, `--checkpoint`, `--resume`) |
 //! | `retiming` | §7 baseline: EVAL vs ReCycle-style time borrowing |
 //! | `ablation` | σ/μ, φ, rule-count and DVFS-granularity sensitivity |
@@ -61,9 +58,6 @@ enum SessionSink {
 /// * `--progress` (or `EVAL_PROGRESS=1`) — heartbeat live campaign
 ///   progress (chips done/total, chips/sec, ETA, solver counters) to
 ///   stderr while the run executes;
-/// * `--metrics-out <path>` (or `--metrics-out=<path>`, or
-///   `EVAL_METRICS_OUT`) — write a Prometheus-text snapshot of the
-///   metric registry at end-of-run, servable with `eval-obs serve`;
 /// * `--checkpoint <path>` (or `--checkpoint=<path>`, or
 ///   `EVAL_CHECKPOINT`) — checkpoint campaign progress chip-by-chip to a
 ///   sidecar, and stream the trace (when requested) one committed chip
@@ -85,7 +79,6 @@ enum SessionSink {
 /// timing sidecar.
 pub struct TraceSession {
     trace_path: Option<PathBuf>,
-    metrics_path: Option<PathBuf>,
     checkpoint: Option<CheckpointOptions>,
     sink: SessionSink,
     timing: Option<TimingSidecar>,
@@ -113,7 +106,6 @@ impl TraceSession {
     pub fn from_env() -> std::io::Result<Option<TraceSession>> {
         let mut args = std::env::args();
         let mut trace_path: Option<PathBuf> = None;
-        let mut metrics_path: Option<PathBuf> = None;
         let mut checkpoint_path: Option<PathBuf> = None;
         let mut progress = false;
         let mut resume = false;
@@ -123,10 +115,6 @@ impl TraceSession {
                 trace_path = args.next().map(Into::into);
             } else if let Some(p) = arg.strip_prefix("--trace=") {
                 trace_path = Some(p.into());
-            } else if arg == "--metrics-out" {
-                metrics_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--metrics-out=") {
-                metrics_path = Some(p.into());
             } else if arg == "--checkpoint" {
                 checkpoint_path = args.next().map(Into::into);
             } else if let Some(p) = arg.strip_prefix("--checkpoint=") {
@@ -140,8 +128,6 @@ impl TraceSession {
             }
         }
         let trace_path = trace_path.or_else(|| std::env::var_os("EVAL_TRACE").map(Into::into));
-        let metrics_path =
-            metrics_path.or_else(|| std::env::var_os("EVAL_METRICS_OUT").map(Into::into));
         let checkpoint_path =
             checkpoint_path.or_else(|| std::env::var_os("EVAL_CHECKPOINT").map(Into::into));
         let truthy = |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
@@ -172,20 +158,18 @@ impl TraceSession {
             }
             (None, false) => None,
         };
-        if trace_path.is_none() && metrics_path.is_none() && checkpoint.is_none() && !progress {
+        if trace_path.is_none() && checkpoint.is_none() && !progress {
             return Ok(None);
         }
 
         // Fail-fast output validation: surface path problems when flags
         // are parsed, not after hours of chip work.
-        for path in [&trace_path, &metrics_path]
-            .into_iter()
-            .flatten()
+        for path in trace_path
+            .iter()
             .chain(checkpoint.as_ref().map(|o| &o.path))
         {
-            ensure_parent_dir(path).map_err(|e| {
-                invalid(format!("cannot create parent of {}: {e}", path.display()))
-            })?;
+            ensure_parent_dir(path)
+                .map_err(|e| invalid(format!("cannot create parent of {}: {e}", path.display())))?;
         }
 
         let sink = match (&trace_path, &checkpoint) {
@@ -236,7 +220,6 @@ impl TraceSession {
         };
         Ok(Some(TraceSession {
             trace_path,
-            metrics_path,
             checkpoint,
             sink,
             timing,
@@ -281,20 +264,16 @@ impl TraceSession {
     }
 
     /// Flushes the session: completes the JSONL stream (`--trace`),
-    /// writes the Prometheus metrics snapshot (`--metrics-out`), stamps
-    /// both artifacts with provenance (content address + appended trace
-    /// footer + run-journal entries when `EVAL_RUNS_JOURNAL` is set),
-    /// and prints the end-of-run span/metric summary.
+    /// stamps it with provenance (content address + appended trace
+    /// footer + run-journal entry when `EVAL_RUNS_JOURNAL` is set), and
+    /// prints the end-of-run span/metric summary.
     ///
     /// # Errors
     ///
     /// Propagates the I/O error if an output file cannot be written.
     pub fn finish(self) -> std::io::Result<()> {
-        let stamped =
-            u64::from(self.trace_path.is_some()) + u64::from(self.metrics_path.is_some());
-        if stamped > 0 {
-            self.tracer()
-                .count_n(eval_trace::names::PROVENANCE_ARTIFACTS, stamped);
+        if self.trace_path.is_some() {
+            self.tracer().count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
         if self.timing.is_some() {
             // The sidecar is a stamped artifact too, but its provenance
@@ -303,30 +282,30 @@ impl TraceSession {
             self.tracer()
                 .timing_count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
-        let (summary, registry) = match self.sink {
+        let summary = match self.sink {
             SessionSink::Plain(c) => {
                 if let Some(path) = &self.trace_path {
                     c.write_jsonl(path)?;
                 }
-                (c.summary(), c.registry())
+                c.summary()
             }
             SessionSink::Progress(p) => {
                 let c = p.into_inner();
                 if let Some(path) = &self.trace_path {
                     c.write_jsonl(path)?;
                 }
-                (c.summary(), c.registry())
+                c.summary()
             }
             SessionSink::Stream(s) => {
-                let out = (s.summary(), s.registry());
+                let summary = s.summary();
                 s.finish()?;
-                out
+                summary
             }
             SessionSink::StreamProgress(p) => {
                 let s = p.into_inner();
-                let out = (s.summary(), s.registry());
+                let summary = s.summary();
                 s.finish()?;
-                out
+                summary
             }
         };
         if let Some(path) = &self.trace_path {
@@ -341,13 +320,6 @@ impl TraceSession {
             }
             _ => None,
         };
-        if let Some(path) = &self.metrics_path {
-            eval_obs::write_prometheus(&registry, path)?;
-            let bytes = std::fs::read(path)?;
-            let prov =
-                eval_trace::Provenance::capture("metrics-prom").with_content_address(&bytes);
-            eval_trace::provenance::append_journal(path, &prov)?;
-        }
         println!();
         println!("{summary}");
         if let Some(path) = &self.trace_path {
@@ -355,9 +327,6 @@ impl TraceSession {
         }
         if let Some(path) = &timing_path {
             eprintln!("# timing sidecar written to {}", path.display());
-        }
-        if let Some(path) = &self.metrics_path {
-            eprintln!("# metrics written to {}", path.display());
         }
         if let Some(opts) = &self.checkpoint {
             eprintln!("# checkpoint sidecar at {}", opts.path.display());

@@ -1,7 +1,7 @@
 //! # eval-lint
 //!
 //! A std-only, two-phase static-analysis engine over the EVAL
-//! workspace.
+//! workspace (its JSON comes from the std-only `eval-trace`).
 //!
 //! **Phase 1** ([`lexer`], [`facts`]) tokenizes each in-scope file
 //! once — producing the stripped line view the shape rules match

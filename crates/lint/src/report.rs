@@ -13,6 +13,8 @@
 
 use std::fmt::Write as _;
 
+use eval_trace::json::push_str_literal;
+
 use crate::{Finding, Rule};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -40,24 +42,6 @@ pub fn fingerprint(rule: Rule, path: &str, message: &str) -> u64 {
     h
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders findings in the classic one-line-per-finding text format.
 pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
@@ -80,15 +64,15 @@ pub fn render_json(findings: &[Finding]) -> String {
         };
         let _ = write!(
             out,
-            "    {{\"id\":\"{}\",\"code\":\"{}\",\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
+            "    {{\"id\":\"{}\",\"code\":\"{}\",\"rule\":\"{}\",\"path\":",
             f.id(),
             f.rule.code(),
             f.rule.name(),
-            json_escape(&f.path),
-            f.line,
-            col,
-            json_escape(&f.message),
         );
+        push_str_literal(&mut out, &f.path);
+        let _ = write!(out, ",\"line\":{},\"col\":{},\"message\":", f.line, col);
+        push_str_literal(&mut out, &f.message);
+        out.push('}');
         out.push_str(if i + 1 == findings.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]\n}\n");

@@ -12,6 +12,9 @@
 //! fixed key order, `\n` endings — so regeneration is byte-stable.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
+
+use eval_trace::json::{push_str_literal, Json};
 
 use crate::facts::FactBase;
 
@@ -46,68 +49,11 @@ pub struct MetricSchema {
     pub prefixes: Vec<PrefixEntry>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Extracts the string value of `"key":"..."` from a JSON object line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut end = 0;
-    let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => return Some(unescape(&rest[..end])),
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-/// Extracts the boolean value of `"key":true/false` from a line.
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = line[start..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+/// Appends `value` as a JSON string, or `null` when absent.
+fn push_opt_literal(out: &mut String, value: Option<&str>) {
+    match value {
+        Some(v) => push_str_literal(out, v),
+        None => out.push_str("null"),
     }
 }
 
@@ -151,31 +97,29 @@ impl MetricSchema {
         let mut out = String::new();
         out.push_str("{\n  \"version\": 1,\n  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
-            let konst = match &m.const_ident {
-                Some(c) => format!("\"{}\"", escape(c)),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"name\":\"{}\",\"const\":{},\"emitted\":{},\"consumed\":{}}}{}\n",
-                escape(&m.name),
-                konst,
+            out.push_str("    {\"name\":");
+            push_str_literal(&mut out, &m.name);
+            out.push_str(",\"const\":");
+            push_opt_literal(&mut out, m.const_ident.as_deref());
+            let _ = writeln!(
+                out,
+                ",\"emitted\":{},\"consumed\":{}}}{}",
                 m.emitted,
                 m.consumed,
                 if i + 1 == self.metrics.len() { "" } else { "," }
-            ));
+            );
         }
         out.push_str("  ],\n  \"prefixes\": [\n");
         for (i, p) in self.prefixes.iter().enumerate() {
-            let konst = match &p.const_ident {
-                Some(c) => format!("\"{}\"", escape(c)),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"name\":\"{}\",\"const\":{}}}{}\n",
-                escape(&p.name),
-                konst,
-                if i + 1 == self.prefixes.len() { "" } else { "," }
-            ));
+            out.push_str("    {\"name\":");
+            push_str_literal(&mut out, &p.name);
+            out.push_str(",\"const\":");
+            push_opt_literal(&mut out, p.const_ident.as_deref());
+            out.push_str(if i + 1 == self.prefixes.len() {
+                "}\n"
+            } else {
+                "},\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -206,17 +150,25 @@ impl MetricSchema {
             if !line.starts_with('{') || !line.contains("\"name\"") {
                 continue;
             }
-            let name = str_field(line, "name")
-                .ok_or_else(|| format!("line {}: entry without a \"name\"", no + 1))?;
-            let const_ident = str_field(line, "const");
+            let entry = Json::parse(line.strip_suffix(',').unwrap_or(line))
+                .map_err(|e| format!("line {}: {e}", no + 1))?;
+            let name = entry
+                .str_field("name")
+                .ok_or_else(|| format!("line {}: entry without a \"name\"", no + 1))?
+                .to_string();
+            let const_ident = entry.str_field("const").map(str::to_string);
+            let flag = |key: &str| {
+                entry
+                    .get(key)
+                    .and_then(Json::as_bool)
+                    .ok_or_else(|| format!("line {}: missing \"{key}\"", no + 1))
+            };
             match section {
                 "metrics" => schema.metrics.push(SchemaEntry {
                     name,
                     const_ident,
-                    emitted: bool_field(line, "emitted")
-                        .ok_or_else(|| format!("line {}: missing \"emitted\"", no + 1))?,
-                    consumed: bool_field(line, "consumed")
-                        .ok_or_else(|| format!("line {}: missing \"consumed\"", no + 1))?,
+                    emitted: flag("emitted")?,
+                    consumed: flag("consumed")?,
                 }),
                 "prefixes" => schema.prefixes.push(PrefixEntry { name, const_ident }),
                 _ => return Err(format!("line {}: entry outside a section", no + 1)),
@@ -279,8 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(unescape("a\\\"b\\\\c"), "a\"b\\c");
+    fn every_escape_round_trips() {
+        let mut s = sample();
+        s.metrics[0].name = "a\"b\\c\nd\te\u{1}é".into();
+        s.prefixes[0].const_ident = None;
+        let text = s.to_json();
+        assert_eq!(MetricSchema::parse(&text).expect("parse"), s, "{text}");
     }
 }

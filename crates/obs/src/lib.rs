@@ -11,9 +11,6 @@
 //! * [`progress`] — [`progress::ProgressSink`], a `TraceSink` decorator
 //!   that heartbeats live campaign progress to stderr while forwarding
 //!   every record verbatim (the `--progress` flag);
-//! * [`expose`] — Prometheus-text exposition of a metric registry
-//!   snapshot, written at end-of-run (`--metrics-out`) and optionally
-//!   served over `std::net` (`eval-obs serve`);
 //! * [`bench_check`] — the bench regression gate comparing a fresh
 //!   `BENCH_hotpath.json` against the committed baseline and the pooled
 //!   `BENCH_history.jsonl` distribution (`eval-obs bench-check`, wired
@@ -39,7 +36,6 @@
 
 pub mod analyze;
 pub mod bench_check;
-pub mod expose;
 pub mod postmortem;
 pub mod profile;
 pub mod progress;
@@ -52,7 +48,6 @@ pub use bench_check::{
     CheckReport, GateMode, GateOptions, HistoryRecord, Tolerances,
 };
 pub use eval_trace::json::{Json, JsonError};
-pub use expose::{prometheus, write_prometheus, MetricsServer};
 pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;
 pub use progress::ProgressSink;

@@ -10,7 +10,6 @@
 //!                      [--legacy-tolerance X] [--alpha A] [--trials N]
 //!                      [--min-effect X | name=X]...
 //! eval-obs runs list|show <sel>|diff <a> <b>|query|gc --keep N [--journal <path>]
-//! eval-obs serve <metrics.prom> [--addr 127.0.0.1:9184] [--once]
 //! ```
 //!
 //! `analyze` reads `-` as stdin, so a trace can be piped straight in.
@@ -43,7 +42,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use eval_obs::bench_check::{self, BenchFile, GateOptions};
-use eval_obs::{analyze_reader, runs, MetricsServer};
+use eval_obs::{analyze_reader, runs};
 
 const USAGE: &str = "usage:
   eval-obs analyze <trace.jsonl | -> [--json | --format json|text]
@@ -54,8 +53,7 @@ const USAGE: &str = "usage:
                        [--tolerance X | --tolerance name=X]... [--legacy-tolerance X]
                        [--alpha A] [--trials N] [--min-effect X | --min-effect name=X]...
   eval-obs runs list|show <sel>|diff <a> <b>|query --config-fingerprint <prefix>
-           |gc --keep <count> [--journal <path>]
-  eval-obs serve <metrics.prom> [--addr HOST:PORT] [--once]";
+           |gc --keep <count> [--journal <path>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +63,6 @@ fn main() -> ExitCode {
         Some("postmortem") => cmd_postmortem(&args[1..]),
         Some("bench-check") => return cmd_bench_check(&args[1..]),
         Some("runs") => cmd_runs(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             println!("{USAGE}");
             Ok(())
@@ -385,29 +382,5 @@ fn cmd_runs(args: &[String]) -> CliResult {
             .into())
         }
     }
-    Ok(())
-}
-
-fn cmd_serve(args: &[String]) -> CliResult {
-    let mut path: Option<PathBuf> = None;
-    let mut addr = "127.0.0.1:9184".to_string();
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--once" => once = true,
-            other if path.is_none() => path = Some(other.into()),
-            other => return Err(format!("unexpected argument `{other}`").into()),
-        }
-    }
-    let path = path.ok_or("serve needs a metrics file path")?;
-    let server = MetricsServer::bind(&addr)?;
-    eprintln!(
-        "# serving {} at http://{}/metrics",
-        path.display(),
-        server.local_addr()?
-    );
-    server.serve_path(&path, if once { Some(1) } else { None })?;
     Ok(())
 }

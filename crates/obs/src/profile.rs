@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use eval_trace::json::push_str_literal;
 use eval_trace::{names, span_report, Histogram, SpanStat};
 
 use crate::analyze::Analysis;
@@ -133,13 +134,15 @@ impl Profile {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"name\":\"{}\"}}", escape(frame));
+            out.push_str("{\"name\":");
+            push_str_literal(&mut out, frame);
+            out.push('}');
         }
+        out.push_str("]},\"profiles\":[{\"type\":\"sampled\",\"name\":");
+        push_str_literal(&mut out, name);
         let _ = write!(
             out,
-            "]}},\"profiles\":[{{\"type\":\"sampled\",\"name\":\"{}\",\
-             \"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":{total},\"samples\":[",
-            escape(name)
+            ",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":{total},\"samples\":["
         );
         for (i, stack) in samples.iter().enumerate() {
             if i > 0 {
@@ -313,22 +316,6 @@ fn is_direct_child(path: &str, candidate: &str) -> bool {
         .strip_prefix(path)
         .and_then(|rest| rest.strip_prefix('/'))
         .is_some_and(|tail| !tail.is_empty() && !tail.contains('/'))
-}
-
-/// Minimal JSON string escape for frame/profile names.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

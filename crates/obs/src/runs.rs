@@ -361,7 +361,12 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        const KINDS: [&str; 4] = ["bench-json", "trace-jsonl", "metrics-prom", "timing-jsonl"];
+        const KINDS: [&str; 4] = [
+            "bench-json",
+            "trace-jsonl",
+            "timing-jsonl",
+            "postmortem-jsonl",
+        ];
 
         fn entries_from(kinds: &[usize]) -> Vec<RunEntry> {
             kinds

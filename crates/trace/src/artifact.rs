@@ -1,7 +1,7 @@
 //! Atomic final-artifact writes.
 //!
-//! A scraper (or a crash mid-write) must never observe a torn trace,
-//! metrics, or benchmark file: every *final* artifact in the workspace is
+//! A reader (or a crash mid-write) must never observe a torn trace,
+//! sidecar, or benchmark file: every *final* artifact in the workspace is
 //! written to a temporary file in the target directory, synced, and then
 //! renamed into place. Rename within one directory is atomic on every
 //! platform we build on, so readers see either the old complete file or

@@ -11,7 +11,9 @@
 //!
 //! The reading counterpart, [`Json`], is a recursive-descent parser that
 //! accepts exactly the JSON the workspace emits (plus ordinary
-//! whitespace) and keeps object fields in document order. It lives here —
+//! whitespace) and keeps object fields in document order. Nesting is
+//! capped at [`MAX_DEPTH`], so a hostile file fails with a [`JsonError`]
+//! instead of overflowing the stack. It lives here —
 //! rather than in the consumer crate — so checkpoint sidecars can be read
 //! back anywhere above `eval-trace` in the crate graph.
 
@@ -165,6 +167,10 @@ pub fn u64_array(items: &[u64]) -> String {
     out
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// workspace's emitters nest about four deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects preserve field order (they are small —
 /// lookups are linear).
 #[derive(Debug, Clone, PartialEq)]
@@ -188,11 +194,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -286,9 +295,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// `pos` only ever advances over ASCII bytes or over whole runs of
+/// string content ending before an ASCII `"` or `\`, so it always sits
+/// on a `char` boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -329,8 +343,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -338,6 +352,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -431,13 +458,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice: both are ASCII, so the run ends on a
+                    // char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -454,9 +483,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -525,6 +553,25 @@ mod tests {
     fn strings_unescape() {
         let v = Json::parse(r#""a\"b\nA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\nA"));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = format!("{{\"a\":{deepest}}}");
+        assert!(Json::parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip() {
+        for s in ["é", "日本", "🙂", "a\"é\\日\n🙂\u{1}"] {
+            let mut lit = String::new();
+            push_str_literal(&mut lit, s);
+            assert_eq!(Json::parse(&lit).unwrap().as_str(), Some(s), "{lit}");
+        }
     }
 
     #[test]

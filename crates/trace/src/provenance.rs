@@ -1,9 +1,9 @@
 //! Content-addressed artifact provenance.
 //!
 //! Every final artifact the workspace writes — bench JSON, trace JSONL,
-//! Prometheus metric snapshots, checkpoint sidecars — can be stamped
-//! with a [`Provenance`] record answering "which bytes, produced by
-//! which code, under which configuration?":
+//! timing sidecars, postmortem bundles, checkpoint sidecars — can be
+//! stamped with a [`Provenance`] record answering "which bytes, produced
+//! by which code, under which configuration?":
 //!
 //! * **content address** — FNV-1a 64 over the artifact payload bytes
 //!   (for artifacts that embed their own stamp, the payload is the
@@ -158,8 +158,8 @@ pub fn metric_schema_hash() -> String {
 /// One artifact's provenance stamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
-    /// Artifact kind label (`bench-json`, `trace-jsonl`, `metrics-prom`,
-    /// `campaign-ckpt`).
+    /// Artifact kind label (`bench-json`, `trace-jsonl`, `timing-jsonl`,
+    /// `postmortem-jsonl`, `campaign-ckpt`).
     pub artifact: String,
     /// 16-hex FNV-1a of the payload bytes; `None` for append-only logs
     /// whose content is still growing when the stamp is written.
@@ -378,25 +378,6 @@ pub fn stamp_jsonl_artifact(
     Ok(prov)
 }
 
-/// Writes `bytes` to `path` via [`crate::write_atomic`], stamps a
-/// provenance record (content address over exactly the written bytes),
-/// and journals it. For artifacts that do not embed their own stamp
-/// (Prometheus snapshots, reports).
-///
-/// # Errors
-///
-/// Any I/O error from the write or the journal append.
-pub fn write_atomic_stamped(
-    path: &Path,
-    bytes: &[u8],
-    artifact: &str,
-) -> std::io::Result<Provenance> {
-    crate::artifact::write_atomic(path, bytes)?;
-    let prov = Provenance::capture(artifact).with_content_address(bytes);
-    append_journal(path, &prov)?;
-    Ok(prov)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,12 +454,12 @@ mod tests {
 
     #[test]
     fn journal_lines_parse_back_with_path_and_stamp() {
-        let prov = Provenance::capture("metrics-prom").with_content_address(b"x");
-        let line = journal_line(Path::new("target/metrics.prom"), &prov, 1_700_000_000);
+        let prov = Provenance::capture("timing-jsonl").with_content_address(b"x");
+        let line = journal_line(Path::new("target/t.timing.jsonl"), &prov, 1_700_000_000);
         let v = Json::parse(&line).expect("valid JSON");
         assert_eq!(v.str_field("kind"), Some("run"));
         assert_eq!(v.u64_field("unix_secs"), Some(1_700_000_000));
-        assert_eq!(v.str_field("path"), Some("target/metrics.prom"));
+        assert_eq!(v.str_field("path"), Some("target/t.timing.jsonl"));
         let nested = v.get("provenance").expect("provenance object");
         assert_eq!(
             Provenance::from_json(nested).expect("parses").content_address,
