@@ -46,23 +46,14 @@ pub struct PhaseDecision {
 /// for which workload, at which phase index. Purely observational — the
 /// decision itself never reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionContext {
+pub(crate) struct DecisionContext {
     /// Scheme label (`static`, `fuzzy`, `exhaustive`, `nn-table`, `tree`,
     /// `mlp`).
-    pub scheme: &'static str,
+    pub(crate) scheme: &'static str,
     /// Workload name, or `runtime` for the deployed adaptation loop.
-    pub workload: &'static str,
+    pub(crate) workload: &'static str,
     /// Phase index within the workload (detector id at run time).
-    pub phase: u64,
-}
-
-impl DecisionContext {
-    /// A placeholder context for untraced calls.
-    pub const UNTRACED: DecisionContext = DecisionContext {
-        scheme: "untraced",
-        workload: "untraced",
-        phase: 0,
-    };
+    pub(crate) phase: u64,
 }
 
 /// Full static counter names per scheme (the registry keys are
@@ -118,7 +109,9 @@ pub(crate) fn queue_size(class: WorkloadClass, variants: &VariantSelection) -> Q
     }
 }
 
-/// Runs the full §4.2 decision procedure for one phase.
+/// Runs the full §4.2 decision procedure for one phase. Callers outside
+/// this crate decide through [`Controller::decide`], which supplies the
+/// context and the provisioned heat-sink temperature.
 ///
 /// 1. Run the `Freq` algorithm per subsystem (via `optimizer`).
 /// 2. Apply the FU-replication rule of Figure 4 (if the environment has
@@ -136,9 +129,11 @@ pub(crate) fn queue_size(class: WorkloadClass, variants: &VariantSelection) -> Q
 /// point, the binding constraint, the rejected retune candidates, and
 /// the Equation-5 CPI breakdown, all labelled from `ctx`. The decision
 /// itself never depends on the tracer or on `ctx`.
+///
+/// [`Controller::decide`]: crate::zoo::Controller::decide
 // The argument list mirrors the controller's inputs (§4.1).
 #[allow(clippy::too_many_arguments)]
-pub fn decide_phase(
+pub(crate) fn decide_phase(
     config: &EvalConfig,
     core: &CoreModel,
     optimizer: &dyn Optimizer,
@@ -385,6 +380,7 @@ mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
     use crate::test_support::factory;
+    use crate::zoo::{Controller, OptimizerController};
     use eval_uarch::{profile_workload, Workload};
 
     fn decide(workload: &str, env: Environment, seed: u64) -> PhaseDecision {
@@ -392,16 +388,16 @@ mod tests {
         let chip = factory().chip(seed);
         let w = Workload::by_name(workload).unwrap();
         let profile = profile_workload(&w, 6_000, 5);
-        decide_phase(
+        OptimizerController::new("exhaustive", &ExhaustiveOptimizer::new()).decide(
             &cfg,
             chip.core(0),
-            &ExhaustiveOptimizer::new(),
             env,
             &profile.phases[0],
             w.class,
             profile.rp_cycles,
             cfg.th_c,
-            &DecisionContext::UNTRACED,
+            w.name,
+            0,
             Tracer::noop(),
         )
     }
@@ -450,37 +446,26 @@ mod tests {
         let chip = factory().chip(8);
         let w = Workload::by_name("swim").unwrap();
         let profile = profile_workload(&w, 6_000, 5);
-        let plain = decide_phase(
-            &cfg,
-            chip.core(0),
-            &ExhaustiveOptimizer::new(),
-            Environment::TS_ASV,
-            &profile.phases[0],
-            w.class,
-            profile.rp_cycles,
-            cfg.th_c,
-            &DecisionContext::UNTRACED,
-            Tracer::noop(),
-        );
+        let oracle = ExhaustiveOptimizer::new();
+        let exh = OptimizerController::new("exhaustive", &oracle);
+        let decide = |tracer| {
+            exh.decide(
+                &cfg,
+                chip.core(0),
+                Environment::TS_ASV,
+                &profile.phases[0],
+                w.class,
+                profile.rp_cycles,
+                cfg.th_c,
+                "swim",
+                0,
+                tracer,
+            )
+        };
+        let plain = decide(Tracer::noop());
         let collector = eval_trace::Collector::new();
         let timing = eval_trace::Collector::new();
-        let ctx = DecisionContext {
-            scheme: "exhaustive",
-            workload: "swim",
-            phase: 0,
-        };
-        let traced = decide_phase(
-            &cfg,
-            chip.core(0),
-            &ExhaustiveOptimizer::new(),
-            Environment::TS_ASV,
-            &profile.phases[0],
-            w.class,
-            profile.rp_cycles,
-            cfg.th_c,
-            &ctx,
-            eval_trace::Tracer::with_timing(&collector, &timing),
-        );
+        let traced = decide(eval_trace::Tracer::with_timing(&collector, &timing));
         // Tracing must not perturb the decision (including the binding
         // constraint, which the untraced path tracks without probes).
         assert_eq!(plain, traced);

@@ -240,10 +240,6 @@ impl ExhaustiveOptimizer {
 }
 
 impl Optimizer for ExhaustiveOptimizer {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
     fn freq_max(&self, config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
         self.freq_max_within(config, scene, 0..=FREQ_LADDER.len() - 1)
     }

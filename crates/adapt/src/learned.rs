@@ -35,9 +35,8 @@ use crate::teacher::{self, TeacherExamples};
 /// Models map the unit cube to a normalized output in `[0, 1]`-ish
 /// range; the surrounding [`LearnedBank`] owns denormalization.
 pub trait PhaseModel: std::fmt::Debug + Clone + PartialEq + Send + Sync + Sized {
-    /// Stable scheme label (`fuzzy`, `nn-table`, `tree`, `mlp`): used
-    /// for the optimizer name, the persist header, and trace scheme
-    /// rollups.
+    /// Stable family label (`fuzzy`, `nn-table`, `tree`, `mlp`): the
+    /// persist header's `scheme` line.
     const KIND: &'static str;
 
     /// Predicts the normalized output for a normalized input.
@@ -869,10 +868,6 @@ impl<M: PhaseModel> LearnedOptimizer<M> {
 }
 
 impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
-    fn name(&self) -> &'static str {
-        M::KIND
-    }
-
     fn freq_max(&self, _config: &EvalConfig, scene: &SubsystemScene<'_>) -> f64 {
         let raw = self.lookup(scene).freq.infer(&[scene.th_c, scene.alpha_f, scene.rho]);
         FREQ_LADDER.nearest(raw)

@@ -50,7 +50,7 @@ pub use checkpoint::{
     committed_cells, fingerprint, CheckpointError, CheckpointOptions, CommittedChip,
 };
 pub use choice::{choose_fu, choose_queue};
-pub use controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
+pub use controller::{AdaptationTimeline, PhaseDecision};
 pub use exhaustive::ExhaustiveOptimizer;
 pub use fidelity::{fidelity_table, FidelityRow};
 pub use fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};

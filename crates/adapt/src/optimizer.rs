@@ -223,11 +223,6 @@ impl<'a> SceneEval<'a> {
 
 /// A `Freq`/`Power` algorithm backend (Figure 3): one box per subsystem.
 pub trait Optimizer {
-    /// Stable label for traces and span names (`exhaustive`, `fuzzy`, …).
-    fn name(&self) -> &'static str {
-        "optimizer"
-    }
-
     /// The `Freq` algorithm for one subsystem: the maximum ladder frequency
     /// at which the subsystem can cycle using any permitted `(Vdd, Vbb)`
     /// without violating its temperature or error-rate constraints.

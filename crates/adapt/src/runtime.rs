@@ -11,9 +11,9 @@ use eval_trace::{names, Event, Tracer};
 use eval_uarch::profile::PhaseProfile;
 use eval_uarch::{PhaseDetector, WorkloadClass};
 
-use crate::controller::{decide_phase, AdaptationTimeline, DecisionContext, PhaseDecision};
-use crate::optimizer::Optimizer;
-use crate::retune::Outcome;
+use crate::campaign::OutcomeCounts;
+use crate::controller::{AdaptationTimeline, PhaseDecision};
+use crate::zoo::Controller;
 
 /// Bookkeeping of a running adaptive system.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,12 +24,9 @@ pub struct RuntimeStats {
     pub config_reuses: u64,
     /// Instructions observed.
     pub instructions: u64,
-    /// Controller decisions by retuning outcome, indexed by
-    /// [`Outcome::index`] (Figure 13's five outcomes).
-    pub decisions_by_outcome: [u64; 5],
-    /// Controller decisions by optimizer scheme label
-    /// ([`Optimizer::name`]).
-    pub decisions_by_scheme: BTreeMap<&'static str, u64>,
+    /// Controller decisions by retuning outcome (Figure 13's five
+    /// outcomes).
+    pub outcomes: OutcomeCounts,
 }
 
 impl RuntimeStats {
@@ -42,11 +39,6 @@ impl RuntimeStats {
         } else {
             self.config_reuses as f64 / total as f64
         }
-    }
-
-    /// Decisions whose retuning ended in `outcome`.
-    pub fn decisions_with_outcome(&self, outcome: Outcome) -> u64 {
-        self.decisions_by_outcome[outcome.index()]
     }
 }
 
@@ -61,11 +53,13 @@ pub enum RuntimeEvent {
 }
 
 /// The runtime adaptation loop for one core: detector + controller +
-/// configuration cache.
+/// configuration cache. Any [`Controller`] sits in the controller slot,
+/// so a [`StaticController`](crate::zoo::StaticController) provisions for
+/// `TH_MAX` here exactly as it does in a campaign.
 pub struct AdaptiveSystem<'a> {
     config: &'a EvalConfig,
     core: &'a CoreModel,
-    optimizer: &'a dyn Optimizer,
+    controller: &'a dyn Controller,
     env: Environment,
     class: WorkloadClass,
     rp_cycles: f64,
@@ -85,7 +79,7 @@ impl<'a> AdaptiveSystem<'a> {
     pub fn new(
         config: &'a EvalConfig,
         core: &'a CoreModel,
-        optimizer: &'a dyn Optimizer,
+        controller: &'a dyn Controller,
         env: Environment,
         class: WorkloadClass,
         rp_cycles: f64,
@@ -93,7 +87,7 @@ impl<'a> AdaptiveSystem<'a> {
         Self {
             config,
             core,
-            optimizer,
+            controller,
             env,
             class,
             rp_cycles,
@@ -151,30 +145,20 @@ impl<'a> AdaptiveSystem<'a> {
             recurring: false,
         });
         let profile = measure();
-        let ctx = DecisionContext {
-            scheme: self.optimizer.name(),
-            workload: "runtime",
-            phase: u64::from(event.id.0),
-        };
-        let decision = decide_phase(
+        let decision = self.controller.decide(
             self.config,
             self.core,
-            self.optimizer,
             self.env,
             &profile,
             self.class,
             self.rp_cycles,
             self.config.th_c,
-            &ctx,
+            "runtime",
+            u64::from(event.id.0),
             self.tracer,
         );
         self.stats.controller_runs += 1;
-        self.stats.decisions_by_outcome[decision.outcome.index()] += 1;
-        *self
-            .stats
-            .decisions_by_scheme
-            .entry(self.optimizer.name())
-            .or_insert(0) += 1;
+        self.stats.outcomes.add(decision.outcome);
         self.overhead_us +=
             self.timeline.overhead_fraction(decision.retune_steps) * self.timeline.phase_length_us;
         self.saved.insert(event.id.0, decision.clone());
@@ -218,29 +202,26 @@ impl std::fmt::Debug for AdaptiveSystem<'_> {
 mod tests {
     use super::*;
     use crate::exhaustive::ExhaustiveOptimizer;
+    use crate::optimizer::{Optimizer, SubsystemScene};
+    use crate::retune::Outcome;
     use crate::test_support::factory;
-    use eval_uarch::{profile_workload, TraceGenerator, Workload};
+    use crate::zoo::{OptimizerController, StaticController};
+    use eval_core::FREQ_LADDER;
+    use eval_uarch::{profile_workload, TraceGenerator, Workload, WorkloadProfile};
 
-    #[test]
-    fn controller_runs_once_per_distinct_phase_then_reuses() {
-        let cfg = factory().config().clone();
-        let chip = factory().chip(9);
-        let w = Workload::by_name("gzip").expect("exists");
-        let profile = profile_workload(&w, 4_000, 9);
-        let oracle = ExhaustiveOptimizer::new();
-        let mut system = AdaptiveSystem::new(
-            &cfg,
-            chip.core(0),
-            &oracle,
-            Environment::TS_ASV,
-            w.class,
-            profile.rp_cycles,
-        )
-        .with_detector(PhaseDetector::new(5_000, 150));
-
+    /// Feeds `w`'s synthetic instruction stream to `system`, measuring
+    /// each interval as the spec phase it falls in; calls `on_event`
+    /// with the measured phase and the system's response.
+    fn drive(
+        system: &mut AdaptiveSystem<'_>,
+        w: &Workload,
+        profile: &WorkloadProfile,
+        seed: u64,
+        mut on_event: impl FnMut(&PhaseProfile, RuntimeEvent),
+    ) {
         let mut current_phase = 0usize;
         let mut seen = 0u64;
-        for insn in TraceGenerator::new(&w, 9) {
+        for insn in TraceGenerator::new(w, seed) {
             seen += 1;
             let mut consumed = 0;
             for (i, p) in w.phases.iter().enumerate() {
@@ -251,8 +232,31 @@ mod tests {
                 }
             }
             let ph = profile.phases[current_phase].clone();
-            system.observe(insn.bb_id, move || ph);
+            if let Some(event) = system.observe(insn.bb_id, || ph.clone()) {
+                on_event(&ph, event);
+            }
         }
+    }
+
+    #[test]
+    fn controller_runs_once_per_distinct_phase_then_reuses() {
+        let cfg = factory().config().clone();
+        let chip = factory().chip(9);
+        let w = Workload::by_name("gzip").expect("exists");
+        let profile = profile_workload(&w, 4_000, 9);
+        let oracle = ExhaustiveOptimizer::new();
+        let controller = OptimizerController::new("exhaustive", &oracle);
+        let mut system = AdaptiveSystem::new(
+            &cfg,
+            chip.core(0),
+            &controller,
+            Environment::TS_ASV,
+            w.class,
+            profile.rp_cycles,
+        )
+        .with_detector(PhaseDetector::new(5_000, 150));
+
+        drive(&mut system, &w, &profile, 9, |_, _| {});
         let stats = system.stats();
         assert!(stats.controller_runs >= 2, "both phases must adapt");
         assert!(
@@ -271,18 +275,33 @@ mod tests {
         assert!(system.overhead_us() < 1_000.0);
     }
 
+    /// Answers the bottom of the frequency ladder at nominal voltages, so
+    /// retuning raises `f` (outcome `LowFreq`, not the oracle's
+    /// `NoChange`).
+    struct Timid;
+
+    impl Optimizer for Timid {
+        fn freq_max(&self, _: &EvalConfig, _: &SubsystemScene<'_>) -> f64 {
+            FREQ_LADDER.min
+        }
+
+        fn power_settings(&self, _: &EvalConfig, _: &SubsystemScene<'_>, _: f64) -> (f64, f64) {
+            (1.0, 0.0)
+        }
+    }
+
     #[test]
-    fn stats_track_cache_hit_rate_scheme_counts_and_trace_counters() {
+    fn stats_track_cache_hit_rate_outcomes_and_trace_counters() {
         let cfg = factory().config().clone();
         let chip = factory().chip(9);
         let w = Workload::by_name("gzip").expect("exists");
         let profile = profile_workload(&w, 4_000, 9);
-        let oracle = ExhaustiveOptimizer::new();
+        let controller = OptimizerController::new("timid", &Timid);
         let collector = eval_trace::Collector::new();
         let mut system = AdaptiveSystem::new(
             &cfg,
             chip.core(0),
-            &oracle,
+            &controller,
             Environment::TS_ASV,
             w.class,
             profile.rp_cycles,
@@ -291,9 +310,12 @@ mod tests {
         .with_tracer(eval_trace::Tracer::new(&collector));
 
         let ph = profile.phases[0].clone();
+        let mut adapted = OutcomeCounts::default();
         for i in 0..30_000u32 {
             let ph2 = ph.clone();
-            system.observe(100 + i % 8, move || ph2);
+            if let Some(RuntimeEvent::Adapted(d)) = system.observe(100 + i % 8, move || ph2) {
+                adapted.add(d.outcome);
+            }
         }
         let stats = system.stats();
         assert!(stats.controller_runs >= 1);
@@ -307,20 +329,10 @@ mod tests {
         let reg = collector.registry();
         assert_eq!(reg.counter("cache.hit"), stats.config_reuses);
         assert_eq!(reg.counter("cache.miss"), stats.controller_runs);
-        // Per-scheme decision counts attribute every controller run.
-        assert_eq!(
-            stats.decisions_by_scheme.get("exhaustive").copied(),
-            Some(stats.controller_runs)
-        );
-        // Outcome counts cover every controller run.
-        assert_eq!(
-            stats.decisions_by_outcome.iter().sum::<u64>(),
-            stats.controller_runs
-        );
-        assert_eq!(
-            stats.decisions_with_outcome(Outcome::NoChange),
-            stats.decisions_by_outcome[0]
-        );
+        // Outcome counts cover every controller run, one per adaptation.
+        assert_eq!(stats.outcomes.total(), stats.controller_runs);
+        assert_eq!(stats.outcomes, adapted);
+        assert_eq!(stats.outcomes.fraction(Outcome::LowFreq), 1.0);
         // One phase-detected event per completed interval.
         let detections = collector
             .events()
@@ -334,7 +346,7 @@ mod tests {
     fn empty_stats_report_zero_hit_rate() {
         let stats = RuntimeStats::default();
         assert_eq!(stats.config_cache_hit_rate(), 0.0);
-        assert!(stats.decisions_by_scheme.is_empty());
+        assert_eq!(stats.outcomes.total(), 0);
     }
 
     #[test]
@@ -344,10 +356,11 @@ mod tests {
         let w = Workload::by_name("mesa").expect("exists");
         let profile = profile_workload(&w, 4_000, 10);
         let oracle = ExhaustiveOptimizer::new();
+        let controller = OptimizerController::new("exhaustive", &oracle);
         let mut system = AdaptiveSystem::new(
             &cfg,
             chip.core(0),
-            &oracle,
+            &controller,
             Environment::TS,
             w.class,
             profile.rp_cycles,
@@ -371,5 +384,90 @@ mod tests {
             }
         }
         assert!(first.is_some());
+    }
+
+    #[test]
+    fn the_runtime_runs_static_provisioned_for_th_max() {
+        let cfg = factory().config().clone();
+        assert!(
+            cfg.th_c < cfg.constraints.th_max_c,
+            "sensed and TH_MAX must differ"
+        );
+        let chip = factory().chip(9);
+        let w = Workload::by_name("gzip").expect("exists");
+        let profile = profile_workload(&w, 4_000, 9);
+        let oracle = ExhaustiveOptimizer::new();
+        let static_c = StaticController::new(&oracle);
+        let sensed = OptimizerController::new("exhaustive", &oracle);
+        let collector = eval_trace::Collector::new();
+        let mut system = AdaptiveSystem::new(
+            &cfg,
+            chip.core(0),
+            &static_c,
+            Environment::TS_ASV,
+            w.class,
+            profile.rp_cycles,
+        )
+        .with_detector(PhaseDetector::new(5_000, 150))
+        .with_tracer(eval_trace::Tracer::new(&collector));
+
+        let (mut adapted, mut below_sensed) = (0, 0);
+        drive(&mut system, &w, &profile, 9, |ph, event| {
+            let RuntimeEvent::Adapted(d) = event else {
+                return;
+            };
+            adapted += 1;
+            let decide = |c: &dyn Controller| {
+                c.decide(
+                    &cfg,
+                    chip.core(0),
+                    Environment::TS_ASV,
+                    ph,
+                    w.class,
+                    profile.rp_cycles,
+                    cfg.th_c,
+                    "runtime",
+                    0,
+                    Tracer::noop(),
+                )
+            };
+            let expected = decide(&static_c);
+            assert_eq!(
+                d, expected,
+                "runtime decision equals StaticController::decide"
+            );
+            assert_eq!(d.f_ghz.to_bits(), expected.f_ghz.to_bits());
+            for (a, b) in d.settings.iter().zip(&expected.settings) {
+                assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits()),
+                    (b.0.to_bits(), b.1.to_bits())
+                );
+            }
+            if d.f_ghz < decide(&sensed).f_ghz {
+                below_sensed += 1;
+            }
+        });
+        assert!(adapted >= 2, "both phases must adapt");
+        // Provisioning for the hotter sink costs frequency: the runtime
+        // did not decide at the sensed temperature.
+        assert!(below_sensed >= 1, "no decision was provisioned for TH_MAX");
+
+        let stats = system.stats();
+        let decisions: Vec<_> = collector
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Decision(d) => Some(d),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decisions.len() as u64, stats.controller_runs);
+        assert!(decisions
+            .iter()
+            .all(|d| d.scheme == "static" && d.workload == "runtime"));
+        let reg = collector.registry();
+        assert_eq!(reg.counter("decision.count.static"), stats.controller_runs);
+        assert_eq!(reg.counter("cache.hit"), stats.config_reuses);
+        assert_eq!(reg.counter("cache.miss"), stats.controller_runs);
     }
 }

@@ -9,10 +9,10 @@
 //! * **accuracy** — mean `|f - f_exhaustive|` and the exact-match rate
 //!   against the oracle's frequency choice, plus mean performance
 //!   relative to the oracle's decision;
-//! * **latency** — per-decision wall time, recorded automatically by the
-//!   `decision.latency.<scheme>_us` timers inside
-//!   [`decide_phase`](crate::controller::decide_phase)
-//!   whenever a timing sink is attached (the PR's profiling sidecar);
+//! * **latency** — per-decision wall time, recorded by the
+//!   `decision.latency.<scheme>_us` timer every
+//!   [`Controller::decide`] runs under whenever a timing sink is attached
+//!   (the `--timing` sidecar; `eval-obs analyze` reports p50/p95/p99);
 //! * **robustness** — the same accuracy scores on holdout chips driven
 //!   by controllers trained on a *different* chip (round-robin), so a
 //!   scheme that memorizes its own chip's variation map degrades here.

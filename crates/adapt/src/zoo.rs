@@ -4,7 +4,10 @@
 //!
 //! A [`Controller`] is an [`Optimizer`] plus decision policy: which
 //! scheme label it traces under and which heat-sink temperature it
-//! provisions for. The existing backends slot straight in —
+//! provisions for. [`Controller::decide`] is the one public way to decide
+//! a phase: the campaign, the tournament and the runtime loop
+//! ([`AdaptiveSystem`](crate::runtime::AdaptiveSystem)) all call it. The
+//! existing backends slot straight in —
 //! [`OptimizerController`] wraps any optimizer at the sensed
 //! temperature, [`StaticController`] wraps the exhaustive oracle at
 //! worst-case `TH_MAX` (a static configuration cannot react to
@@ -30,9 +33,9 @@ use crate::teacher::TeacherExamples;
 
 /// A per-phase operating-point decision maker: the scheme label it
 /// traces under, the optimizer backend it consults, and the heat-sink
-/// temperature it provisions for. `decide` is a provided method so
-/// every implementation routes through [`decide_phase`] with a
-/// consistently-labeled [`DecisionContext`].
+/// temperature it provisions for. `decide` is a provided method, so
+/// every implementation runs the same §4.2 procedure and traces under
+/// its own [`scheme`](Controller::scheme) label.
 pub trait Controller {
     /// Stable scheme label for traces and rollups.
     fn scheme(&self) -> &'static str;
@@ -90,15 +93,17 @@ pub trait Controller {
 
 /// Any optimizer as a controller, deciding at the sensed temperature
 /// under an explicit scheme label.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct OptimizerController<'a> {
     scheme: &'static str,
     optimizer: &'a dyn Optimizer,
 }
 
-impl std::fmt::Debug for dyn Optimizer + '_ {
+impl std::fmt::Debug for OptimizerController<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Optimizer({})", self.name())
+        f.debug_struct("OptimizerController")
+            .field("scheme", &self.scheme)
+            .finish_non_exhaustive()
     }
 }
 

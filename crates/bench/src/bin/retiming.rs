@@ -8,7 +8,7 @@
 //!
 //! Protocol knobs: `EVAL_CHIPS` (default 12).
 
-use eval_adapt::{decide_phase, DecisionContext, ExhaustiveOptimizer};
+use eval_adapt::{Controller, ExhaustiveOptimizer, OptimizerController};
 use eval_bench::{chips_from_env, BadEnv};
 use eval_core::{retime_core, ChipFactory, Environment, EvalConfig};
 use eval_trace::Tracer;
@@ -22,6 +22,7 @@ fn main() -> Result<(), BadEnv> {
     let workload = Workload::by_name("gcc").expect("gcc exists");
     let profile = profile_workload(&workload, 6_000, 17);
     let oracle = ExhaustiveOptimizer::new();
+    let exh = OptimizerController::new("exhaustive", &oracle);
 
     let mut sums = [0.0f64; 4]; // baseline, retimed, ideal, eval
     println!("# dynamic retiming vs EVAL ({chips} chips, workload {})", workload.name);
@@ -38,16 +39,16 @@ fn main() -> Result<(), BadEnv> {
             .phases
             .iter()
             .map(|ph| {
-                decide_phase(
+                exh.decide(
                     &config,
                     core,
-                    &oracle,
                     Environment::TS_ASV,
                     ph,
                     workload.class,
                     profile.rp_cycles,
                     config.th_c,
-                    &DecisionContext::UNTRACED,
+                    workload.name,
+                    ph.index as u64,
                     Tracer::noop(),
                 )
                 .f_ghz

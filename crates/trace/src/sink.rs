@@ -74,12 +74,6 @@ pub struct Tracer<'a> {
 
 impl<'a> Tracer<'a> {
     /// The disabled tracer — every operation is a no-op.
-    pub const NOOP: Tracer<'static> = Tracer {
-        sink: None,
-        timing: None,
-    };
-
-    /// The disabled tracer (const-free convenience for any lifetime).
     pub fn noop() -> Self {
         Self {
             sink: None,

@@ -30,10 +30,11 @@ fn main() {
     );
 
     // The deployed system: detector + controller + configuration cache.
+    let controller = OptimizerController::new("fuzzy", &fuzzy);
     let mut system = AdaptiveSystem::new(
         &config,
         core,
-        &fuzzy,
+        &controller,
         Environment::TS_ASV,
         workload.class,
         profile.rp_cycles,

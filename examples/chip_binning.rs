@@ -20,6 +20,7 @@ fn main() {
     let workload = Workload::by_name("gcc").expect("gcc exists");
     let profile = profile_workload(&workload, 6_000, 7);
     let optimizer = ExhaustiveOptimizer::new();
+    let controller = OptimizerController::new("exhaustive", &optimizer);
 
     let mut baseline_bins: Vec<f64> = Vec::new();
     let mut eval_bins: Vec<f64> = Vec::new();
@@ -32,19 +33,20 @@ fn main() {
             .phases
             .iter()
             .map(|ph| {
-                decide_phase(
-                    &config,
-                    core,
-                    &optimizer,
-                    Environment::TS_ASV,
-                    ph,
-                    workload.class,
-                    profile.rp_cycles,
-                    config.th_c,
-                    &DecisionContext::UNTRACED,
-                    Tracer::noop(),
-                )
-                .f_ghz
+                controller
+                    .decide(
+                        &config,
+                        core,
+                        Environment::TS_ASV,
+                        ph,
+                        workload.class,
+                        profile.rp_cycles,
+                        config.th_c,
+                        workload.name,
+                        ph.index as u64,
+                        Tracer::noop(),
+                    )
+                    .f_ghz
             })
             .fold(f64::INFINITY, f64::min);
         eval_bins.push(f_ship);

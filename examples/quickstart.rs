@@ -34,18 +34,22 @@ fn main() {
     );
 
     // 4. Adapt each phase: frequency, per-subsystem ASV, structure choices.
+    //    The controller here is the exhaustive oracle at the sensed
+    //    heat-sink temperature; the workload name and phase index only
+    //    label trace records.
     let optimizer = ExhaustiveOptimizer::new();
+    let controller = OptimizerController::new("exhaustive", &optimizer);
     for phase in &profile.phases {
-        let d = decide_phase(
+        let d = controller.decide(
             &config,
             core,
-            &optimizer,
             Environment::TS_ASV_Q_FU,
             phase,
             workload.class,
             profile.rp_cycles,
             config.th_c,
-            &DecisionContext::UNTRACED,
+            workload.name,
+            phase.index as u64,
             Tracer::noop(),
         );
         println!(

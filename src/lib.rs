@@ -14,7 +14,8 @@
 //!   constraints and the Equation-5 performance model;
 //! * [`adapt`] — high-dimensional dynamic adaptation: the `Freq`/`Power`
 //!   algorithms (exhaustive and fuzzy), structure choices, retuning
-//!   cycles and the campaign harness.
+//!   cycles and the campaign harness. Every phase decision goes through
+//!   [`adapt::Controller::decide`].
 //!
 //! ## Quickstart
 //!
@@ -31,16 +32,17 @@
 //! // ...which high-dimensional dynamic adaptation wins back.
 //! let w = Workload::by_name("swim").unwrap();
 //! let profile = profile_workload(&w, 4_000, 1);
-//! let decision = decide_phase(
+//! let oracle = ExhaustiveOptimizer::new();
+//! let decision = OptimizerController::new("exhaustive", &oracle).decide(
 //!     &config,
 //!     chip.core(0),
-//!     &ExhaustiveOptimizer::new(),
 //!     Environment::TS_ASV,
 //!     &profile.phases[0],
 //!     w.class,
 //!     profile.rp_cycles,
-//!     config.th_c,
-//!     &DecisionContext::UNTRACED,
+//!     config.th_c, // sensed heat-sink temperature
+//!     w.name,      // trace labels: workload and phase index
+//!     0,
 //!     Tracer::noop(),
 //! );
 //! assert!(decision.f_ghz > fvar);
@@ -61,9 +63,9 @@ pub use eval_variation as variation;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use eval_adapt::{
-        decide_phase, fidelity_table, retune, AdaptationTimeline, AdaptiveSystem, Campaign,
-        CampaignResult, CellResult, DecisionContext, ExhaustiveOptimizer, FuzzyOptimizer,
-        GlobalDvfsOptimizer, Optimizer, Outcome, PhaseDecision, RetuneResult, RuntimeEvent, Scheme,
+        fidelity_table, retune, AdaptationTimeline, AdaptiveSystem, Campaign, CampaignResult,
+        CellResult, Controller, ExhaustiveOptimizer, FuzzyOptimizer, GlobalDvfsOptimizer,
+        Optimizer, OptimizerController, Outcome, PhaseDecision, RetuneResult, RuntimeEvent, Scheme,
         SubsystemScene, TrainingBudget,
     };
     pub use eval_core::{

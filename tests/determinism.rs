@@ -45,30 +45,22 @@ fn fuzzy_training_is_deterministic_end_to_end() {
     // Same queries, same answers.
     let profile = profile_workload(&Workload::by_name("gzip").expect("exists"), 3_000, 1);
     let scene_args = &profile.phases[0];
-    let d_a = decide_phase(
-        &cfg,
-        chip.core(0),
-        &a,
-        Environment::TS,
-        scene_args,
-        WorkloadClass::Int,
-        profile.rp_cycles,
-        cfg.th_c,
-        &DecisionContext::UNTRACED,
-        Tracer::noop(),
-    );
-    let d_b = decide_phase(
-        &cfg,
-        chip.core(0),
-        &b,
-        Environment::TS,
-        scene_args,
-        WorkloadClass::Int,
-        profile.rp_cycles,
-        cfg.th_c,
-        &DecisionContext::UNTRACED,
-        Tracer::noop(),
-    );
+    let decide = |fuzzy: &FuzzyOptimizer| {
+        OptimizerController::new("fuzzy", fuzzy).decide(
+            &cfg,
+            chip.core(0),
+            Environment::TS,
+            scene_args,
+            WorkloadClass::Int,
+            profile.rp_cycles,
+            cfg.th_c,
+            profile.name,
+            0,
+            Tracer::noop(),
+        )
+    };
+    let d_a = decide(&a);
+    let d_b = decide(&b);
     assert_eq!(d_a, d_b);
 }
 

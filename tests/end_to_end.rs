@@ -32,16 +32,16 @@ fn variation_costs_frequency_and_adaptation_wins_it_back() {
 
     let w = Workload::by_name("gzip").expect("exists");
     let profile = profile_workload(&w, 4_000, 3);
-    let d = decide_phase(
+    let d = OptimizerController::new("exhaustive", &ExhaustiveOptimizer::new()).decide(
         &cfg,
         core,
-        &ExhaustiveOptimizer::new(),
         Environment::TS_ASV,
         &profile.phases[0],
         w.class,
         profile.rp_cycles,
         cfg.th_c,
-        &DecisionContext::UNTRACED,
+        w.name,
+        0,
         Tracer::noop(),
     );
     assert!(
@@ -64,17 +64,18 @@ fn environment_capability_ordering_holds_per_phase() {
     let w = Workload::by_name("mesa").expect("exists");
     let profile = profile_workload(&w, 4_000, 8);
     let oracle = ExhaustiveOptimizer::new();
+    let exh = OptimizerController::new("exhaustive", &oracle);
     let f_of = |env: Environment| {
-        decide_phase(
+        exh.decide(
             &cfg,
             core,
-            &oracle,
             env,
             &profile.phases[0],
             w.class,
             profile.rp_cycles,
             cfg.th_c,
-            &DecisionContext::UNTRACED,
+            w.name,
+            0,
             Tracer::noop(),
         )
         .f_ghz

@@ -17,16 +17,16 @@ fn decide_under(
     for a in phase.activity.alpha_f.iter_mut() {
         *a = (*a * alpha_scale).clamp(0.0, 1.0);
     }
-    let d = decide_phase(
+    let d = OptimizerController::new("exhaustive", &ExhaustiveOptimizer::new()).decide(
         &cfg,
         chip.core(0),
-        &ExhaustiveOptimizer::new(),
         env,
         &phase,
         w.class,
         profile.rp_cycles,
         th_c,
-        &DecisionContext::UNTRACED,
+        w.name,
+        0,
         Tracer::noop(),
     );
     (cfg, d)
@@ -88,16 +88,16 @@ fn worst_chip_of_a_population_still_gains_from_adaptation() {
     let fvar = worst.core(0).fvar_nominal(&cfg).get();
     let w = Workload::by_name("crafty").expect("exists");
     let profile = profile_workload(&w, 4_000, 7);
-    let d = decide_phase(
+    let d = OptimizerController::new("exhaustive", &ExhaustiveOptimizer::new()).decide(
         &cfg,
         worst.core(0),
-        &ExhaustiveOptimizer::new(),
         Environment::TS_ASV,
         &profile.phases[0],
         w.class,
         profile.rp_cycles,
         cfg.th_c,
-        &DecisionContext::UNTRACED,
+        w.name,
+        0,
         Tracer::noop(),
     );
     assert!(
