@@ -15,6 +15,18 @@
 //!   bisection.
 //! - `power_settings` scans each supply row in ascending body bias and
 //!   stops at the first feasible point, which is the row's cheapest.
+//! - `power_settings` scans the supply rows in ascending `Vdd` and stops
+//!   before the first row whose dynamic power `Pdyn(f, Vdd)`
+//!   (`SceneEval::pdyn_w`) is at or above the best total so far. The
+//!   cut is exact: `Pdyn = Kdyn * alpha_f * Vdd^2 * f` depends on neither
+//!   `Vbb` nor the temperature, and it is computed from the same operands
+//!   as the solves (the ladder point on the cached path, `f_core`
+//!   off it). Every admitted total is `Pdyn + Psta` with `Psta >= 0`, so
+//!   no point of the row costs less than `Pdyn`. The product of
+//!   non-negative factors never falls as `Vdd` rises, so every later row
+//!   is bounded by at least the same value. The search keeps a point
+//!   only when it is strictly cheaper, so no row at or after the cut can
+//!   replace the best point.
 //! - Where a supply row has more than one body bias, both start its
 //!   scan past the body biases that the error-rate screen
 //!   ([`SceneEval::pe_screen_rejects`]) proves infeasible, found by
@@ -35,9 +47,9 @@
 //!   scene that dominates another (all three inputs `>=`) therefore has
 //!   a label no higher than it.
 //!
-//! Every feasibility check that could succeed is kept, so both return
-//! (`freq_max` given a bracket that holds the answer) exactly what the
-//! full-grid searches
+//! Every feasibility check that could change the answer is kept, so
+//! both return (`freq_max` given a bracket that holds the answer)
+//! exactly what the full-grid searches
 //! ([`ExhaustiveOptimizer::freq_max_reference`],
 //! [`ExhaustiveOptimizer::power_settings_reference`]) return.
 //
@@ -62,7 +74,8 @@ use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
 /// verifies the previous pair's answer as a guess, falling back to
 /// binary search. For each `(f, Vdd)` row, power rises strictly with
 /// `Vbb` (see [`Optimizer::power_settings`] below), so the power search
-/// stops at the row's first feasible body bias.
+/// stops at the row's first feasible body bias, and it skips every row
+/// whose dynamic power alone reaches the best point so far.
 ///
 /// Each optimizer instance owns a [`SolveCache`]; cached values are pure
 /// functions of the operating point, so sharing or not sharing an
@@ -300,7 +313,9 @@ impl Optimizer for ExhaustiveOptimizer {
     /// strictly with `Vbb` and the first feasible point is the row's
     /// minimum. Across rows the strict `<` keeps the earliest of equal
     /// powers, as the full-grid scan does. The scan starts past the body
-    /// biases the error-rate screen proves infeasible at `f_core`.
+    /// biases the error-rate screen proves infeasible at `f_core`, and
+    /// stops at the first supply row whose dynamic power alone reaches
+    /// the best point so far (the cut of the module doc).
     fn power_settings(
         &self,
         config: &EvalConfig,
@@ -310,9 +325,14 @@ impl Optimizer for ExhaustiveOptimizer {
         let eval = SceneEval::new(config, scene);
         let cache = &mut *self.cache.borrow_mut();
         let f_idx = FREQ_LADDER.index_of(f_core);
+        // The frequency operand every check of this query solves at.
+        let f_solved = f_idx.map_or(f_core, |i| FREQ_LADDER.at(i));
         let mut best: Option<(f64, f64, f64)> = None; // (power, vdd, vbb)
         let vbbs = scene.vbb_options();
         for &vdd in scene.vdd_options() {
+            if best.is_some_and(|(bp, _, _)| eval.pdyn_w(f_solved, vdd) >= bp) {
+                break;
+            }
             let start = Self::first_unscreened(&eval, f_core, vdd, vbbs);
             let row_min = vbbs[start..].iter().find_map(|&vbb| {
                 let checked = match f_idx {
@@ -482,6 +502,46 @@ mod tests {
         assert!(vdd_low <= 0.95, "2.4 GHz should not need {vdd_low} V");
     }
 
+    /// The dynamic-power cut at work: in TS+ASV+ABB at a low core
+    /// frequency the cheapest point costs no more than the top supply
+    /// row's dynamic power alone, so the scan stops before that row, and
+    /// the answer is still the full grid's, on and off the ladder.
+    #[test]
+    fn dynamic_power_cut_skips_the_top_row_and_keeps_the_answer() {
+        let cfg = factory().config().clone();
+        let chip = factory().chip(1);
+        let opt = ExhaustiveOptimizer::new();
+        let state = chip.core(0).subsystem(SubsystemId::IntAlu);
+        let sc = scene(state, Environment::TS_ASV_ABB);
+        let eval = SceneEval::new(&cfg, &sc);
+        let top_vdd = *sc.vdd_options().last().expect("a supply ladder");
+        for (f_idx, f_core) in [
+            (Some(2), FREQ_LADDER.at(2)),
+            (None, FREQ_LADDER.at(2) + 0.35 * FREQ_LADDER.step),
+        ] {
+            let reference = opt.power_settings_reference(&cfg, &sc, f_core);
+            let checked = match f_idx {
+                Some(i) => eval.check_at(&mut SolveCache::new(), i, reference.0, reference.1),
+                None => eval.check_free(f_core, reference.0, reference.1),
+            };
+            let (best_w, _) = checked.expect("the reference's point is feasible");
+            // A point of the top row costs more than that row's dynamic
+            // power, so the best point lies in an earlier row, and the
+            // scan reaches the top row with this `best` and cuts there.
+            let top_pdyn = eval.pdyn_w(f_core, top_vdd);
+            assert!(
+                best_w <= top_pdyn,
+                "f {f_core}: best {best_w} W above the top row's Pdyn {top_pdyn} W"
+            );
+            let pruned = opt.power_settings(&cfg, &sc, f_core);
+            assert_eq!(
+                (pruned.0.to_bits(), pruned.1.to_bits()),
+                (reference.0.to_bits(), reference.1.to_bits()),
+                "f {f_core}"
+            );
+        }
+    }
+
     #[test]
     fn no_voltage_control_means_nominal_settings() {
         let cfg = factory().config().clone();
@@ -568,10 +628,13 @@ mod tests {
                 prop_assert_eq!(fast.to_bits(), reference.to_bits());
             }
 
-            /// The first-feasible-`Vbb` power search returns bit for bit
-            /// the setting the full-grid scan returns, on and off the
+            /// The pruned power search (first feasible `Vbb` per row,
+            /// dynamic-power cut across rows) returns bit for bit the
+            /// setting the full-grid scan returns, on and off the
             /// frequency ladder, from the scene's `fmax` (where few
-            /// points are feasible) down to well below it.
+            /// points are feasible) down to the ladder's bottom (where
+            /// the teacher's `f_core` draws often land and the cut fires
+            /// most).
             #[test]
             fn prop_pruned_power_settings_match_full_grid_reference(
                 th in TH_RANGE.0..TH_RANGE.1,
@@ -581,7 +644,7 @@ mod tests {
                 sub in 0usize..N_SUBSYSTEMS,
                 alt in proptest::bool::ANY,
                 env in 0usize..ENVS.len(),
-                steps_below_fmax in 0usize..10,
+                steps_below_fmax in 0usize..FREQ_LADDER.len(),
                 off_ladder in proptest::bool::ANY,
                 frac in 0.01f64..0.99,
             ) {
@@ -599,6 +662,53 @@ mod tests {
                     (pruned.0.to_bits(), pruned.1.to_bits()),
                     (reference.0.to_bits(), reference.1.to_bits())
                 );
+            }
+
+            /// The premise of the dynamic-power cut: every total that the
+            /// cached or the uncached check admits is at least the
+            /// dynamic power at its `(f, Vdd)`, on and off the ladder,
+            /// and that bound never falls along the supply ladder.
+            #[test]
+            fn prop_dynamic_power_bounds_every_solved_total(
+                th in TH_RANGE.0..TH_RANGE.1,
+                alpha in 0.05f64..0.95,
+                rho in 0.05f64..2.5,
+                chip_seed in 1u64..40,
+                sub in 0usize..N_SUBSYSTEMS,
+                alt in proptest::bool::ANY,
+                env in 0usize..ENVS.len(),
+                f_idx in 0usize..FREQ_LADDER.len(),
+                off_ladder in proptest::bool::ANY,
+                frac in 0.01f64..0.99,
+            ) {
+                let cfg = factory().config().clone();
+                let chip = factory().chip(chip_seed);
+                let state = chip.core(0).subsystem(SubsystemId::ALL[sub]);
+                let sc = random_scene(state, alt, ENVS[env], th, alpha, rho);
+                let eval = SceneEval::new(&cfg, &sc);
+                let mut cache = SolveCache::new();
+                let f = core_freq(f_idx, off_ladder, frac);
+                let mut prev_pdyn = 0.0;
+                for &vdd in sc.vdd_options() {
+                    let pdyn = eval.pdyn_w(f, vdd);
+                    prop_assert!(pdyn >= prev_pdyn, "f {}: Pdyn({}) = {} falls", f, vdd, pdyn);
+                    prev_pdyn = pdyn;
+                    for &vbb in sc.vbb_options() {
+                        // Off the ladder only the uncached path applies.
+                        let cached = match off_ladder {
+                            false => eval.check_at(&mut cache, f_idx, vdd, vbb),
+                            true => None,
+                        };
+                        let free = eval.check_free(f, vdd, vbb);
+                        for (p, _t) in [free, cached].into_iter().flatten() {
+                            prop_assert!(
+                                p >= pdyn,
+                                "f {} vdd {} vbb {}: total {} < Pdyn {}",
+                                f, vdd, vbb, p, pdyn
+                            );
+                        }
+                    }
+                }
             }
 
             /// The premise of the row search: wherever the error-rate

@@ -127,8 +127,9 @@ impl LearnedOptimizer<FuzzyController> {
     /// The teacher sweep every trained family shares. Collects the
     /// distinct [`BankKey`]s the environments need and, in key order and
     /// under one `bank` span each, labels the bank with the exhaustive
-    /// oracle from its own RNG stream ([`teacher::bank_seed`]) under a
-    /// `label` span, fits the fuzzy bank under `fit-fuzzy`, emits its
+    /// oracle from its own RNG stream ([`teacher::bank_seed`]) in the two
+    /// passes of [`teacher::sample_bank`], under a `label-freq` and a
+    /// `label-power` span, fits the fuzzy bank under `fit-fuzzy`, emits its
     /// `ControllerTrained` event, then hands the examples to `on_bank`
     /// (the controller zoo fits its other families there, each under its
     /// own `fit-<family>` span) — once per key. Each bank gets a fresh
@@ -165,22 +166,20 @@ impl LearnedOptimizer<FuzzyController> {
                 core_index,
                 key,
             ));
-            // Timing-only child spans split the bank's time between
-            // labelling and each family's fit (the timing sink alone
-            // sees spans, so event lines do not change).
-            let ex = {
-                let _label_span = tracer.span("label");
-                teacher::sample_bank(
-                    &oracle,
-                    config,
-                    core.subsystem(key.id),
-                    teacher::variant_selection_for(key.id, key.alt),
-                    key.teacher_env(),
-                    pe_budget,
-                    budget.examples,
-                    &mut rng,
-                )
-            };
+            // Timing-only child spans split the bank's time between the
+            // two labelling passes and each family's fit (the timing sink
+            // alone sees spans, so event lines do not change).
+            let ex = teacher::label_bank(
+                &oracle,
+                config,
+                core.subsystem(key.id),
+                teacher::variant_selection_for(key.id, key.alt),
+                key.teacher_env(),
+                pe_budget,
+                budget.examples,
+                &mut rng,
+                tracer,
+            );
             // Metrics only (never golden event lines): the oracle's cache
             // counters.
             oracle.flush_metrics(tracer);

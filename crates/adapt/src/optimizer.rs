@@ -186,6 +186,18 @@ impl<'a> SceneEval<'a> {
         )
     }
 
+    /// The dynamic power (W) at `(f, vdd)`, from the same hoisted
+    /// parameters and activity, with the same operands, as the `Pdyn` term
+    /// of every solve at that point. It does not depend on `Vbb` or the
+    /// temperature, and every total a check admits is `Pdyn + Psta` with
+    /// `Psta >= 0`, so it bounds the admitted power of the whole `(f, vdd)`
+    /// row from below. It is a product of non-negative factors, so it
+    /// never falls as `vdd` rises.
+    pub(crate) fn pdyn_w(&self, f_ghz: f64, vdd: f64) -> f64 {
+        self.params
+            .pdyn_w(self.tenv.alpha_f, Volts::raw(vdd), GHz::raw(f_ghz))
+    }
+
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
     /// frequency: a direct canonical cold-start solve, no memoization.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {

@@ -31,6 +31,7 @@ use eval_core::{
     FREQ_LADDER,
 };
 use eval_rng::{splitmix64, ChaCha12Rng};
+use eval_trace::Tracer;
 
 use crate::optimizer::{Optimizer, SubsystemScene};
 
@@ -130,12 +131,18 @@ pub struct TeacherExamples {
 /// `f_core` after the frequency query — matches the original fuzzy
 /// training loop bit for bit.
 ///
+/// It runs in two passes: the first makes every draw and every `Freq`
+/// label, the second labels the `Power` examples and draws nothing.
+/// The labels are those of one interleaved pass, because the oracle's
+/// answers do not depend on what it was asked before (its solve cache
+/// returns canonical values).
+///
 /// `f_core` is drawn continuously from `[FREQ_LADDER.min, fmax]`, so it
 /// (almost surely) falls between ladder points and the exhaustive oracle
 /// labels the `Power` examples on its uncached path
 /// (`SceneEval::check_free`, one cold thermal solve per `(Vdd, Vbb)`
-/// point it visits); only the `Freq` query goes through the oracle's
-/// solve cache.
+/// point it visits, in the supply rows before its dynamic-power cut);
+/// only the `Freq` query goes through the oracle's solve cache.
 ///
 /// Each `Freq` query carries the bracket that the bank's earlier labels
 /// put on it (`label_bracket`), which the exhaustive oracle searches
@@ -151,27 +158,57 @@ pub fn sample_bank(
     examples: usize,
     rng: &mut ChaCha12Rng,
 ) -> TeacherExamples {
+    label_bank(
+        oracle,
+        config,
+        state,
+        variants,
+        env,
+        pe_budget,
+        examples,
+        rng,
+        Tracer::noop(),
+    )
+}
+
+/// [`sample_bank`] with its two passes timed under a `label-freq` and a
+/// `label-power` span on `tracer`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn label_bank(
+    oracle: &dyn Optimizer,
+    config: &EvalConfig,
+    state: &SubsystemState,
+    variants: VariantSelection,
+    env: Environment,
+    pe_budget: f64,
+    examples: usize,
+    rng: &mut ChaCha12Rng,
+    tracer: Tracer<'_>,
+) -> TeacherExamples {
+    let scene = |[th, alpha, rho]: [f64; 3]| SubsystemScene {
+        state,
+        variants,
+        th_c: th,
+        alpha_f: alpha,
+        rho,
+        pe_budget,
+        env,
+    };
     let mut out = TeacherExamples {
         freq: Vec::with_capacity(examples),
         vdd: Vec::with_capacity(examples),
         vbb: Vec::with_capacity(examples),
     };
+    // Each example's sensed inputs and drawn `f_core`, for the second pass.
+    let mut draws: Vec<([f64; 3], f64)> = Vec::with_capacity(examples);
+    let freq_span = tracer.span("label-freq");
     let mut labelled: Vec<([f64; 3], usize)> = Vec::with_capacity(examples);
     for _ in 0..examples {
         let th = rng.gen_range(TH_RANGE.0..TH_RANGE.1);
         let alpha = rng.gen_range(ALPHA_RANGE.0..ALPHA_RANGE.1);
         let rho = rng.gen_range(RHO_RANGE.0..RHO_RANGE.1).max(1e-3);
-        let scene = SubsystemScene {
-            state,
-            variants,
-            th_c: th,
-            alpha_f: alpha,
-            rho,
-            pe_budget,
-            env,
-        };
         let x = [th, alpha, rho];
-        let fmax = oracle.freq_max_within(config, &scene, label_bracket(&labelled, x));
+        let fmax = oracle.freq_max_within(config, &scene(x), label_bracket(&labelled, x));
         // An off-ladder answer (an oracle other than the exhaustive
         // search) bounds nothing.
         if let Some(idx) = FREQ_LADDER.index_of(fmax) {
@@ -179,7 +216,12 @@ pub fn sample_bank(
         }
         out.freq.push((x.to_vec(), fmax));
         let f_core = rng.gen_range(FREQ_LADDER.min..=fmax.max(FREQ_LADDER.min));
-        let (vdd, vbb) = oracle.power_settings(config, &scene, f_core);
+        draws.push((x, f_core));
+    }
+    drop(freq_span);
+    let _power_span = tracer.span("label-power");
+    for ([th, alpha, rho], f_core) in draws {
+        let (vdd, vbb) = oracle.power_settings(config, &scene([th, alpha, rho]), f_core);
         out.vdd.push((vec![th, alpha, rho, f_core], vdd));
         out.vbb.push((vec![th, alpha, rho, f_core], vbb));
     }
@@ -277,6 +319,58 @@ mod tests {
         for (x, _) in &a.vdd {
             assert_eq!(x.len(), 4);
         }
+    }
+
+    /// The two passes give bit for bit what one interleaved pass gives:
+    /// per example the three draws, the `Freq` label, the `f_core` draw
+    /// and the `Power` label, all from one oracle whose cache the
+    /// `Freq` and `Power` queries share.
+    #[test]
+    fn two_pass_bank_equals_interleaved_labels() {
+        let factory = ChipFactory::new(EvalConfig::micro08());
+        let cfg = factory.config().clone();
+        let chip = factory.chip(2);
+        let state = chip.core(0).subsystem(SubsystemId::IntAlu);
+        let env = Environment::TS_ASV_ABB;
+        let pe_budget = cfg.constraints.pe_budget_per_subsystem(N_SUBSYSTEMS);
+        let examples = 65;
+        let two_pass = sample_bank(
+            &ExhaustiveOptimizer::new(),
+            &cfg,
+            state,
+            VariantSelection::default(),
+            env,
+            pe_budget,
+            examples,
+            &mut ChaCha12Rng::seed_from_u64(5),
+        );
+        let oracle = ExhaustiveOptimizer::new();
+        let mut rng = ChaCha12Rng::seed_from_u64(5);
+        let mut interleaved = TeacherExamples::default();
+        let mut labelled = Vec::new();
+        for _ in 0..examples {
+            let th = rng.gen_range(TH_RANGE.0..TH_RANGE.1);
+            let alpha = rng.gen_range(ALPHA_RANGE.0..ALPHA_RANGE.1);
+            let rho = rng.gen_range(RHO_RANGE.0..RHO_RANGE.1).max(1e-3);
+            let scene = SubsystemScene {
+                state,
+                variants: VariantSelection::default(),
+                th_c: th,
+                alpha_f: alpha,
+                rho,
+                pe_budget,
+                env,
+            };
+            let x = [th, alpha, rho];
+            let fmax = oracle.freq_max_within(&cfg, &scene, label_bracket(&labelled, x));
+            labelled.push((x, FREQ_LADDER.index_of(fmax).expect("on the ladder")));
+            interleaved.freq.push((x.to_vec(), fmax));
+            let f_core = rng.gen_range(FREQ_LADDER.min..=fmax.max(FREQ_LADDER.min));
+            let (vdd, vbb) = oracle.power_settings(&cfg, &scene, f_core);
+            interleaved.vdd.push((vec![th, alpha, rho, f_core], vdd));
+            interleaved.vbb.push((vec![th, alpha, rho, f_core], vbb));
+        }
+        assert_eq!(two_pass, interleaved);
     }
 
     /// The exhaustive oracle with the trait's default `freq_max_within`,
