@@ -56,7 +56,7 @@
 // lint:hot-path — this module is on the operating-point fast path; the
 // no-alloc-in-check rule forbids Vec construction outside tests here.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::RangeInclusive;
 
 use eval_core::{EvalConfig, FREQ_LADDER};
@@ -85,6 +85,9 @@ use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
 #[derive(Debug, Clone, Default)]
 pub struct ExhaustiveOptimizer {
     cache: RefCell<SolveCache>,
+    /// Uncached off-ladder solves (`SceneEval::check_free`) since the
+    /// last [`Optimizer::flush_metrics`].
+    free_solves: Cell<u64>,
 }
 
 impl ExhaustiveOptimizer {
@@ -339,7 +342,10 @@ impl Optimizer for ExhaustiveOptimizer {
                     Some(i) => eval.check_at(cache, i, vdd, vbb),
                     // Off-ladder core frequencies (every teacher label
                     // draws `f_core` continuously) are solved uncached.
-                    None => eval.check_free(f_core, vdd, vbb),
+                    None => {
+                        self.free_solves.set(self.free_solves.get() + 1);
+                        eval.check_free(f_core, vdd, vbb)
+                    }
                 };
                 checked.map(|(p, _t)| (p, vbb))
             });
@@ -360,6 +366,10 @@ impl Optimizer for ExhaustiveOptimizer {
     }
 
     fn flush_metrics(&self, tracer: Tracer<'_>) {
+        let free_solves = self.free_solves.take();
+        if free_solves > 0 {
+            tracer.count_n(names::SOLVER_FREE_SOLVES, free_solves);
+        }
         let stats = self.cache.borrow_mut().take_stats();
         if stats.hits + stats.misses == 0 {
             return;

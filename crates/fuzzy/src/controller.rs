@@ -1,5 +1,7 @@
 //! The fuzzy-controller data structure and its deployment phase.
 
+use crate::kernel::{self, RuleView};
+
 /// A trained fuzzy controller: `rules x inputs` Gaussian membership
 /// parameters plus one output per rule (Figure 5(a) of the paper).
 ///
@@ -21,7 +23,8 @@ pub struct FuzzyController {
     pub(crate) mu: Vec<f64>,
     /// Row-major `rules × inputs` membership widths.
     pub(crate) sigma: Vec<f64>,
-    y: Vec<f64>,
+    /// Rule outputs.
+    pub(crate) y: Vec<f64>,
 }
 
 impl FuzzyController {
@@ -38,11 +41,12 @@ impl FuzzyController {
         assert!(inputs > 0, "controller needs at least one input");
         assert!(!y.is_empty(), "controller needs at least one rule");
         assert_eq!(mu.len(), y.len() * inputs, "mu must be rules x inputs");
-        assert_eq!(sigma.len(), y.len() * inputs, "sigma must be rules x inputs");
-        assert!(
-            sigma.iter().all(|&s| s > 0.0),
-            "sigmas must be positive"
+        assert_eq!(
+            sigma.len(),
+            y.len() * inputs,
+            "sigma must be rules x inputs"
         );
+        assert!(sigma.iter().all(|&s| s > 0.0), "sigmas must be positive");
         Self {
             inputs,
             mu,
@@ -72,7 +76,10 @@ impl FuzzyController {
     ///
     /// Panics if `i` or `j` is out of range.
     pub fn mu_at(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.rules() && j < self.inputs, "rule/input out of range");
+        assert!(
+            i < self.rules() && j < self.inputs,
+            "rule/input out of range"
+        );
         self.mu[i * self.inputs + j]
     }
 
@@ -82,20 +89,16 @@ impl FuzzyController {
     ///
     /// Panics if `i` or `j` is out of range.
     pub fn sigma_at(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.rules() && j < self.inputs, "rule/input out of range");
+        assert!(
+            i < self.rules() && j < self.inputs,
+            "rule/input out of range"
+        );
         self.sigma[i * self.inputs + j]
     }
 
-    /// Log firing strength of rule `i` on input `x` (sum of squared
-    /// normalized distances, negated).
-    fn log_strength(&self, i: usize, x: &[f64]) -> f64 {
-        let base = i * self.inputs;
-        let mut acc = 0.0;
-        for (j, &xj) in x.iter().enumerate().take(self.inputs) {
-            let d = (xj - self.mu[base + j]) / self.sigma[base + j];
-            acc -= d * d;
-        }
-        acc
+    /// The controller's matrices as the forward pass reads them.
+    fn view(&self) -> RuleView<'_> {
+        RuleView::row_major(&self.mu, &self.sigma, &self.y, self.inputs)
     }
 
     /// Estimates the output for input vector `x` (the deployment phase).
@@ -109,61 +112,31 @@ impl FuzzyController {
     }
 
     /// Like [`FuzzyController::infer`] but also returns the normalized rule
-    /// weights (useful for training and introspection).
+    /// weights (useful for introspection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.inputs()`.
     pub fn infer_with_strengths(&self, x: &[f64]) -> (f64, Vec<f64>) {
         assert_eq!(x.len(), self.inputs, "input dimension mismatch");
-        let logs: Vec<f64> = (0..self.rules())
-            .map(|i| self.log_strength(i, x))
-            .collect();
-        let max = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut weights: Vec<f64> = logs.iter().map(|l| (l - max).exp()).collect();
-        let sum: f64 = weights.iter().sum();
-        for w in &mut weights {
-            *w /= sum;
-        }
-        let z = weights
-            .iter()
-            .zip(self.y.iter())
-            .map(|(w, y)| w * y)
-            .sum();
+        let mut weights = vec![0.0; self.rules()];
+        let z = kernel::forward(self.view(), x, &mut weights);
         (z, weights)
     }
 
-    /// One stochastic-gradient update toward target `t` for input `x`
-    /// (Equation 13 with the gradients of the weighted-average model).
-    /// Returns the pre-update squared error.
-    pub fn update(&mut self, x: &[f64], t: f64, learning_rate: f64) -> f64 {
-        let (d, w) = self.infer_with_strengths(x);
-        let err = d - t;
-        for (i, &wi) in w.iter().enumerate().take(self.rules()) {
-            let base = i * self.inputs;
-            let common = 2.0 * err * wi;
-            // dE/dy_i = 2 (d - t) * W_i / S
-            self.y[i] -= learning_rate * common;
-            let spread = self.y[i] - d;
-            for (j, &xj) in x.iter().enumerate().take(self.inputs) {
-                let mu = self.mu[base + j];
-                let sg = self.sigma[base + j];
-                let dx = xj - mu;
-                // dE/dmu = 2 (d-t) (y_i - d)/S * W_i * 2 dx / sigma^2
-                let g_mu = common * spread * 2.0 * dx / (sg * sg);
-                // dE/dsigma = same * dx / sigma (extra factor dx/sigma)
-                let g_sg = g_mu * dx / sg;
-                self.mu[base + j] -= learning_rate * g_mu;
-                self.sigma[base + j] =
-                    (sg - learning_rate * g_sg).max(Self::SIGMA_FLOOR);
-            }
-        }
-        err * err
-    }
-
     /// Root-mean-square inference error over a labeled set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `examples` is empty or an input has the wrong length.
     pub fn rms_error(&self, examples: &[(Vec<f64>, f64)]) -> f64 {
         assert!(!examples.is_empty(), "need at least one example");
+        let mut weights = vec![0.0; self.rules()];
         let sse: f64 = examples
             .iter()
             .map(|(x, t)| {
-                let d = self.infer(x) - t;
+                assert_eq!(x.len(), self.inputs, "input dimension mismatch");
+                let d = kernel::forward(self.view(), x, &mut weights) - t;
                 d * d
             })
             .sum();
@@ -172,8 +145,77 @@ impl FuzzyController {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The per-example deployment pass the fit kernel replaced: one
+    /// rule at a time in row-major order, collecting the log strengths
+    /// and the weights into fresh vectors.
+    fn reference_infer_with_strengths(fc: &FuzzyController, x: &[f64]) -> (f64, Vec<f64>) {
+        assert_eq!(x.len(), fc.inputs, "input dimension mismatch");
+        let logs: Vec<f64> = (0..fc.rules())
+            .map(|i| {
+                let base = i * fc.inputs;
+                let mut acc = 0.0;
+                for (j, &xj) in x.iter().enumerate().take(fc.inputs) {
+                    let d = (xj - fc.mu[base + j]) / fc.sigma[base + j];
+                    acc -= d * d;
+                }
+                acc
+            })
+            .collect();
+        let max = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut weights: Vec<f64> = logs.iter().map(|l| (l - max).exp()).collect();
+        let sum: f64 = weights.iter().sum();
+        for w in &mut weights {
+            *w /= sum;
+        }
+        let z = weights.iter().zip(fc.y.iter()).map(|(w, y)| w * y).sum();
+        (z, weights)
+    }
+
+    /// The per-example stochastic-gradient update the fit kernel
+    /// replaced (Equation 13 with the gradients of the weighted-average
+    /// model), kept as the kernel's reference. Returns the pre-update
+    /// squared error.
+    pub(crate) fn reference_update(
+        fc: &mut FuzzyController,
+        x: &[f64],
+        t: f64,
+        learning_rate: f64,
+    ) -> f64 {
+        let (d, w) = reference_infer_with_strengths(fc, x);
+        let err = d - t;
+        for (i, &wi) in w.iter().enumerate().take(fc.rules()) {
+            let base = i * fc.inputs;
+            let common = 2.0 * err * wi;
+            // dE/dy_i = 2 (d - t) * W_i / S
+            fc.y[i] -= learning_rate * common;
+            let spread = fc.y[i] - d;
+            for (j, &xj) in x.iter().enumerate().take(fc.inputs) {
+                let mu = fc.mu[base + j];
+                let sg = fc.sigma[base + j];
+                let dx = xj - mu;
+                // dE/dmu = 2 (d-t) (y_i - d)/S * W_i * 2 dx / sigma^2
+                let g_mu = common * spread * 2.0 * dx / (sg * sg);
+                // dE/dsigma = same * dx / sigma (extra factor dx/sigma)
+                let g_sg = g_mu * dx / sg;
+                fc.mu[base + j] -= learning_rate * g_mu;
+                fc.sigma[base + j] = (sg - learning_rate * g_sg).max(FuzzyController::SIGMA_FLOOR);
+            }
+        }
+        err * err
+    }
+
+    /// The reference pass's output, bit for bit, equals the kernel's
+    /// forward pass on the row-major controller.
+    pub(crate) fn assert_infer_matches_reference(fc: &FuzzyController, x: &[f64]) {
+        let (z, w) = fc.infer_with_strengths(x);
+        let (z_ref, w_ref) = reference_infer_with_strengths(fc, x);
+        assert_eq!(z.to_bits(), z_ref.to_bits(), "output at {x:?}");
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&w), bits(&w_ref), "weights at {x:?}");
+    }
 
     fn single_rule(mu: f64, y: f64) -> FuzzyController {
         FuzzyController::from_parts(1, vec![mu], vec![0.5], vec![y])
@@ -188,12 +230,7 @@ mod tests {
 
     #[test]
     fn two_rules_interpolate() {
-        let fc = FuzzyController::from_parts(
-            1,
-            vec![0.0, 1.0],
-            vec![0.3, 0.3],
-            vec![0.0, 10.0],
-        );
+        let fc = FuzzyController::from_parts(1, vec![0.0, 1.0], vec![0.3, 0.3], vec![0.0, 10.0]);
         let mid = fc.infer(&[0.5]);
         assert!((mid - 5.0).abs() < 1e-9, "midpoint = {mid}");
         assert!(fc.infer(&[0.1]) < 2.0);
@@ -202,12 +239,7 @@ mod tests {
 
     #[test]
     fn far_query_snaps_to_nearest_rule() {
-        let fc = FuzzyController::from_parts(
-            1,
-            vec![0.0, 1.0],
-            vec![0.05, 0.05],
-            vec![-1.0, 1.0],
-        );
+        let fc = FuzzyController::from_parts(1, vec![0.0, 1.0], vec![0.05, 0.05], vec![-1.0, 1.0]);
         // 50 sigmas away from both centers: log-space evaluation must not NaN.
         let z = fc.infer(&[3.5]);
         assert!(z.is_finite());
@@ -223,9 +255,9 @@ mod tests {
             vec![0.0, 0.0],
         );
         let x = vec![0.5, 0.5];
-        let first = fc.update(&x, 4.0, 0.04);
+        let first = reference_update(&mut fc, &x, 4.0, 0.04);
         for _ in 0..200 {
-            fc.update(&x, 4.0, 0.04);
+            reference_update(&mut fc, &x, 4.0, 0.04);
         }
         let last = (fc.infer(&x) - 4.0).powi(2);
         assert!(last < first * 0.01, "first {first}, last {last}");
@@ -235,9 +267,25 @@ mod tests {
     fn sigma_never_collapses() {
         let mut fc = single_rule(0.5, 0.0);
         for _ in 0..10_000 {
-            fc.update(&[0.500001], 100.0, 0.5);
+            reference_update(&mut fc, &[0.500001], 100.0, 0.5);
         }
         // All sigmas still at or above the floor.
+        assert!(fc.sigma.iter().all(|&s| s >= FuzzyController::SIGMA_FLOOR));
+
+        // The fit kernel keeps the floor too (one rule, one input: the
+        // input-major copies are the row-major matrices).
+        let mut fc = single_rule(0.5, 0.0);
+        let examples = vec![(vec![0.500001], 100.0)];
+        let mut scratch = vec![0.0; 3];
+        kernel::fit_pass(
+            &mut fc.mu,
+            &mut fc.sigma,
+            &mut fc.y,
+            &mut scratch,
+            &examples,
+            &vec![0; 10_000],
+            0.5,
+        );
         assert!(fc.sigma.iter().all(|&s| s >= FuzzyController::SIGMA_FLOOR));
     }
 

@@ -141,9 +141,9 @@ impl Normalizer {
         })?;
         let mut it = dims.split_whitespace();
         let m = match (it.next(), it.next(), it.next()) {
-            (Some("dim"), Some(m), None) => {
-                m.parse::<usize>().map_err(|_| PersistError::BadDimensions)?
-            }
+            (Some("dim"), Some(m), None) => m
+                .parse::<usize>()
+                .map_err(|_| PersistError::BadDimensions)?,
             _ => return Err(PersistError::BadDimensions),
         };
         if m == 0 {

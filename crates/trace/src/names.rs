@@ -87,6 +87,10 @@ pub const SOLVER_CACHE_MISSES: &str = "solver.cache.misses";
 pub const SOLVER_ITERATIONS: &str = "solver.iterations";
 /// Solves that hit the slow-convergence fallback (counter).
 pub const SOLVER_SLOW_CONVERGENCE: &str = "solver.slow_convergence";
+/// Uncached thermal solves at off-ladder core frequencies
+/// (`SceneEval::check_free`), the solves behind the teacher's `Power`
+/// labels; the `solver.cache.*` counters do not include them (counter).
+pub const SOLVER_FREE_SOLVES: &str = "solver.free.solves";
 /// Derived cache hit rate, written into bench JSON by the `hotpath`
 /// bin and gated by `eval-obs bench-check`.
 pub const SOLVER_CACHE_HIT_RATE: &str = "solver.cache.hit_rate";
@@ -182,6 +186,7 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_CACHE_MISSES,
     SOLVER_ITERATIONS,
     SOLVER_SLOW_CONVERGENCE,
+    SOLVER_FREE_SOLVES,
     SOLVER_CACHE_HIT_RATE,
     SOLVER_CACHE_HITS_SAME_POINT,
     SOLVER_CACHE_HITS_CROSS_CANDIDATE,
