@@ -24,6 +24,7 @@ use crate::controller::{queue_size, AdaptationTimeline};
 use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fan_out;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
+use crate::memo::{MemoOptimizer, SceneMemo};
 use crate::optimizer::Optimizer;
 use crate::retune::Outcome;
 use crate::zoo::{Controller, OptimizerController, StaticController};
@@ -301,11 +302,15 @@ pub struct Campaign {
     /// Worker threads for the chip-parallel Monte Carlo (0 = all cores).
     pub threads: usize,
     /// Worker threads *inside* each chip's sweep (0 = all cores): the
-    /// chip's (core, environment × scheme) cells are claimed off a shared
-    /// counter and merged in unit order (Fuzzy-Dyn training runs before
-    /// them, serially per core), so results and traces are
-    /// bit-identical for any setting. Execution-only — excluded from the
-    /// checkpoint fingerprint, like [`Campaign::threads`].
+    /// chip's cores are claimed off a shared counter, each running all
+    /// its (environment, scheme) cells in pair order, and merged in core
+    /// order (Fuzzy-Dyn training runs before them, serially per core),
+    /// so results and traces are bit-identical for any setting. The unit
+    /// is a core, not a cell, because a core's Static and Exh-Dyn cells
+    /// share one memo of oracle answers; with one core per chip, more
+    /// than one worker here finds nothing to run in parallel.
+    /// Execution-only — excluded from the checkpoint fingerprint, like
+    /// [`Campaign::threads`].
     pub intra_chip_threads: usize,
     /// Fault-injection hook for crash/quarantine tests: the chip at this
     /// index runs its sweep, then fails where a real fault would, so it
@@ -692,16 +697,17 @@ impl Campaign {
     /// core trains one teacher sweep over the chip's Fuzzy-Dyn
     /// environments, so a bank key shared by several environments is
     /// trained once and its `ControllerTrained` event lands in key order
-    /// whatever the worker count. The remaining work is
-    /// `cores_per_chip * pairs.len()` independent units — one (core,
-    /// environment, scheme) cell each — fanned out over
+    /// whatever the worker count. The remaining work is one unit per
+    /// core — the core's (environment, scheme) cells in pair order, see
+    /// [`Campaign::run_unit`] — fanned out over
     /// [`Campaign::intra_chip_threads`] workers by `fan_out::ordered`,
-    /// which replays and sums them in unit order (core-major), so the
-    /// chip's event stream and every f64 sum are bit-identical for any
-    /// thread count. On a unit fault the replay stops after the failing
-    /// unit — exactly what a serial sweep would have traced — and the
-    /// chip is quarantined. The injected [`Campaign::fail_chip`] fault
-    /// fires after the sweep, so it leaves the buffer a real fault would.
+    /// which replays and sums them in core order, so the chip's event
+    /// stream and every f64 sum are bit-identical for any thread count.
+    /// On a fault the unit stops after the failing pair and the replay
+    /// stops after that unit — exactly what a serial sweep would have
+    /// traced — and the chip is quarantined. The injected
+    /// [`Campaign::fail_chip`] fault fires after the sweep, so it leaves
+    /// the buffer a real fault would.
     fn run_one_chip(
         &self,
         factory: &ChipFactory,
@@ -750,25 +756,27 @@ impl Campaign {
         let mut cells = vec![Tally::new(profiles.len()); pairs.len()];
         let mut fault = None;
         fan_out::ordered(
-            0..self.cores_per_chip * pairs.len(),
+            0..self.cores_per_chip,
             self.intra_chip_threads,
             tracer,
-            |unit, unit_tracer| {
+            |core_idx, unit_tracer| {
+                let fuzzy = fuzzy.get(core_idx).map_or(&[][..], Vec::as_slice);
                 self.run_unit(
-                    &chip,
-                    &fuzzy,
-                    unit,
+                    chip.core(core_idx),
+                    fuzzy,
                     pairs,
                     profiles,
                     novar_perf,
                     unit_tracer,
                 )
             },
-            |unit, outcome, records| {
+            |_, outcome, records| {
                 tracer.replay(records);
                 match outcome {
-                    Ok(cell) => {
-                        cells[unit % pairs.len()].accumulate(&cell);
+                    Ok(tallies) => {
+                        for (cell, tally) in cells.iter_mut().zip(&tallies) {
+                            cell.accumulate(tally);
+                        }
                         ControlFlow::Continue(())
                     }
                     Err(error) => {
@@ -789,39 +797,46 @@ impl Campaign {
         }
     }
 
-    /// One (core, environment, scheme) cell of a chip's sweep. Unit
-    /// indices are core-major: `unit = core_idx * pairs.len() + pair_idx`.
-    /// `fuzzy[core_idx]` holds the core's trained optimizers, one per
-    /// Fuzzy-Dyn pair in pair order.
-    #[allow(clippy::too_many_arguments)]
+    /// One core's share of a chip's sweep: its (environment, scheme)
+    /// cells in pair order, one tally each. `fuzzy` holds the core's
+    /// trained optimizers, one per Fuzzy-Dyn pair in pair order. The
+    /// Static and Exh-Dyn pairs ask the exhaustive oracle through one
+    /// [`SceneMemo`], so a scene an earlier pair has solved — the
+    /// Figure-10 environments nest — is answered without a search. Each
+    /// pair gets a fresh [`ExhaustiveOptimizer`], so its solve cache
+    /// (and the `solver.*` counters it flushes) stays per pair: one
+    /// cache for all of a core's pairs would hold every point they
+    /// solve. On a fault the remaining pairs do not run.
     fn run_unit(
         &self,
-        chip: &eval_core::ChipModel,
-        fuzzy: &[Vec<FuzzyOptimizer>],
-        unit: usize,
+        core: &CoreModel,
+        fuzzy: &[FuzzyOptimizer],
         pairs: &[(Environment, Scheme)],
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
-    ) -> Result<Tally, CampaignError> {
-        let (core_idx, pair_idx) = (unit / pairs.len(), unit % pairs.len());
-        let (env, scheme) = pairs[pair_idx];
-        let core = chip.core(core_idx);
-        match scheme {
-            Scheme::Static => self.run_static(core, env, profiles, novar_perf, tracer),
-            Scheme::FuzzyDyn => {
-                let slot = pairs[..pair_idx]
-                    .iter()
-                    .filter(|(_, s)| *s == Scheme::FuzzyDyn)
-                    .count();
-                let fuzzy = &fuzzy[core_idx][slot];
-                Ok(self.run_dynamic(core, env, fuzzy, scheme, profiles, novar_perf, tracer))
-            }
-            Scheme::ExhDyn => {
-                let exhaustive = ExhaustiveOptimizer::new();
-                Ok(self.run_dynamic(core, env, &exhaustive, scheme, profiles, novar_perf, tracer))
-            }
+    ) -> Result<Vec<Tally>, CampaignError> {
+        let memo = SceneMemo::default();
+        let mut fuzzy_slot = 0;
+        let mut tallies = Vec::with_capacity(pairs.len());
+        for &(env, scheme) in pairs {
+            let oracle = ExhaustiveOptimizer::new();
+            let exhaustive = MemoOptimizer::new(&oracle, &memo);
+            tallies.push(match scheme {
+                Scheme::Static => {
+                    self.run_static(core, env, &exhaustive, profiles, novar_perf, tracer)?
+                }
+                Scheme::FuzzyDyn => {
+                    let fuzzy = &fuzzy[fuzzy_slot];
+                    fuzzy_slot += 1;
+                    self.run_dynamic(core, env, fuzzy, scheme, profiles, novar_perf, tracer)
+                }
+                Scheme::ExhDyn => {
+                    self.run_dynamic(core, env, &exhaustive, scheme, profiles, novar_perf, tracer)
+                }
+            });
         }
+        Ok(tallies)
     }
 
     /// NoVar performance of one workload (nominal f, no errors), weighted
@@ -932,19 +947,19 @@ impl Campaign {
     }
 
     /// Static scheme: one conservative configuration per (chip, workload),
-    /// chosen for worst-case activity at the hottest heat sink the spec
-    /// allows ([`StaticController`] provisions for `TH_MAX`), then held
-    /// for the whole run.
+    /// chosen by `oracle` for worst-case activity at the hottest heat sink
+    /// the spec allows ([`StaticController`] provisions for `TH_MAX`),
+    /// then held for the whole run.
     fn run_static(
         &self,
         core: &CoreModel,
         env: Environment,
+        oracle: &dyn Optimizer,
         profiles: &[WorkloadProfile],
         novar_perf: &[f64],
         tracer: Tracer<'_>,
     ) -> Result<Tally, CampaignError> {
-        let exhaustive = ExhaustiveOptimizer::new();
-        let controller = StaticController::new(&exhaustive);
+        let controller = StaticController::new(oracle);
         let mut tally = Tally::new(profiles.len());
         for (w, (profile, &ref_perf)) in profiles.iter().zip(novar_perf).enumerate() {
             let worst = synthetic_worst_phase(profile);
@@ -1291,6 +1306,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn figure10_scene_memo_decides_as_a_fresh_oracle_per_pair() {
+        use eval_trace::Collector;
+        let mut c = tiny_campaign();
+        c.cores_per_chip = 2;
+        let envs = Environment::FIGURE10;
+        let schemes = [Scheme::Static, Scheme::ExhDyn];
+        let pairs: Vec<(Environment, Scheme)> = envs
+            .iter()
+            .flat_map(|e| schemes.iter().map(move |s| (*e, *s)))
+            .collect();
+        let profiles = fan_out::profiles(&c.workloads, c.profile_budget, c.base_seed, 1);
+        let novar_perf: Vec<f64> = profiles.iter().map(|p| c.novar_perf(p)).collect();
+        let factory = ChipFactory::new(c.config.clone());
+        let decisions = |sink: &Collector| -> Vec<String> {
+            let lines = sink.event_lines();
+            lines
+                .into_iter()
+                .filter(|l| l.contains("\"event\":\"decision\""))
+                .collect()
+        };
+        let timing = Collector::new();
+        for chip_idx in 0..c.chips {
+            let memoized = Collector::new();
+            let (_, tallies) = c
+                .run_one_chip(
+                    &factory,
+                    chip_idx,
+                    &pairs,
+                    &profiles,
+                    &novar_perf,
+                    Tracer::with_timing(&memoized, &timing),
+                )
+                .expect("chip runs");
+            // The same cells, core-major, each pair with a fresh oracle
+            // and no memo: what every pair asked before the memo.
+            let chip = factory.chip(c.chip_seed(chip_idx));
+            let fresh = Collector::new();
+            let tracer = Tracer::with_timing(&fresh, &timing);
+            let mut expected = vec![Tally::new(profiles.len()); pairs.len()];
+            for core_idx in 0..c.cores_per_chip {
+                let core = chip.core(core_idx);
+                for (cell, &(env, scheme)) in expected.iter_mut().zip(&pairs) {
+                    let oracle = ExhaustiveOptimizer::new();
+                    let tally = match scheme {
+                        Scheme::Static => c
+                            .run_static(core, env, &oracle, &profiles, &novar_perf, tracer)
+                            .expect("static cell runs"),
+                        _ => c.run_dynamic(
+                            core,
+                            env,
+                            &oracle,
+                            scheme,
+                            &profiles,
+                            &novar_perf,
+                            tracer,
+                        ),
+                    };
+                    cell.accumulate(&tally);
+                }
+            }
+            assert_eq!(tallies, expected, "chip {chip_idx}: cells drifted");
+            assert_eq!(decisions(&memoized), decisions(&fresh), "chip {chip_idx}");
+            let hits = memoized.registry().counter(names::DECISION_MEMO_HITS);
+            assert!(
+                hits > 0,
+                "chip {chip_idx}: the nested environments never hit"
+            );
+        }
+
+        let run = |workers: usize| {
+            let mut par = c.clone();
+            par.intra_chip_threads = workers;
+            let primary = Collector::new();
+            let r = par
+                .run_traced(&envs, &schemes, Tracer::with_timing(&primary, &timing))
+                .expect("campaign runs");
+            (r, primary.jsonl())
+        };
+        let (r1, trace1) = run(1);
+        let (r2, trace2) = run(2);
+        assert_eq!(r1, r2, "results drifted at 2 intra-chip workers");
+        assert_eq!(
+            trace1, trace2,
+            "trace bytes drifted at 2 intra-chip workers"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ use crate::optimizer::{Optimizer, SceneEval, SubsystemScene};
 /// functions of the operating point, so sharing or not sharing an
 /// instance cannot change any result — only the hit rate. The `RefCell`
 /// keeps the query methods `&self`; instances are per-thread by
-/// construction (one per campaign sweep unit or training run).
+/// construction (one per campaign cell or training run).
 #[derive(Debug, Clone, Default)]
 pub struct ExhaustiveOptimizer {
     cache: RefCell<SolveCache>,

@@ -1,6 +1,6 @@
 //! The one parallel sweep behind the campaign's chips, each chip's
-//! (core, environment, scheme) units, the tournament's chips, and the
-//! workload profiling both run before them.
+//! cores, the tournament's chips, and the workload profiling both run
+//! before them.
 //!
 //! Workers claim items off one atomic counter, so a slow item never idles
 //! the others. Each item traces into its own [`BufferSink`], and a finished

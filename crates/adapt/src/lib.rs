@@ -35,6 +35,7 @@ pub mod fidelity;
 pub mod fuzzy_ctl;
 pub mod global_dvfs;
 pub mod learned;
+mod memo;
 pub mod optimizer;
 pub mod retune;
 pub mod runtime;

@@ -25,7 +25,6 @@ use eval_uarch::profile::PhaseProfile;
 use eval_uarch::WorkloadClass;
 
 use crate::controller::{decide_phase, DecisionContext, PhaseDecision};
-use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fuzzy_ctl::{FuzzyOptimizer, TrainingBudget};
 use crate::learned::{LearnedBank, LearnedOptimizer, MlpQ16, NnTable, RegressionTree, Trainable};
 use crate::optimizer::Optimizer;
@@ -127,14 +126,22 @@ impl Controller for OptimizerController<'_> {
 /// The static scheme as a controller: the exhaustive oracle provisioned
 /// for the hottest heat sink the spec allows (`TH_MAX`), because a
 /// fixed configuration cannot react to the sensed temperature.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct StaticController<'a> {
-    optimizer: &'a ExhaustiveOptimizer,
+    optimizer: &'a dyn Optimizer,
+}
+
+impl std::fmt::Debug for StaticController<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StaticController").finish_non_exhaustive()
+    }
 }
 
 impl<'a> StaticController<'a> {
-    /// Wraps the exhaustive oracle.
-    pub fn new(optimizer: &'a ExhaustiveOptimizer) -> Self {
+    /// Wraps the exhaustive oracle: an
+    /// [`ExhaustiveOptimizer`](crate::ExhaustiveOptimizer), or the
+    /// campaign's per-core memo in front of one.
+    pub fn new(optimizer: &'a dyn Optimizer) -> Self {
         Self { optimizer }
     }
 }
@@ -242,6 +249,7 @@ fn fit<M: Trainable>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exhaustive::ExhaustiveOptimizer;
     use crate::optimizer::SubsystemScene;
     use crate::test_support::{factory, small_budget};
     use eval_core::{SubsystemId, VariantSelection, FREQ_LADDER, VBB_LADDER, VDD_LADDER};
@@ -396,5 +404,83 @@ mod tests {
         }
         let trailing = format!("{text}bank {N_SUBSYSTEMS} 0 absent\n");
         assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &trailing).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::exhaustive::ExhaustiveOptimizer;
+    use crate::test_support::factory;
+    use eval_core::{FREQ_LADDER, VBB_LADDER, VDD_LADDER};
+    use eval_fuzzy::TrainingConfig;
+    use eval_uarch::{profile_workload, Workload};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Over random chips, phases and Figure-10 environments, Static,
+        /// Exh-Dyn and Fuzzy-Dyn decisions put `f` on the frequency
+        /// ladder and every subsystem's `(Vdd, Vbb)` on the environment's
+        /// ladders, or at exactly `1.0`/`0.0` where it lacks the knob.
+        #[test]
+        fn prop_decisions_land_on_the_environment_ladders(
+            chip_seed in 1u64..60,
+            env_idx in 0usize..Environment::FIGURE10.len(),
+            workload_idx in 0usize..16,
+            phase_pick in 0usize..64,
+        ) {
+            let cfg = factory().config().clone();
+            let chip = factory().chip(chip_seed);
+            let env = Environment::FIGURE10[env_idx];
+            let workloads = Workload::all();
+            let w = &workloads[workload_idx % workloads.len()];
+            let profile = profile_workload(w, 3_000, chip_seed);
+            let phase = &profile.phases[phase_pick % profile.phases.len()];
+            // The smallest budget that still seeds the paper's 25 rules.
+            let budget = TrainingBudget {
+                examples: 30,
+                config: TrainingConfig {
+                    epochs: 1,
+                    ..TrainingConfig::micro08()
+                },
+                seed: chip_seed,
+            };
+            let fuzzy = FuzzyOptimizer::train(&cfg, &chip, 0, env, &budget, Tracer::noop());
+            let oracle = ExhaustiveOptimizer::new();
+            let static_c = StaticController::new(&oracle);
+            let exh_c = OptimizerController::new("exhaustive", &oracle);
+            let fuzzy_c = OptimizerController::new("fuzzy", &fuzzy);
+            let controllers: [&dyn Controller; 3] = [&static_c, &exh_c, &fuzzy_c];
+            for c in controllers {
+                let d = c.decide(
+                    &cfg,
+                    chip.core(0),
+                    env,
+                    phase,
+                    w.class,
+                    profile.rp_cycles,
+                    cfg.th_c,
+                    w.name,
+                    phase.index as u64,
+                    Tracer::noop(),
+                );
+                let who = format!("{} in {}", c.scheme(), env.name);
+                prop_assert!(FREQ_LADDER.contains(d.f_ghz), "{}: f {} off the ladder", who, d.f_ghz);
+                for &(vdd, vbb) in &d.settings {
+                    if env.asv {
+                        prop_assert!(VDD_LADDER.contains(vdd), "{}: Vdd {} off the ladder", who, vdd);
+                    } else {
+                        prop_assert_eq!(vdd, 1.0, "{}: Vdd without ASV", who);
+                    }
+                    if env.abb {
+                        prop_assert!(VBB_LADDER.contains(vbb), "{}: Vbb {} off the ladder", who, vbb);
+                    } else {
+                        prop_assert_eq!(vbb, 0.0, "{}: Vbb without ABB", who);
+                    }
+                }
+            }
+        }
     }
 }

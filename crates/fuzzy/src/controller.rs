@@ -1,6 +1,15 @@
 //! The fuzzy-controller data structure and its deployment phase.
 
+use std::cell::RefCell;
+
 use crate::kernel::{self, RuleView};
+
+thread_local! {
+    /// The rule weights [`FuzzyController::infer`] works in, one buffer
+    /// per thread. It grows to the largest controller the thread has
+    /// queried and is then reused, so a query allocates nothing.
+    static WEIGHTS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A trained fuzzy controller: `rules x inputs` Gaussian membership
 /// parameters plus one output per rule (Figure 5(a) of the paper).
@@ -107,8 +116,14 @@ impl FuzzyController {
     ///
     /// Panics if `x.len() != self.inputs()`.
     pub fn infer(&self, x: &[f64]) -> f64 {
-        let (z, _) = self.infer_with_strengths(x);
-        z
+        assert_eq!(x.len(), self.inputs, "input dimension mismatch");
+        let rules = self.rules();
+        WEIGHTS.with_borrow_mut(|w| {
+            if w.len() < rules {
+                w.resize(rules, 0.0);
+            }
+            kernel::forward(self.view(), x, &mut w[..rules])
+        })
     }
 
     /// Like [`FuzzyController::infer`] but also returns the normalized rule
@@ -213,6 +228,7 @@ pub(crate) mod tests {
         let (z, w) = fc.infer_with_strengths(x);
         let (z_ref, w_ref) = reference_infer_with_strengths(fc, x);
         assert_eq!(z.to_bits(), z_ref.to_bits(), "output at {x:?}");
+        assert_eq!(fc.infer(x).to_bits(), z_ref.to_bits(), "infer at {x:?}");
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&w), bits(&w_ref), "weights at {x:?}");
     }
@@ -287,6 +303,23 @@ pub(crate) mod tests {
             0.5,
         );
         assert!(fc.sigma.iter().all(|&s| s >= FuzzyController::SIGMA_FLOOR));
+    }
+
+    #[test]
+    fn infer_reuses_its_buffer_across_controller_sizes_bit_for_bit() {
+        // Large, small, large again: the thread's weight buffer grows
+        // once, then a smaller controller reads only its own prefix.
+        let sized = |rules: usize| {
+            let mu: Vec<f64> = (0..2 * rules).map(|k| (k as f64 * 0.37).sin()).collect();
+            let y: Vec<f64> = (0..rules).map(|i| i as f64 - 1.5).collect();
+            FuzzyController::from_parts(2, mu, vec![0.4; 2 * rules], y)
+        };
+        for rules in [25, 3, 25, 1, 40, 7] {
+            let fc = sized(rules);
+            for x in [[0.1, -0.4], [0.9, 0.2], [-3.0, 5.0]] {
+                assert_infer_matches_reference(&fc, &x);
+            }
+        }
     }
 
     #[test]

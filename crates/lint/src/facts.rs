@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{LexedFile, TokenKind};
+use crate::lexer::{LexedFile, Token, TokenKind};
 use crate::FileContext;
 
 /// Workspace-relative path of the single metric-name source of truth.
@@ -243,12 +243,11 @@ pub fn collect(rel: &str, _ctx: &FileContext, lexed: &LexedFile) -> FileFacts {
                         }
                     }
                 }
-                // Call sites, hot-path files only: `ident (` not preceded
-                // by `fn`, not a macro (`ident !(`).
+                // Call sites, hot-path files only: `ident (` or
+                // `ident ::<..> (` not preceded by `fn`, not a macro
+                // (`ident !(`).
                 if lexed.hot_path
-                    && toks.get(i + 1).is_some_and(|t| {
-                        t.kind == TokenKind::Punct && t.text == "("
-                    })
+                    && opens_call(toks, i)
                     && !CALL_SKIP.contains(&tok.text.as_str())
                     && !is_const_ident(&tok.text)
                 {
@@ -286,6 +285,36 @@ pub fn collect(rel: &str, _ctx: &FileContext, lexed: &LexedFile) -> FileFacts {
         }
     }
     facts
+}
+
+/// Whether the identifier at `toks[i]` is called: the next token is
+/// `(`, or a turbofish (`::<..>`, nested generics included) ends right
+/// before one, as in `parse_row::<f64>(..)`.
+fn opens_call(toks: &[Token], i: usize) -> bool {
+    let punct = |k: usize, s: &str| {
+        toks.get(k)
+            .is_some_and(|t| t.kind == TokenKind::Punct && t.text == s)
+    };
+    if punct(i + 1, "(") {
+        return true;
+    }
+    if !(punct(i + 1, ":") && punct(i + 2, ":") && punct(i + 3, "<")) {
+        return false;
+    }
+    let mut depth = 0usize;
+    for k in i + 3..toks.len() {
+        if punct(k, "<") {
+            depth += 1;
+        } else if punct(k, ">") && !punct(k - 1, "-") {
+            depth -= 1;
+            if depth == 0 {
+                return punct(k + 1, "(");
+            }
+        } else if punct(k, ";") || punct(k, "{") || punct(k, "}") {
+            return false;
+        }
+    }
+    false
 }
 
 /// Resolves the body of the `fn` whose name sits on 0-based `line` and
@@ -568,6 +597,16 @@ mod tests {
         assert!(facts.calls[1].is_method);
         let cold = collect("crates/adapt/src/y.rs", &ctx(), &lex("fn f() { helper(1); }\n"));
         assert!(cold.calls.is_empty());
+    }
+
+    #[test]
+    fn turbofish_calls_are_call_sites() {
+        let src = "// lint:hot-path\nfn f() { parse_row::<f64>(a); v.iter().collect::<Vec<Option<u8>>>(); m::g::<fn() -> u8, u8>(b); let n: Vec<u8> = x; }\n";
+        let facts = collect("crates/adapt/src/x.rs", &ctx(), &lex(src));
+        let callees: Vec<&str> = facts.calls.iter().map(|c| c.callee.as_str()).collect();
+        assert_eq!(callees, ["parse_row", "iter", "collect", "g"]);
+        assert!(facts.calls[2].is_method);
+        assert_eq!(facts.calls[3].qualifier.as_deref(), Some("m"));
     }
 
     #[test]

@@ -216,6 +216,32 @@ fn hot_path_cross_crate_eval_path_is_resolved() {
 }
 
 #[test]
+fn hot_path_turbofish_call_to_allocating_helper_is_flagged() {
+    let ws = Workspace::from_sources([
+        (
+            "crates/fuzzy/src/kernel.rs",
+            "// lint:hot-path\npub fn check(s: &str) -> usize {\n    let row = parse_row::<f64>(s, 1);\n    row.len()\n}\n",
+        ),
+        (
+            "crates/fuzzy/src/persist.rs",
+            "pub fn parse_row<T: std::str::FromStr>(s: &str, n: usize) -> Vec<T> {\n    let mut v = Vec::with_capacity(n);\n    v.extend(s.parse::<T>().ok());\n    v\n}\n",
+        ),
+    ]);
+    let fs = findings(&ws, &RegistryState::Ignore);
+    let hp = of_rule(&fs, Rule::HotPathReachability);
+    assert_eq!(hp.len(), 1, "{fs:?}");
+    assert_eq!(
+        (hp[0].path.as_str(), hp[0].line),
+        ("crates/fuzzy/src/kernel.rs", 3)
+    );
+    assert!(
+        hp[0].message.contains("`parse_row(..)`"),
+        "{}",
+        hp[0].message
+    );
+}
+
+#[test]
 fn allocation_free_and_type_qualified_calls_stay_quiet() {
     let ws = Workspace::from_sources([
         (

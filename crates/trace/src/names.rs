@@ -78,6 +78,12 @@ pub const DECISION_LATENCY_OTHER_US: &str = "decision.latency.other_us";
 pub const DECISION_F_GHZ: &str = "decision.f_ghz";
 /// Error rate at the chosen operating point (histogram, decade buckets).
 pub const DECISION_PE_PER_INSTRUCTION: &str = "decision.pe_per_instruction";
+/// Exhaustive-oracle `Freq`/`Power` queries a campaign core's scene memo
+/// answered without asking the oracle (counter).
+pub const DECISION_MEMO_HITS: &str = "decision.memo.hits";
+/// Exhaustive-oracle queries the scene memo passed on to the oracle
+/// (counter).
+pub const DECISION_MEMO_MISSES: &str = "decision.memo.misses";
 
 /// Thermal-solve cache hits across the campaign (counter).
 pub const SOLVER_CACHE_HITS: &str = "solver.cache.hits";
@@ -182,6 +188,8 @@ pub const ALL_METRICS: &[&str] = &[
     DECISION_LATENCY_OTHER_US,
     DECISION_F_GHZ,
     DECISION_PE_PER_INSTRUCTION,
+    DECISION_MEMO_HITS,
+    DECISION_MEMO_MISSES,
     SOLVER_CACHE_HITS,
     SOLVER_CACHE_MISSES,
     SOLVER_ITERATIONS,
