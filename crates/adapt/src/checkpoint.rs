@@ -896,4 +896,88 @@ mod tests {
         assert_ne!(fp, BEFORE);
         assert_eq!(fp, 0xae37_61ca_3ac3_584e, "{fp:#018x}");
     }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// The records of the damage test's sidecar: three committed
+        /// chips, the last one quarantined.
+        fn records() -> Vec<ChipRecord> {
+            let failed = ChipRecord {
+                chip: 2,
+                seed: 77,
+                outcome: RecordedOutcome::Failed {
+                    error: "diverged".to_string(),
+                },
+                metrics: CapturedMetrics::default(),
+            };
+            vec![sample_record(0), sample_record(1), failed]
+        }
+
+        /// The bytes of a complete sidecar holding [`records`], written
+        /// once through the campaign's writer.
+        fn sidecar() -> &'static [u8] {
+            static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+            BYTES.get_or_init(|| {
+                let path = temp_path("damage-source");
+                let mut w = CheckpointWriter::create(&path, 0x5eed, 4).expect("creates");
+                for rec in records() {
+                    w.append(&rec).expect("appends");
+                }
+                drop(w);
+                let bytes = std::fs::read(&path).expect("readable");
+                std::fs::remove_file(&path).ok();
+                bytes
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A damaged sidecar (truncated at any byte, one byte
+            /// flipped, one line dropped or one line duplicated) loads
+            /// as `Ok` or fails with a typed `CheckpointError`; `load`
+            /// never panics. The undamaged sidecar gives back the
+            /// records it was written from.
+            #[test]
+            fn prop_damaged_sidecars_load_or_fail_typed(
+                damage in 0usize..4,
+                at in 0.0f64..1.0,
+                mask in 1u32..256,
+            ) {
+                let clean = sidecar();
+                let path = temp_path("damaged");
+                std::fs::write(&path, clean).expect("writable");
+                let loaded = load(&path).expect("loads").expect("present");
+                prop_assert_eq!(loaded.fingerprint, 0x5eed);
+                prop_assert_eq!(loaded.records, records());
+
+                let mut lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+                let line = ((at * lines.len() as f64) as usize).min(lines.len() - 1);
+                let byte = ((at * clean.len() as f64) as usize).min(clean.len() - 1);
+                let damaged: Vec<u8> = match damage {
+                    0 => clean[..byte].to_vec(),
+                    1 => {
+                        let mut d = clean.to_vec();
+                        d[byte] ^= mask as u8;
+                        d
+                    }
+                    2 => {
+                        lines.remove(line);
+                        lines.concat()
+                    }
+                    _ => {
+                        lines.insert(line, lines[line]);
+                        lines.concat()
+                    }
+                };
+                std::fs::write(&path, &damaged).expect("writable");
+                let outcome = std::panic::catch_unwind(|| load(&path));
+                std::fs::remove_file(&path).ok();
+                prop_assert!(outcome.is_ok(), "load panicked on damage {} at {}", damage, byte);
+            }
+        }
+    }
 }

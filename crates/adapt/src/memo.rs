@@ -82,8 +82,8 @@ pub(crate) struct SceneMemo {
 
 /// An [`ExhaustiveOptimizer`] behind a [`SceneMemo`]. It answers from
 /// the memo only the questions an earlier optimizer over the same memo
-/// asked; its own repeated questions go back to its oracle, whose solve
-/// cache answers them from memoized solves. So one optimizer over a
+/// asked; its own repeated questions go back to its oracle, which
+/// searches again from its solve cache's anchors. So one optimizer over a
 /// fresh memo asks its oracle exactly what a bare oracle is asked, and
 /// the solve cache's counters, which `bench-check` gates, read as they
 /// do without the memo; serving its own repeats from the memo as well

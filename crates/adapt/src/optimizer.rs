@@ -106,8 +106,8 @@ impl<'a> SubsystemScene<'a> {
 /// variant-resolved power parameters, the timing model, the thermal
 /// environment, and the constraint thresholds are all resolved once per
 /// scene instead of once per `(f, Vdd, Vbb)` candidate. Ladder-indexed
-/// candidates additionally route through a [`SolveCache`] for memoized,
-/// warm-started thermal solves.
+/// candidates additionally route through a [`SolveCache`] for
+/// anchor-seeded, warm-started thermal solves.
 #[derive(Debug, Clone)]
 pub struct SceneEval<'a> {
     params: SubsystemPowerParams,
@@ -137,7 +137,7 @@ impl<'a> SceneEval<'a> {
     }
 
     /// [`SubsystemScene::check`] for the frequency-ladder point `f_idx`,
-    /// memoized through `cache`. Feasibility classification matches the
+    /// solved through `cache`. Feasibility classification matches the
     /// uncached check; the returned `(power_w, t_c)` are the cache's
     /// canonical values (a pure function of the operating point — see
     /// `eval_power::cache`).
@@ -148,6 +148,19 @@ impl<'a> SceneEval<'a> {
         vdd: f64,
         vbb: f64,
     ) -> Option<(f64, f64)> {
+        self.probe_at(cache, f_idx, vdd, vbb).feasible()
+    }
+
+    /// [`check_at`] with the reason a rejected point failed.
+    ///
+    /// [`check_at`]: SceneEval::check_at
+    pub(crate) fn probe_at(
+        &self,
+        cache: &mut SolveCache,
+        f_idx: usize,
+        vdd: f64,
+        vbb: f64,
+    ) -> Probe {
         let sol = cache.solve_ladder(
             &self.params,
             &self.tenv,
@@ -199,8 +212,15 @@ impl<'a> SceneEval<'a> {
     }
 
     /// [`SubsystemScene::check`] for an arbitrary (possibly off-ladder)
-    /// frequency: a direct canonical cold-start solve, no memoization.
+    /// frequency: a direct canonical cold-start solve, no cache.
     pub fn check_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Option<(f64, f64)> {
+        self.probe_free(f_ghz, vdd, vbb).feasible()
+    }
+
+    /// [`check_free`] with the reason a rejected point failed.
+    ///
+    /// [`check_free`]: SceneEval::check_free
+    pub(crate) fn probe_free(&self, f_ghz: f64, vdd: f64, vbb: f64) -> Probe {
         // Candidates come off the actuator ladders (validated once at
         // construction), so the unchecked constructor is safe here.
         let op = OperatingPoint::raw(f_ghz, vdd, vbb);
@@ -208,28 +228,58 @@ impl<'a> SceneEval<'a> {
         self.admit(sol, f_ghz, vdd, vbb)
     }
 
-    /// The feasibility test shared by every check: a solved point is
-    /// admitted when it stays at or below `TMAX` and meets the error-rate
-    /// budget (`rho * PE <= budget`); returns `(power_w, t_c)`.
+    /// The one classifier of a solved point, shared by every check: it
+    /// is too hot when the solve ran away or settled above `TMAX`, over
+    /// budget when `rho * PE` exceeds the error-rate budget at the solved
+    /// temperature, and feasible otherwise.
     fn admit(
         &self,
         sol: Result<ThermalSolution, ThermalRunaway>,
         f_ghz: f64,
         vdd: f64,
         vbb: f64,
-    ) -> Option<(f64, f64)> {
-        let sol = sol.ok()?;
-        if sol.t_c > self.t_max_c {
-            return None;
-        }
+    ) -> Probe {
+        let sol = match sol {
+            Ok(sol) if sol.t_c > self.t_max_c => return Probe::TooHot,
+            Ok(sol) => sol,
+            Err(_) => return Probe::TooHot,
+        };
         let cond = OperatingConditions {
             vdd: Volts::raw(vdd),
             vbb: Volts::raw(vbb),
             t_c: sol.t_c,
         };
-        self.timing
-            .pe_access_bounded(GHz::raw(f_ghz), &cond, self.rho, self.pe_budget)?;
-        Some((sol.total_w(), sol.t_c))
+        match self
+            .timing
+            .pe_access_bounded(GHz::raw(f_ghz), &cond, self.rho, self.pe_budget)
+        {
+            Some(_) => Probe::Feasible {
+                power_w: sol.total_w(),
+                t_c: sol.t_c,
+            },
+            None => Probe::OverBudget,
+        }
+    }
+}
+
+/// What one check of a `(f, Vdd, Vbb)` point found ([`SceneEval::admit`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Probe {
+    /// Feasible, at this total power (W) and temperature (Celsius).
+    Feasible { power_w: f64, t_c: f64 },
+    /// The thermal solve ran away or settled above `TMAX`.
+    TooHot,
+    /// Within `TMAX`, but `rho * PE` exceeds the error-rate budget.
+    OverBudget,
+}
+
+impl Probe {
+    /// `(power_w, t_c)` of a feasible point.
+    pub(crate) fn feasible(self) -> Option<(f64, f64)> {
+        match self {
+            Probe::Feasible { power_w, t_c } => Some((power_w, t_c)),
+            Probe::TooHot | Probe::OverBudget => None,
+        }
     }
 }
 

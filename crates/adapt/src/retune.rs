@@ -464,11 +464,14 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Whatever the starting frequency, voltages and variants, retuning
-        /// ends on the ladder and (except at the unreachable ladder floor)
-        /// in a state that satisfies every constraint.
+        /// Whatever the chip, core, starting frequency, voltages and
+        /// variants, retuning ends on the ladder and (except at the
+        /// unreachable ladder floor) in a state that satisfies every
+        /// constraint.
         #[test]
         fn prop_retune_ends_clean_and_on_ladder(
+            chip_seed in 1u64..40,
+            core in 0usize..4,
             f_idx in 0usize..33,
             vdd_idx in 0usize..9,
             alpha in 0.05f64..0.9,
@@ -476,7 +479,7 @@ mod proptests {
             small_q in proptest::bool::ANY,
         ) {
             let cfg = factory().config().clone();
-            let chip = factory().chip(17);
+            let chip = factory().chip(chip_seed);
             let f0 = FREQ_LADDER.at(f_idx);
             let vdd = eval_core::VDD_LADDER.at(vdd_idx);
             let settings = vec![(vdd, 0.0); N_SUBSYSTEMS];
@@ -486,7 +489,7 @@ mod proptests {
                 ..VariantSelection::default()
             };
             let r = retune(
-                &cfg, chip.core(0), cfg.th_c, f0, &settings,
+                &cfg, chip.core(core), cfg.th_c, f0, &settings,
                 &[alpha; N_SUBSYSTEMS], &[alpha; N_SUBSYSTEMS], &variants, Tracer::noop(),
             );
             prop_assert!(FREQ_LADDER.contains(r.f_ghz), "off-ladder {}", r.f_ghz);

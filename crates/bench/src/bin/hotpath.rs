@@ -1,4 +1,4 @@
-//! Hot-path smoke benchmark: times the memoized operating-point fast path
+//! Hot-path smoke benchmark: times the anchor-seeded operating-point fast path
 //! against the reference implementations it replaced, prints a comparison
 //! table, and (with `--bench-json <path>`) writes the results as JSON.
 //!
@@ -54,7 +54,7 @@ fn time_samples<F: FnMut()>(mut body: F, min_sample_ms: u64, samples: usize) -> 
         iters = iters.saturating_mul(2);
     }
     // One untimed warmup pass at the calibrated iteration count, so the
-    // first recorded sample sees the same warm caches (solver memo,
+    // first recorded sample sees the same warm caches (solver anchors,
     // branch predictors, allocator arenas) as the rest and the sample
     // distribution is not skewed by a cold first entry.
     for _ in 0..iters {
@@ -260,10 +260,6 @@ fn campaign_metrics(
         (names::SOLVER_CACHE_HITS, hits as f64),
         (names::SOLVER_CACHE_MISSES, misses as f64),
         (
-            names::SOLVER_CACHE_HITS_SAME_POINT,
-            registry.counter(names::SOLVER_CACHE_HITS_SAME_POINT) as f64,
-        ),
-        (
             names::SOLVER_CACHE_HITS_CROSS_CANDIDATE,
             registry.counter(names::SOLVER_CACHE_HITS_CROSS_CANDIDATE) as f64,
         ),
@@ -441,7 +437,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )),
     ));
 
-    // A trained fixed-point MLP's ladder decision vs the warm memoized
+    // A trained fixed-point MLP's ladder decision vs the warm anchor-seeded
     // exhaustive sweep on the same scene — the per-decision inference
     // cost a learned controller pays at runtime (zoo training happens
     // once, untimed, on a deliberately small budget).

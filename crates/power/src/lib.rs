@@ -14,8 +14,9 @@
 //! iteratively" (§4.1) — [`solve_thermal`] runs the fixed-point iteration
 //! (undamped with a deterministic damped fallback; see `solve`) and
 //! reports thermal runaway when leakage self-heating diverges.
-//! [`SolveCache`] memoizes and warm-starts solves over the discrete
-//! ladders — the operating-point fast path all optimizers share.
+//! [`SolveCache`] warm-starts solves over the discrete ladders from one
+//! canonically solved anchor per `(params, Vdd, Vbb)` group — the
+//! operating-point fast path all optimizers share.
 //!
 //! The crate also defines the discrete actuator ladders of Figure 7(a)
 //! (frequency in 100 MHz steps, ASV in 50 mV steps from 800 mV to 1200 mV,

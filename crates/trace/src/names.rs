@@ -97,10 +97,18 @@ pub const SOLVER_SLOW_CONVERGENCE: &str = "solver.slow_convergence";
 /// (`SceneEval::check_free`), the solves behind the teacher's `Power`
 /// labels; the `solver.cache.*` counters do not include them (counter).
 pub const SOLVER_FREE_SOLVES: &str = "solver.free.solves";
+/// Supply rows the exhaustive `Freq` search ended early because a floor
+/// probe was too hot, which proves the rest of the row too hot as well
+/// (counter).
+pub const SOLVER_THERMAL_CUTS: &str = "solver.thermal_cuts";
 /// Derived cache hit rate, written into bench JSON by the `hotpath`
 /// bin and gated by `eval-obs bench-check`.
 pub const SOLVER_CACHE_HIT_RATE: &str = "solver.cache.hit_rate";
-/// Cache hits answered bit-exactly from the memo map (counter).
+/// Cache hits answered from a memo of solved points (counter). The solve
+/// cache keeps no such memo, so nothing emits it; the benchmark's ledger
+/// still reads it, takes the missing counter as zero, and so counts every
+/// hit as a solve.
+// lint:allow(metric-schema): read by perfbench/src/layers.rs, which the lint walk does not scan
 pub const SOLVER_CACHE_HITS_SAME_POINT: &str = "solver.cache.hits.same_point";
 /// Anchor-seeded solves reusing a same-phase anchor (counter).
 pub const SOLVER_CACHE_HITS_CROSS_CANDIDATE: &str = "solver.cache.hits.cross_candidate";
@@ -195,6 +203,7 @@ pub const ALL_METRICS: &[&str] = &[
     SOLVER_ITERATIONS,
     SOLVER_SLOW_CONVERGENCE,
     SOLVER_FREE_SOLVES,
+    SOLVER_THERMAL_CUTS,
     SOLVER_CACHE_HIT_RATE,
     SOLVER_CACHE_HITS_SAME_POINT,
     SOLVER_CACHE_HITS_CROSS_CANDIDATE,
