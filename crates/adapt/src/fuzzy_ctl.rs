@@ -11,10 +11,10 @@
 //!
 //! The fuzzy controller is one [`PhaseModel`] family among four:
 //! [`FuzzyOptimizer`] is `LearnedOptimizer<FuzzyController>`, so bank
-//! lookup, ladder snapping, `asv`/`abb` gating and persistence are the
-//! same code the learned families use. What this module adds is the
-//! fit, which needs a [`TrainingConfig`], and the one teacher sweep that
-//! every family trains from.
+//! lookup, ladder snapping and `asv`/`abb` gating are the same code the
+//! learned families use. What this module adds is the fit, which needs a
+//! [`TrainingConfig`], and the one teacher sweep that every family trains
+//! from.
 //!
 //! Of the paper's six inputs, `Rth`, `Kdyn`, `Ksta` and `Vt0` are constants
 //! for a given subsystem on a given chip, so the trained controllers take
@@ -23,7 +23,7 @@
 //! and (for the `Power` controllers) the core frequency.
 
 use eval_core::{ChipModel, Environment, EvalConfig, N_SUBSYSTEMS};
-use eval_fuzzy::{FuzzyController, PersistError, TrainingConfig};
+use eval_fuzzy::{FuzzyController, TrainingConfig};
 use eval_rng::ChaCha12Rng;
 use eval_trace::Tracer;
 
@@ -56,26 +56,11 @@ impl Default for TrainingBudget {
     }
 }
 
-/// The paper's controller as a [`PhaseModel`] family: inference and
-/// persistence forward to `eval_fuzzy` (inherent methods win over the
-/// trait's in path resolution, so these calls do not recurse).
+/// The paper's controller as a [`PhaseModel`] family: inference
+/// forwards to `eval_fuzzy`.
 impl PhaseModel for FuzzyController {
-    const KIND: &'static str = "fuzzy";
-
     fn infer_norm(&self, x: &[f64]) -> f64 {
         self.infer(x)
-    }
-
-    fn inputs(&self) -> usize {
-        FuzzyController::inputs(self)
-    }
-
-    fn to_text(&self) -> String {
-        FuzzyController::to_text(self)
-    }
-
-    fn from_text(text: &str) -> Result<Self, PersistError> {
-        FuzzyController::from_text(text)
     }
 }
 

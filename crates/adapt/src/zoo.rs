@@ -367,44 +367,6 @@ mod tests {
         assert_eq!(reg.counter("decision.count.exhaustive"), 1);
         assert_eq!(reg.counter("decision.count.mlp"), 1);
     }
-
-    #[test]
-    fn learned_optimizers_persist_and_fingerprint() {
-        let cfg = factory().config().clone();
-        let chip = factory().chip(9);
-        let zoo = ControllerZoo::train(&cfg, &chip, 0, Environment::TS_ASV, &small_budget());
-        let text = zoo.mlp.to_text();
-        let back = LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &text)
-            .expect("parses");
-        assert_eq!(zoo.mlp, back);
-        assert_eq!(zoo.mlp.fingerprint(), back.fingerprint());
-        // Environment mismatch is an error, not a silent reinterpretation.
-        assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS, &text).is_err());
-        // Wrong model family is caught by the scheme header.
-        assert!(LearnedOptimizer::<NnTable>::from_text(Environment::TS_ASV, &text).is_err());
-        // And the tree round-trips too.
-        let t = zoo.tree.to_text();
-        assert_eq!(
-            LearnedOptimizer::<RegressionTree>::from_text(Environment::TS_ASV, &t)
-                .expect("parses"),
-            zoo.tree
-        );
-        // So does the fuzzy member, which rejects another family's file.
-        let f = zoo.fuzzy.to_text();
-        let fuzzy = FuzzyOptimizer::from_text(Environment::TS_ASV, &f).expect("parses");
-        assert_eq!(fuzzy, zoo.fuzzy);
-        assert_eq!(fuzzy.fingerprint(), zoo.fuzzy.fingerprint());
-        assert!(FuzzyOptimizer::from_text(Environment::TS_ASV, &text).is_err());
-        // A file must hold exactly one bank row per subsystem: a forged
-        // count, a short count, or lines after the last bank are errors.
-        let banks = format!("banks {N_SUBSYSTEMS}\n");
-        for count in ["banks 2305843009213693952\n", "banks 1\n"] {
-            let forged = text.replacen(&banks, count, 1);
-            assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &forged).is_err());
-        }
-        let trailing = format!("{text}bank {N_SUBSYSTEMS} 0 absent\n");
-        assert!(LearnedOptimizer::<MlpQ16>::from_text(Environment::TS_ASV, &trailing).is_err());
-    }
 }
 
 #[cfg(test)]

@@ -79,32 +79,6 @@ impl FuzzyController {
         &self.y
     }
 
-    /// Membership center of rule `i`, input `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn mu_at(&self, i: usize, j: usize) -> f64 {
-        assert!(
-            i < self.rules() && j < self.inputs,
-            "rule/input out of range"
-        );
-        self.mu[i * self.inputs + j]
-    }
-
-    /// Membership width of rule `i`, input `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn sigma_at(&self, i: usize, j: usize) -> f64 {
-        assert!(
-            i < self.rules() && j < self.inputs,
-            "rule/input out of range"
-        );
-        self.sigma[i * self.inputs + j]
-    }
-
     /// The controller's matrices as the forward pass reads them.
     fn view(&self) -> RuleView<'_> {
         RuleView::row_major(&self.mu, &self.sigma, &self.y, self.inputs)

@@ -4,13 +4,6 @@
 //! 0.1, which presumes inputs on a unit-ish scale. Raw EVAL inputs span
 //! wildly different units (Celsius, C/W, watts, volts), so both sides are
 //! mapped to `[0, 1]` before training and inference.
-//!
-//! Like [`crate::persist`], the fitted ranges serialize to a versioned
-//! line-oriented text format (`normalizer v1`) with `{:e}` floats, so a
-//! round trip is bit-exact and a trained controller can be shipped with
-//! the exact normalization it was trained under.
-
-use crate::persist::{dump_floats, expect_header, read_row, PersistError};
 
 /// An affine `[min, max] -> [0, 1]` mapper for input vectors (plus the
 /// scalar output).
@@ -105,60 +98,6 @@ impl Normalizer {
             .map(|(x, t)| (self.normalize(x), self.normalize_output(*t)))
             .collect()
     }
-
-    /// Serializes the fitted ranges to the v1 text format:
-    ///
-    /// ```text
-    /// normalizer v1
-    /// dim <m>
-    /// mins <m floats>
-    /// maxs <m floats>
-    /// out <min> <max>
-    /// ```
-    ///
-    /// Uses `{:e}` floats so a round trip is bit-exact for finite values.
-    pub fn to_text(&self) -> String {
-        let m = self.dim();
-        let mut out = String::with_capacity(48 + m * 52);
-        out.push_str("normalizer v1\n");
-        out.push_str(&format!("dim {m}\n"));
-        dump_floats(&mut out, "mins", &self.mins);
-        dump_floats(&mut out, "maxs", &self.maxs);
-        dump_floats(&mut out, "out", &[self.out_min, self.out_max]);
-        out
-    }
-
-    /// Parses a normalizer from the v1 text format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] on malformed input.
-    pub fn from_text(text: &str) -> Result<Normalizer, PersistError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        expect_header(&mut lines, "normalizer v1")?;
-        let dims = lines.next().ok_or(PersistError::UnexpectedEnd {
-            expected: "dimensions",
-        })?;
-        let mut it = dims.split_whitespace();
-        let m = match (it.next(), it.next(), it.next()) {
-            (Some("dim"), Some(m), None) => m
-                .parse::<usize>()
-                .map_err(|_| PersistError::BadDimensions)?,
-            _ => return Err(PersistError::BadDimensions),
-        };
-        if m == 0 {
-            return Err(PersistError::BadDimensions);
-        }
-        let mins = read_row(&mut lines, "mins", m)?;
-        let maxs = read_row(&mut lines, "maxs", m)?;
-        let out: Vec<f64> = read_row(&mut lines, "out", 2)?;
-        Ok(Normalizer {
-            mins,
-            maxs,
-            out_min: out[0],
-            out_max: out[1],
-        })
-    }
 }
 
 #[cfg(test)]
@@ -196,36 +135,6 @@ mod tests {
         let ex = vec![(vec![3.0, 1.0], 0.0), (vec![3.0, 2.0], 1.0)];
         let n = Normalizer::fit(&ex);
         assert_eq!(n.normalize(&[3.0, 1.5])[0], 0.5);
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        let n = Normalizer::fit(&examples());
-        let back = Normalizer::from_text(&n.to_text()).expect("parses");
-        assert_eq!(n, back);
-        // Including awkward magnitudes that would lose digits in `{:.6}`.
-        let ex = vec![
-            (vec![1.234_567_890_123e-7, -9.87e11], 3.3e-3),
-            (vec![2.5e-7, 1.2e12], 7.7e-3),
-        ];
-        let n2 = Normalizer::fit(&ex);
-        assert_eq!(Normalizer::from_text(&n2.to_text()).expect("parses"), n2);
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_input() {
-        assert_eq!(
-            Normalizer::from_text("normalizer v9\n"),
-            Err(PersistError::BadHeader)
-        );
-        assert_eq!(Normalizer::from_text(""), Err(PersistError::BadHeader));
-        assert_eq!(
-            Normalizer::from_text("normalizer v1\ndim 0\n"),
-            Err(PersistError::BadDimensions)
-        );
-        let good = Normalizer::fit(&examples()).to_text();
-        let cut = &good[..good.len() - 10];
-        assert!(Normalizer::from_text(cut).is_err());
     }
 
     #[test]

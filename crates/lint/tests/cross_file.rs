@@ -223,7 +223,7 @@ fn hot_path_turbofish_call_to_allocating_helper_is_flagged() {
             "// lint:hot-path\npub fn check(s: &str) -> usize {\n    let row = parse_row::<f64>(s, 1);\n    row.len()\n}\n",
         ),
         (
-            "crates/fuzzy/src/persist.rs",
+            "crates/fuzzy/src/rows.rs",
             "pub fn parse_row<T: std::str::FromStr>(s: &str, n: usize) -> Vec<T> {\n    let mut v = Vec::with_capacity(n);\n    v.extend(s.parse::<T>().ok());\n    v\n}\n",
         ),
     ]);

@@ -1014,4 +1014,118 @@ mod tests {
         assert_eq!(records[0].format, 1);
         assert!(records[0].samples.is_empty());
     }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The committed bench baseline, the file tier-1 gates against.
+        const BASELINE: &str = include_str!("../../../BENCH_hotpath.json");
+
+        /// A history file as `bench-check` grows it: a comment header,
+        /// two v2 lines from different hosts and a v1 line.
+        fn history() -> String {
+            let v2 = |name: &str, center: f64, host: &str| {
+                let file = v2_file(name, center, host);
+                check_distribution(&file, &file, &[], &GateOptions::new()).history_line(7)
+            };
+            let legacy = BenchFile::parse(&bench_json(1e9, 0.91)).unwrap();
+            let v1 = check(&legacy, &legacy, &Tolerances::default()).history_line(8);
+            format!(
+                "# bench history\n{}\n{}\n{v1}\n",
+                v2("a", 1000.0, "host-1"),
+                v2("b", 2500.0, "host-2")
+            )
+        }
+
+        /// `text` damaged in one of four ways: cut at byte `at`, byte
+        /// `at` replaced by `ascii`, or one line dropped or duplicated.
+        fn damage(text: &str, kind: usize, at: f64, ascii: u8) -> String {
+            assert!(text.is_ascii(), "every byte is a char boundary");
+            let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let line = ((at * lines.len() as f64) as usize).min(lines.len() - 1);
+            let byte = ((at * text.len() as f64) as usize).min(text.len() - 1);
+            match kind {
+                0 => text[..byte].to_string(),
+                1 => {
+                    let mut bytes = text.as_bytes().to_vec();
+                    bytes[byte] = ascii;
+                    String::from_utf8(bytes).expect("ASCII stays UTF-8")
+                }
+                2 => {
+                    lines.remove(line);
+                    lines.concat()
+                }
+                _ => {
+                    lines.insert(line, lines[line]);
+                    lines.concat()
+                }
+            }
+        }
+
+        fn same(a: &HistoryRecord, b: &HistoryRecord) -> bool {
+            a.format == b.format && a.host == b.host && a.samples == b.samples
+        }
+
+        proptest! {
+            // Enough cases that replaced bytes land on the few bytes of
+            // the keys the readers look up, not only on values.
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// A damaged bench file parses to `Ok` or `Err`, never a
+            /// panic; the undamaged file gives back every benchmark.
+            #[test]
+            fn prop_damaged_bench_files_parse_or_fail(
+                kind in 0usize..4,
+                at in 0.0f64..1.0,
+                ascii in 0u32..128,
+            ) {
+                let clean = BenchFile::parse(BASELINE).expect("the baseline parses");
+                prop_assert_eq!(clean.format, 2);
+                prop_assert!(!clean.benches.is_empty());
+                prop_assert_eq!(clean.samples.len(), clean.benches.len());
+                prop_assert!(clean.provenance.is_some());
+
+                let damaged = damage(BASELINE, kind, at, ascii as u8);
+                let parsed = std::panic::catch_unwind(|| BenchFile::parse(&damaged).is_ok());
+                prop_assert!(parsed.is_ok(), "parse panicked on damage {} at {}", kind, at);
+            }
+
+            /// A damaged history never panics its reader, which drops
+            /// only the damaged lines: every line left whole still
+            /// gives back its record, in order.
+            #[test]
+            fn prop_damaged_history_drops_only_the_damaged_lines(
+                kind in 0usize..4,
+                at in 0.0f64..1.0,
+                ascii in 0u32..128,
+            ) {
+                let clean = history();
+                let lines: Vec<&str> = clean.lines().skip(1).collect();
+                let records = parse_history(&clean);
+                prop_assert_eq!(records.len(), 3);
+                for (rec, (host, name, center)) in
+                    records.iter().zip([("host-1", "a", 1000.0), ("host-2", "b", 2500.0)])
+                {
+                    prop_assert_eq!(rec.format, 2);
+                    prop_assert_eq!(rec.host.as_deref(), Some(host));
+                    prop_assert_eq!(&rec.samples[name], &samples(center, 9));
+                }
+
+                let damaged = damage(&clean, kind, at, ascii as u8);
+                let parsed = std::panic::catch_unwind(|| parse_history(&damaged));
+                prop_assert!(parsed.is_ok(), "parse_history panicked on damage {} at {}", kind, at);
+                let got = parsed.unwrap();
+                let mut rest = got.iter();
+                for whole in damaged.lines() {
+                    if let Some(k) = lines.iter().position(|l| *l == whole) {
+                        prop_assert!(
+                            rest.any(|rec| same(rec, &records[k])),
+                            "line {} lost its record after damage {} at {}", k, kind, at
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -207,12 +207,6 @@ impl OooCore {
         self.config
     }
 
-    /// Switches the issue-queue sizing (takes effect for newly dispatched
-    /// instructions; in-flight occupancy drains naturally).
-    pub fn set_queue_size(&mut self, size: QueueSize) {
-        self.config.queue_size = size;
-    }
-
     /// Architecturally pre-fills the caches with `addrs` (one access per
     /// address, in order) without simulating cycles. Used to bring a
     /// phase's resident working set into the hierarchy so measurements see

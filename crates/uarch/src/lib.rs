@@ -48,7 +48,6 @@ pub mod phase;
 pub mod profile;
 pub mod subsystem;
 pub mod trace;
-pub mod trace_io;
 pub mod workload;
 
 pub use crate::core::{CoreConfig, CoreStats, OooCore, QueueSize};
@@ -61,5 +60,4 @@ pub use phase::{PhaseDetector, PhaseId};
 pub use profile::{profile_workload, PhaseProfile, WorkloadProfile};
 pub use subsystem::{SubsystemId, N_SUBSYSTEMS};
 pub use trace::TraceGenerator;
-pub use trace_io::{read_trace, write_trace, TraceIoError};
 pub use workload::{Workload, WorkloadClass};

@@ -6,11 +6,13 @@
 //! values that do not depend on query order.
 
 use eval::adapt::SceneEval;
+use eval::power::cache::{CANONICAL_ALPHA, CANONICAL_TH_C};
 use eval::power::{
     freq_steps, solve_thermal, solve_thermal_reference, vbb_steps, vdd_steps, OperatingPoint,
-    SolveCache, SubsystemPowerParams, ThermalEnvironment,
+    SolveCache, SubsystemPowerParams, ThermalEnvironment, ThermalRunaway, ThermalSolution,
 };
 use eval::prelude::*;
+use eval::units::Volts;
 use std::sync::OnceLock;
 
 fn factory() -> &'static ChipFactory {
@@ -43,9 +45,20 @@ fn result_bits(r: Option<(f64, f64)>) -> ResultBits {
     }
 }
 
+/// A thermal solve as raw bits: `Ok([t_c, vt, pdyn_w, psta_w])`, or
+/// the runaway temperature.
+fn solve_bits(r: Result<ThermalSolution, ThermalRunaway>) -> Result<[u64; 4], u64> {
+    r.map(|s| [s.t_c, s.vt, s.pdyn_w, s.psta_w].map(f64::to_bits))
+        .map_err(|e| e.t_c.to_bits())
+}
+
 /// Warm shared-cache evaluation over the full `(f, Vdd, Vbb)` grid is
 /// bitwise identical to evaluating each point with its own fresh cache, on
-/// four different chips.
+/// four different chips. One more input is the canonical environment at
+/// the mid-ladder index, where every anchor is solved: there each
+/// subsystem's `solve_ladder` must equal `solve_thermal` bit for bit,
+/// whether that lookup built its group's anchor or an earlier
+/// non-canonical lookup did.
 #[test]
 fn warm_cache_matches_fresh_cache_bitwise_across_the_grid() {
     let cfg = factory().config().clone();
@@ -72,6 +85,35 @@ fn warm_cache_matches_fresh_cache_bitwise_across_the_grid() {
                         result_bits(cold),
                         "chip {seed} {id} f_idx={f_idx} vdd={vdd} vbb={vbb}"
                     );
+                }
+            }
+        }
+
+        let canonical = ThermalEnvironment {
+            th_c: CANONICAL_TH_C,
+            alpha_f: CANONICAL_ALPHA,
+        };
+        let sensed = ThermalEnvironment {
+            th_c: sc.th_c,
+            alpha_f: sc.alpha_f,
+        };
+        let mid = freq_steps().len() / 2;
+        for sub in SubsystemId::ALL {
+            let params = chip.core(0).subsystem(sub).power_params(&sc.variants);
+            for &vdd in vdd_steps() {
+                for &vbb in vbb_steps() {
+                    let (v, b) = (Volts::raw(vdd), Volts::raw(vbb));
+                    let op = OperatingPoint::raw(freq_steps()[mid], vdd, vbb);
+                    let cold = solve_bits(solve_thermal(&params, &canonical, &op, &cfg.device));
+                    let mut fresh = SolveCache::new();
+                    let built = fresh.solve_ladder(&params, &canonical, &cfg.device, mid, v, b);
+                    let _ = warm.solve_ladder(&params, &sensed, &cfg.device, 0, v, b);
+                    let misses = warm.stats().misses;
+                    let found = warm.solve_ladder(&params, &canonical, &cfg.device, mid, v, b);
+                    assert_eq!(warm.stats().misses, misses, "the anchor was built earlier");
+                    let at = format!("chip {seed} {sub} vdd={vdd} vbb={vbb}");
+                    assert_eq!(solve_bits(built), cold, "anchor build, {at}");
+                    assert_eq!(solve_bits(found), cold, "earlier anchor, {at}");
                 }
             }
         }
