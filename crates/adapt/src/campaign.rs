@@ -486,9 +486,6 @@ impl Campaign {
                 cells: pairs.len() as u64,
             });
         }
-        if ckpt.is_some() {
-            tracer.gauge(names::CAMPAIGN_CHIPS_TOTAL, self.chips as f64);
-        }
         if start_at > 0 {
             tracer.count_n(names::CAMPAIGN_CHIPS_RESUMED, start_at as u64);
             tracer.count_n(names::CAMPAIGN_CHIPS_DONE, start_at as u64);

@@ -670,7 +670,7 @@ mod tests {
             },
             metrics: CapturedMetrics {
                 counters: vec![("cache.hit".to_string(), 7)],
-                gauges: vec![("campaign.chips_total".to_string(), 2.0)],
+                gauges: vec![("campaign.intra_chip_threads".to_string(), 2.0)],
                 observes: vec![("decision.f_ghz".to_string(), vec![4.0, 4.25])],
             },
         }

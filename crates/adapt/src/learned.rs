@@ -444,9 +444,14 @@ pub(crate) struct Fitted<M> {
 }
 
 impl<M: PhaseModel> Fitted<M> {
+    /// The model's raw output for the raw inputs `raw` (at most four:
+    /// `[th, alpha, rho]` for `Freq`, plus `f_core` for `Power`),
+    /// normalized in a buffer on the stack.
     fn infer(&self, raw: &[f64]) -> f64 {
-        let x = self.norm.normalize(raw);
-        self.norm.denormalize_output(self.model.infer_norm(&x))
+        let mut buf = [0.0; 4];
+        let x = &mut buf[..raw.len()];
+        self.norm.normalize_into(raw, x);
+        self.norm.denormalize_output(self.model.infer_norm(x))
     }
 }
 

@@ -4,8 +4,8 @@
 //! One Fuzzy-Dyn campaign over TS+ASV+Q+FU; each row is the workload's
 //! cell of that campaign ([`eval_adapt::CampaignResult::workload_cells`]),
 //! the suite means line its suite cell. Protocol knobs: `EVAL_CHIPS`
-//! (default 6) and `EVAL_WORKLOADS`; `--trace <path>` / `EVAL_TRACE`,
-//! `--checkpoint`, `--resume` and the postmortem bundles work as in every
+//! (default 6) and `EVAL_WORKLOADS`; `--trace <path>`, `--checkpoint`,
+//! `--resume`, `--timing` and the postmortem bundles work as in every
 //! other campaign binary (see `eval_bench::TraceSession`).
 
 use eval_adapt::Scheme;
@@ -13,7 +13,7 @@ use eval_bench::{run_campaign, standard_campaign, TraceSession};
 use eval_core::Environment;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = TraceSession::from_env()?;
+    let trace = TraceSession::from_cli()?;
     let campaign = standard_campaign(6)?;
     eprintln!(
         "# per-workload breakdown: {} chips x {} workloads (TS+ASV+Q+FU, Fuzzy-Dyn)",

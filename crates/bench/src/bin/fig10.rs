@@ -4,16 +4,17 @@
 //! per environment.
 //!
 //! Protocol knobs: `EVAL_CHIPS` (default 10; the paper uses 100) and
-//! `EVAL_WORKLOADS` (default: all 16). `--trace <path>` / `EVAL_TRACE`
-//! dumps the structured JSONL event/metric stream; `--checkpoint <path>`
-//! plus `--resume` make the campaign crash-safe and restartable.
+//! `EVAL_WORKLOADS` (default: all 16). `--trace <path>` dumps the
+//! structured JSONL event/metric stream; `--checkpoint <path>` plus
+//! `--resume` make the campaign crash-safe and restartable (see
+//! `eval_bench::TraceSession`; any other argument is an error).
 
 use eval_bench::{
     print_environment_csv, print_environment_matrix, run_figure10_campaign, TraceSession,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = TraceSession::from_env()?;
+    let trace = TraceSession::from_cli()?;
     let result = run_figure10_campaign(10, &trace)?;
     print_environment_matrix(
         "Figure 10: relative frequency (NoVar = 1.0)",

@@ -8,8 +8,8 @@
 //! (`Environment::FIGURE13`): the workloads are profiled, every chip
 //! characterised and each teacher bank key trained once, whichever
 //! variants share it. Protocol knobs: `EVAL_CHIPS` (default 8) and
-//! `EVAL_WORKLOADS`; `--trace <path>` / `EVAL_TRACE`, `--checkpoint`,
-//! `--resume` and the postmortem bundles work as in every other campaign
+//! `EVAL_WORKLOADS`; `--trace <path>`, `--checkpoint`, `--resume`,
+//! `--timing` and the postmortem bundles work as in every other campaign
 //! binary (see `eval_bench::TraceSession`).
 
 use eval_adapt::{Outcome, Scheme};
@@ -21,7 +21,7 @@ use eval_core::Environment;
 const TECHNIQUES: [&str; 4] = ["No opt", "FU opt", "Queue opt", "FU+Queue opt"];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = TraceSession::from_env()?;
+    let trace = TraceSession::from_cli()?;
     let campaign = standard_campaign(8)?;
     eprintln!(
         "# campaign: {} chips x {} workloads x 16 environment variants (Fuzzy-Dyn)",

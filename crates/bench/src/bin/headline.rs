@@ -6,16 +6,17 @@
 //! * power rides the 30 W budget; area overhead is 10.6%.
 //!
 //! Protocol knobs: `EVAL_CHIPS` (default 15; paper protocol is 100) and
-//! `EVAL_WORKLOADS`. Pass `--trace <path>` (or set `EVAL_TRACE`) to dump
-//! the structured JSONL event/metric stream and an end-of-run summary;
-//! `--checkpoint <path>` / `--resume` make the campaign restartable.
+//! `EVAL_WORKLOADS`. Pass `--trace <path>` to dump the structured JSONL
+//! event/metric stream and an end-of-run summary; `--checkpoint <path>` /
+//! `--resume` make the campaign restartable (see
+//! `eval_bench::TraceSession`; any other argument is an error).
 
 use eval_adapt::Scheme;
 use eval_bench::{run_campaign, standard_campaign, TraceSession};
 use eval_core::{AreaBreakdown, Environment};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = TraceSession::from_env()?;
+    let trace = TraceSession::from_cli()?;
     let campaign = standard_campaign(15)?;
     eprintln!(
         "# headline campaign: {} chips x {} workloads",

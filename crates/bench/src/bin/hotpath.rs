@@ -24,7 +24,7 @@ use eval_adapt::{
     sample_bank, Campaign, ControllerZoo, ExhaustiveOptimizer, Optimizer, Scheme, SubsystemScene,
     TrainingBudget,
 };
-use eval_bench::{fail_chip_from_env, run_campaign, TraceSession};
+use eval_bench::{fail_chip_from_env, flag_value, run_campaign, TraceSession};
 use eval_core::{
     ChipFactory, ChipModel, Environment, EvalConfig, OperatingConditions, SubsystemId,
     VariantSelection, N_SUBSYSTEMS,
@@ -282,40 +282,37 @@ fn campaign_metrics(
     Ok(out)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut json_path = None;
-    let mut samples_override: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bench-json" => {
-                json_path = Some(args.next().ok_or("--bench-json needs a path")?);
-            }
-            "--samples" => {
-                let n = args.next().ok_or("--samples needs a count")?;
-                samples_override = Some(parse_samples(&n)?);
-            }
-            // Session flags, parsed by TraceSession::from_env below.
-            "--trace" | "--checkpoint" => {
-                args.next();
-            }
-            "--progress" | "--resume" | "--timing" => {}
-            other if other.starts_with("--trace=")
-                || other.starts_with("--checkpoint=")
-                || other.starts_with("--bench-json=")
-                || other.starts_with("--samples=") =>
-            {
-                if let Some(p) = other.strip_prefix("--bench-json=") {
-                    json_path = Some(p.to_string());
-                }
-                if let Some(n) = other.strip_prefix("--samples=") {
-                    samples_override = Some(parse_samples(n)?);
-                }
-            }
-            other => return Err(format!("unknown argument {other}").into()),
+/// This binary's command line: the session flags
+/// ([`TraceSession::from_args`]), `--samples N` and `--bench-json
+/// <path>`, in any order.
+struct Args {
+    session: Option<TraceSession>,
+    samples: Option<usize>,
+    json_path: Option<String>,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, Box<dyn std::error::Error>> {
+    let (session, rest) = TraceSession::from_args(args)?;
+    let (mut samples, mut json_path) = (None, None);
+    let mut rest = rest.into_iter();
+    while let Some(arg) = rest.next() {
+        if let Some(count) = flag_value("--samples", &arg, &mut rest)? {
+            samples = Some(parse_samples(&count)?);
+        } else if let Some(path) = flag_value("--bench-json", &arg, &mut rest)? {
+            json_path = Some(path);
+        } else {
+            return Err(format!("unknown argument {arg}").into());
         }
     }
-    let session = TraceSession::from_env()?;
+    Ok(Args {
+        session,
+        samples,
+        json_path,
+    })
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let args = parse_args(std::env::args().skip(1))?;
 
     let config = EvalConfig::micro08();
     let factory = ChipFactory::new(config.clone());
@@ -337,7 +334,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sc = scene(&config, &chip, SubsystemId::Dcache);
 
     let mut rows = Vec::new();
-    let n = |default: usize| samples_override.unwrap_or(default);
+    let n = |default: usize| args.samples.unwrap_or(default);
 
     rows.push(Row::new(
         "solve_thermal",
@@ -551,15 +548,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(path) = json_path {
-        let mut metrics = campaign_metrics(&session)?;
-        if let Some(count) = samples_override {
+    if let Some(path) = args.json_path {
+        let mut metrics = campaign_metrics(&args.session)?;
+        if let Some(count) = args.samples {
             metrics.push((names::BENCH_SAMPLES, count as f64));
         }
         // The content address covers the document *without* its own
         // stamp, so bit-identical measurements hash identically even
         // when produced by different revisions or hosts.
-        let record_samples = samples_override.is_some();
+        let record_samples = args.samples.is_some();
         let body = render_bench_json(&rows, &metrics, record_samples, None);
         let prov = eval_trace::Provenance::capture("bench-json")
             .with_content_address(body.as_bytes());
@@ -568,7 +565,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eval_trace::provenance::append_journal(std::path::Path::new(&path), &prov)?;
         println!("\nwrote {path}");
     }
-    if let Some(session) = session {
+    if let Some(session) = args.session {
         session.finish()?;
     }
     Ok(())
@@ -635,5 +632,54 @@ fn parse_samples(text: &str) -> Result<usize, String> {
     match text.parse::<usize>() {
         Ok(count) if count >= 2 => Ok(count),
         _ => Err(format!("--samples needs an integer count >= 2, got {text}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, Box<dyn std::error::Error>> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn own_and_session_flags_parse_in_any_order() {
+        let dir = std::env::temp_dir().join(format!("eval-hotpath-args-{}", std::process::id()));
+        let trace = dir.join("t.jsonl");
+        let trace = trace.to_str().expect("utf-8 temp path");
+        let orders: [[&str; 6]; 3] = [
+            ["--samples", "9", "--bench-json", "p", "--trace", trace],
+            ["--trace", trace, "--samples", "9", "--bench-json", "p"],
+            ["--bench-json", "p", "--trace", trace, "--samples", "9"],
+        ];
+        for args in orders {
+            let parsed = parse(&args).expect("parses");
+            assert_eq!(parsed.samples, Some(9), "{args:?}");
+            assert_eq!(parsed.json_path.as_deref(), Some("p"), "{args:?}");
+            assert!(parsed.session.is_some(), "{args:?}");
+        }
+        let parsed = parse(&["--samples=3", "--bench-json=q"]).expect("parses");
+        assert_eq!(
+            (parsed.samples, parsed.json_path.as_deref()),
+            (Some(3), Some("q"))
+        );
+        assert!(parsed.session.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_naming_them() {
+        for (args, named) in [
+            (&["--samples"][..], "--samples"),
+            (&["--samples", "--bench-json", "p"][..], "--samples"),
+            (&["--bench-json"][..], "--bench-json"),
+            (&["--samples", "1"][..], "--samples"),
+            (&["--trace", "--samples", "9"][..], "--trace"),
+            (&["--bogus"][..], "--bogus"),
+        ] {
+            let err = parse(args).err().expect("refused").to_string();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! Protocol knobs: `EVAL_CHIPS` (training population, default 4),
 //! `EVAL_HOLDOUT_CHIPS` (default = training), `EVAL_WORKLOADS`,
 //! `EVAL_THREADS` (0 = all cores; traces are byte-identical for any
-//! value). `--trace <path>` / `EVAL_TRACE` streams the JSONL event
-//! stream (`tournament-score` events roll up in `eval-obs analyze`).
+//! value). `--trace <path>` writes the JSONL event stream
+//! (`tournament-score` events roll up in `eval-obs analyze`). The
+//! tournament does not checkpoint: `--checkpoint` and `--resume` are
+//! errors, as is any other argument.
 //! Per-decision latency comes from the tournament's own decisions:
 //! `--timing` adds the `decision.latency.<scheme>_us` histograms to the
 //! `<trace>.timing.jsonl` sidecar, and `eval-obs analyze` and `eval-obs
@@ -20,7 +22,7 @@ use eval_bench::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let trace = TraceSession::from_env()?;
+    let trace = TraceSession::from_cli_without_checkpoint()?;
     let mut t = Tournament::new(chips_from_env(4)?);
     t.holdout_chips = usize_from_env("EVAL_HOLDOUT_CHIPS", 0)?.unwrap_or(t.chips);
     t.threads = usize_from_env("EVAL_THREADS", 0)?.unwrap_or(0);

@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 
 use eval_adapt::{Campaign, CampaignResult, CheckpointOptions, Scheme};
 use eval_core::Environment;
-use eval_obs::ProgressSink;
 use eval_trace::{
     ensure_parent_dir, timing_sidecar_path, Collector, Registry, StreamingJsonl, TimingSidecar,
     Tracer,
@@ -39,49 +38,119 @@ use eval_trace::{
 /// The collecting side of a [`TraceSession`]: an in-memory [`Collector`]
 /// (trace written atomically at end-of-run) or a crash-safe
 /// [`StreamingJsonl`] (one complete chip segment flushed per commit; used
-/// whenever checkpointing is on), either optionally wrapped in a
-/// [`ProgressSink`] heartbeating to stderr. The decorator forwards every
-/// record verbatim, so the traced JSONL stream is bit-identical either
-/// way.
+/// whenever checkpointing is on). Both write the same bytes.
 enum SessionSink {
-    Plain(Collector),
-    Progress(ProgressSink<Collector, std::io::Stderr>),
-    Stream(StreamingJsonl),
-    StreamProgress(ProgressSink<StreamingJsonl, std::io::Stderr>),
+    Collector(Collector),
+    StreamingJsonl(StreamingJsonl),
 }
 
-/// An optional telemetry session for the experiment binaries, enabled by
-/// any of:
+/// An optional telemetry session for the experiment binaries, set by
+/// four command-line flags and nothing else:
 ///
-/// * `--trace <path>` (or `--trace=<path>`, or `EVAL_TRACE`) — write the
-///   JSONL trace stream;
-/// * `--progress` (or `EVAL_PROGRESS=1`) — heartbeat live campaign
-///   progress (chips done/total, chips/sec, ETA, solver counters) to
-///   stderr while the run executes;
-/// * `--checkpoint <path>` (or `--checkpoint=<path>`, or
-///   `EVAL_CHECKPOINT`) — checkpoint campaign progress chip-by-chip to a
-///   sidecar, and stream the trace (when requested) one committed chip
-///   at a time instead of buffering it to end-of-run;
-/// * `--resume` (or `EVAL_RESUME=1`) — resume from the sidecar (which
-///   defaults to `<trace basename>.ckpt.jsonl` when only `--trace` is
-///   given), skipping chips it already holds;
-/// * `--timing` (or `EVAL_TIMING=1`; requires `--trace`) — profile the
-///   run: stream spans and wall-clock latency samples to a
-///   `<trace>.timing.jsonl` sidecar, consumable by `eval-obs profile`.
+/// * `--trace <path>` — write the JSONL trace stream;
+/// * `--checkpoint <path>` — checkpoint campaign progress chip-by-chip
+///   to a sidecar, and stream the trace (when requested) one committed
+///   chip at a time instead of buffering it to end-of-run;
+/// * `--resume` — resume from the sidecar (which defaults to
+///   `<trace basename>.ckpt.jsonl` when only `--trace` is given),
+///   skipping chips it already holds;
+/// * `--timing` (requires `--trace`) — profile the run: stream spans and
+///   wall-clock latency samples to a `<trace>.timing.jsonl` sidecar,
+///   consumable by `eval-obs profile`.
 ///
-/// Flags win over environment variables. Output paths are validated (and
-/// parent directories created, and the streaming trace/timing sidecar
-/// opened) up front, so a bad path fails before hours of chip work
-/// instead of after. [`TraceSession::finish`] completes all outputs.
-/// The `"kind":"event"` lines are bit-deterministic across runs and
-/// thread counts, and the primary trace is byte-identical whether
-/// `--timing` is on or off: spans and `*_us` metrics only ever reach the
-/// timing sidecar.
+/// The path flags also take the `--flag=<path>` form; a path flag with
+/// no value is an error naming it ([`flag_value`]). Output paths are
+/// validated (and parent directories created, and the streaming
+/// trace/timing sidecar opened) up front, so a bad command line or path
+/// fails before any chip runs instead of after hours of chip work.
+/// [`TraceSession::finish`] completes all outputs. The `"kind":"event"`
+/// lines are bit-deterministic across runs and thread counts, and the
+/// primary trace is byte-identical whether `--timing` is on or off:
+/// spans and `*_us` metrics only ever reach the timing sidecar.
 pub struct TraceSession {
     trace_path: Option<PathBuf>,
     checkpoint: Option<CheckpointOptions>,
     sink: SessionSink,
     timing: Option<TimingSidecar>,
+}
+
+/// The session flags as given, before any file is touched.
+#[derive(Default)]
+struct SessionFlags {
+    trace: Option<PathBuf>,
+    checkpoint: Option<PathBuf>,
+    resume: bool,
+    timing: bool,
+}
+
+impl SessionFlags {
+    /// The session flags of this process's command line, for a binary
+    /// with no flags of its own: any other argument is an error.
+    fn from_cli() -> std::io::Result<Self> {
+        let (flags, rest) = Self::parse(std::env::args().skip(1))?;
+        refuse_leftovers(&rest)?;
+        Ok(flags)
+    }
+
+    /// Takes the session flags out of `args`, returning the arguments
+    /// it did not consume, in order.
+    fn parse(args: impl IntoIterator<Item = String>) -> std::io::Result<(Self, Vec<String>)> {
+        let mut flags = SessionFlags::default();
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(path) = flag_value("--trace", &arg, &mut args)? {
+                flags.trace = Some(path.into());
+            } else if let Some(path) = flag_value("--checkpoint", &arg, &mut args)? {
+                flags.checkpoint = Some(path.into());
+            } else if arg == "--resume" {
+                flags.resume = true;
+            } else if arg == "--timing" {
+                flags.timing = true;
+            } else {
+                rest.push(arg);
+            }
+        }
+        Ok((flags, rest))
+    }
+}
+
+/// The value of the flag `flag` when `arg` is that flag: the text after
+/// `--flag=`, or for a bare `--flag` the next argument, taken from
+/// `rest`. `Ok(None)` when `arg` is some other argument.
+///
+/// # Errors
+///
+/// A missing or empty value, or a next argument that is itself a flag
+/// (`--...`), is an error naming `flag`.
+pub fn flag_value(
+    flag: &str,
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> std::io::Result<Option<String>> {
+    let value = if arg == flag {
+        rest.next()
+    } else if let Some(value) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+        Some(value.to_string())
+    } else {
+        return Ok(None);
+    };
+    match value {
+        Some(value) if !value.is_empty() && !value.starts_with("--") => Ok(Some(value)),
+        _ => Err(invalid(format!("{flag} needs a value"))),
+    }
+}
+
+/// Refuses the arguments a binary with no flags of its own was left
+/// with after the session flags.
+fn refuse_leftovers(rest: &[String]) -> std::io::Result<()> {
+    match rest.first() {
+        Some(arg) => Err(invalid(format!(
+            "unknown argument {arg} (accepted: --trace <path>, --checkpoint <path>, \
+             --resume, --timing)"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// `<trace>.ckpt.jsonl` next to the trace file (the default sidecar when
@@ -95,53 +164,66 @@ fn invalid(msg: String) -> std::io::Error {
 }
 
 impl TraceSession {
-    /// Builds a session from `std::env::args` / environment variables,
-    /// or `None` when no telemetry was requested.
+    /// Builds a session from the session flags in `args` (the arguments
+    /// after the program name), or `None` when no telemetry was
+    /// requested, together with the arguments it did not consume, in
+    /// order.
     ///
     /// # Errors
     ///
-    /// Fails fast on unusable output paths, on `--resume` without any way
-    /// to locate a sidecar, on a trace file that cannot be reconciled
+    /// Fails fast on a path flag without a value, on unusable output
+    /// paths, on `--timing` without `--trace`, on `--resume` without any
+    /// way to locate a sidecar, on a trace file that cannot be reconciled
     /// with the sidecar's committed frontier, or on a corrupt sidecar.
-    pub fn from_env() -> std::io::Result<Option<TraceSession>> {
-        let mut args = std::env::args();
-        let mut trace_path: Option<PathBuf> = None;
-        let mut checkpoint_path: Option<PathBuf> = None;
-        let mut progress = false;
-        let mut resume = false;
-        let mut timing = false;
-        while let Some(arg) = args.next() {
-            if arg == "--trace" {
-                trace_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--trace=") {
-                trace_path = Some(p.into());
-            } else if arg == "--checkpoint" {
-                checkpoint_path = args.next().map(Into::into);
-            } else if let Some(p) = arg.strip_prefix("--checkpoint=") {
-                checkpoint_path = Some(p.into());
-            } else if arg == "--progress" {
-                progress = true;
-            } else if arg == "--resume" {
-                resume = true;
-            } else if arg == "--timing" {
-                timing = true;
-            }
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> std::io::Result<(Option<TraceSession>, Vec<String>)> {
+        let (flags, rest) = SessionFlags::parse(args)?;
+        Ok((Self::open(flags)?, rest))
+    }
+
+    /// [`TraceSession::from_args`] over this process's command line, for
+    /// a binary with no flags of its own: any other argument is an error.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`TraceSession::from_args`] can return, and an unknown
+    /// argument.
+    pub fn from_cli() -> std::io::Result<Option<TraceSession>> {
+        Self::open(SessionFlags::from_cli()?)
+    }
+
+    /// [`TraceSession::from_cli`] for a binary that does not checkpoint:
+    /// `--checkpoint` and `--resume` are errors, refused before any file
+    /// is touched.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`TraceSession::from_cli`] can return, and either
+    /// checkpoint flag.
+    pub fn from_cli_without_checkpoint() -> std::io::Result<Option<TraceSession>> {
+        let flags = SessionFlags::from_cli()?;
+        let given = [
+            ("--checkpoint", flags.checkpoint.is_some()),
+            ("--resume", flags.resume),
+        ];
+        if let Some((flag, _)) = given.iter().find(|(_, set)| *set) {
+            return Err(invalid(format!("{flag}: this binary does not checkpoint")));
         }
-        let trace_path = trace_path.or_else(|| std::env::var_os("EVAL_TRACE").map(Into::into));
-        let checkpoint_path =
-            checkpoint_path.or_else(|| std::env::var_os("EVAL_CHECKPOINT").map(Into::into));
-        let truthy = |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
-        let progress = progress || truthy("EVAL_PROGRESS");
-        let resume = resume || truthy("EVAL_RESUME");
-        let timing = timing || truthy("EVAL_TIMING");
-        if timing && trace_path.is_none() {
+        Self::open(flags)
+    }
+
+    /// Opens the outputs `flags` ask for.
+    fn open(flags: SessionFlags) -> std::io::Result<Option<TraceSession>> {
+        let trace_path = flags.trace;
+        if flags.timing && trace_path.is_none() {
             return Err(invalid(
                 "--timing needs --trace <path> to derive the <trace>.timing.jsonl sidecar from"
                     .to_string(),
             ));
         }
 
-        let checkpoint = match (checkpoint_path, resume) {
+        let checkpoint = match (flags.checkpoint, flags.resume) {
             (Some(path), resume) => Some(CheckpointOptions { path, resume }),
             (None, true) => {
                 let trace = trace_path.as_ref().ok_or_else(|| {
@@ -158,7 +240,7 @@ impl TraceSession {
             }
             (None, false) => None,
         };
-        if trace_path.is_none() && checkpoint.is_none() && !progress {
+        if trace_path.is_none() && checkpoint.is_none() {
             return Ok(None);
         }
 
@@ -182,7 +264,7 @@ impl TraceSession {
                 } else {
                     Vec::new()
                 };
-                let stream = if opts.resume && trace.exists() {
+                SessionSink::StreamingJsonl(if opts.resume && trace.exists() {
                     // A quarantined chip (no cells) left no trace segment.
                     let segments = committed.iter().filter(|c| c.cells.is_some()).count();
                     StreamingJsonl::resume(trace, segments)?
@@ -196,25 +278,13 @@ impl TraceSession {
                     )));
                 } else {
                     StreamingJsonl::create(trace)?
-                };
-                if progress {
-                    SessionSink::StreamProgress(ProgressSink::stderr(stream))
-                } else {
-                    SessionSink::Stream(stream)
-                }
+                })
             }
-            _ => {
-                let collector = Collector::new();
-                if progress {
-                    SessionSink::Progress(ProgressSink::stderr(collector))
-                } else {
-                    SessionSink::Plain(collector)
-                }
-            }
+            _ => SessionSink::Collector(Collector::new()),
         };
         // The timing sidecar streams, so it is created (truncating) up
         // front like the checkpointed trace.
-        let timing = match (timing, &trace_path) {
+        let timing = match (flags.timing, &trace_path) {
             (true, Some(trace)) => Some(TimingSidecar::create(&timing_sidecar_path(trace))?),
             _ => None,
         };
@@ -231,10 +301,8 @@ impl TraceSession {
     /// primary stream stays byte-identical either way.
     pub fn tracer(&self) -> Tracer<'_> {
         let primary: &dyn eval_trace::TraceSink = match &self.sink {
-            SessionSink::Plain(c) => c,
-            SessionSink::Progress(p) => p,
-            SessionSink::Stream(s) => s,
-            SessionSink::StreamProgress(p) => p,
+            SessionSink::Collector(c) => c,
+            SessionSink::StreamingJsonl(s) => s,
         };
         match &self.timing {
             Some(sidecar) => Tracer::with_timing(primary, sidecar),
@@ -242,24 +310,11 @@ impl TraceSession {
         }
     }
 
-    /// The checkpoint sidecar configuration, when `--checkpoint` or
-    /// `--resume` was requested.
-    fn checkpoint_options(&self) -> Option<&CheckpointOptions> {
-        self.checkpoint.as_ref()
-    }
-
-    /// The trace output path, when `--trace` was requested.
-    fn trace_path(&self) -> Option<&Path> {
-        self.trace_path.as_deref()
-    }
-
     /// A snapshot of the session's metric registry so far.
     pub fn registry(&self) -> Registry {
         match &self.sink {
-            SessionSink::Plain(c) => c.registry(),
-            SessionSink::Progress(p) => p.inner().registry(),
-            SessionSink::Stream(s) => s.registry(),
-            SessionSink::StreamProgress(p) => p.inner().registry(),
+            SessionSink::Collector(c) => c.registry(),
+            SessionSink::StreamingJsonl(s) => s.registry(),
         }
     }
 
@@ -283,26 +338,13 @@ impl TraceSession {
                 .timing_count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
         let summary = match self.sink {
-            SessionSink::Plain(c) => {
+            SessionSink::Collector(c) => {
                 if let Some(path) = &self.trace_path {
                     c.write_jsonl(path)?;
                 }
                 c.summary()
             }
-            SessionSink::Progress(p) => {
-                let c = p.into_inner();
-                if let Some(path) = &self.trace_path {
-                    c.write_jsonl(path)?;
-                }
-                c.summary()
-            }
-            SessionSink::Stream(s) => {
-                let summary = s.summary();
-                s.finish()?;
-                summary
-            }
-            SessionSink::StreamProgress(p) => {
-                let s = p.into_inner();
+            SessionSink::StreamingJsonl(s) => {
                 let summary = s.summary();
                 s.finish()?;
                 summary
@@ -371,10 +413,10 @@ pub fn run_campaign(
     if campaign.postmortem_dir.is_none() {
         campaign.postmortem_dir = session
             .as_ref()
-            .and_then(TraceSession::trace_path)
+            .and_then(|s| s.trace_path.as_deref())
             .map(postmortem_dir_for_trace);
     }
-    let result = match session.as_ref().and_then(TraceSession::checkpoint_options) {
+    let result = match session.as_ref().and_then(|s| s.checkpoint.as_ref()) {
         Some(opts) => campaign.run_checkpointed(envs, schemes, tracer, opts)?,
         None => campaign.run_traced(envs, schemes, tracer)?,
     };
@@ -491,7 +533,7 @@ pub fn workloads_from_env() -> Result<Vec<eval_uarch::Workload>, BadEnv> {
         .filter(|n| !n.is_empty())
         .map(|n| {
             eval_uarch::Workload::by_name(n).ok_or_else(|| {
-                let valid: Vec<&str> = eval_uarch::Workload::extended()
+                let valid: Vec<&str> = eval_uarch::Workload::all()
                     .iter()
                     .map(|w| w.name)
                     .collect();
@@ -603,6 +645,70 @@ pub fn print_environment_csv<F: Fn(&eval_adapt::CellResult) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn session_flags_leave_other_arguments_in_order() {
+        let (flags, rest) = SessionFlags::parse(args(&[
+            "a",
+            "--trace",
+            "t.jsonl",
+            "--timing",
+            "b",
+            "--checkpoint=c.ckpt.jsonl",
+            "--resume",
+            "c",
+        ]))
+        .expect("parses");
+        assert_eq!(flags.trace, Some(PathBuf::from("t.jsonl")));
+        assert_eq!(flags.checkpoint, Some(PathBuf::from("c.ckpt.jsonl")));
+        assert!(flags.resume && flags.timing);
+        assert_eq!(rest, args(&["a", "b", "c"]));
+        let (flags, rest) = SessionFlags::parse(args(&["--trace=t.jsonl"])).expect("parses");
+        assert_eq!(flags.trace, Some(PathBuf::from("t.jsonl")));
+        assert!(rest.is_empty() && !flags.resume && !flags.timing);
+    }
+
+    #[test]
+    fn a_path_flag_without_a_value_is_an_error_naming_it() {
+        for (list, flag) in [
+            (&["--trace"][..], "--trace"),
+            (&["--trace", "--timing"][..], "--trace"),
+            (&["--trace="][..], "--trace"),
+            (&["--timing", "--checkpoint"][..], "--checkpoint"),
+            (&["--checkpoint", "--resume"][..], "--checkpoint"),
+        ] {
+            let err = SessionFlags::parse(args(list))
+                .err()
+                .unwrap_or_else(|| panic!("{list:?} parsed"));
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), format!("{flag} needs a value"), "{list:?}");
+        }
+    }
+
+    #[test]
+    fn leftover_arguments_are_refused_by_name() {
+        assert!(refuse_leftovers(&[]).is_ok());
+        let err = refuse_leftovers(&args(&["--trce", "x"])).expect_err("unknown flag");
+        assert!(
+            err.to_string().starts_with("unknown argument --trce "),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn no_session_flag_means_no_session() {
+        let (session, rest) = TraceSession::from_args(args(&["x"])).expect("parses");
+        assert!(session.is_none());
+        assert_eq!(rest, args(&["x"]));
+        // Flags that need a trace path fail without one.
+        for list in [&["--timing"][..], &["--resume"][..]] {
+            assert!(TraceSession::from_args(args(list)).is_err(), "{list:?}");
+        }
+    }
 
     #[test]
     fn chips_env_parsing_defaults() {

@@ -50,25 +50,24 @@ impl Normalizer {
         self.mins.len()
     }
 
-    /// Maps an input vector into the unit cube (constant dimensions map
-    /// to 0.5). Values outside the fitted range extrapolate linearly.
+    /// Maps an input vector into the unit cube, writing it to `out`
+    /// (constant dimensions map to 0.5). Values outside the fitted range
+    /// extrapolate linearly.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn normalize(&self, x: &[f64]) -> Vec<f64> {
+    /// Panics if `x.len()` or `out.len()` differs from `self.dim()`.
+    pub fn normalize_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.dim(), "input dimension mismatch");
-        x.iter()
-            .enumerate()
-            .map(|(j, &v)| {
-                let span = self.maxs[j] - self.mins[j];
-                if span <= 0.0 {
-                    0.5
-                } else {
-                    (v - self.mins[j]) / span
-                }
-            })
-            .collect()
+        assert_eq!(out.len(), self.dim(), "output dimension mismatch");
+        for (j, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+            let span = self.maxs[j] - self.mins[j];
+            *o = if span <= 0.0 {
+                0.5
+            } else {
+                (v - self.mins[j]) / span
+            };
+        }
     }
 
     /// Maps a raw output into `[0, 1]`.
@@ -95,7 +94,11 @@ impl Normalizer {
     pub fn apply(&self, examples: &[(Vec<f64>, f64)]) -> Vec<(Vec<f64>, f64)> {
         examples
             .iter()
-            .map(|(x, t)| (self.normalize(x), self.normalize_output(*t)))
+            .map(|(x, t)| {
+                let mut normalized = vec![0.0; x.len()];
+                self.normalize_into(x, &mut normalized);
+                (normalized, self.normalize_output(*t))
+            })
             .collect()
     }
 }
@@ -112,11 +115,17 @@ mod tests {
         ]
     }
 
+    fn normalize(n: &Normalizer, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; x.len()];
+        n.normalize_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn normalization_maps_extremes_to_unit_interval() {
         let n = Normalizer::fit(&examples());
-        assert_eq!(n.normalize(&[50.0, 0.001]), vec![0.0, 0.0]);
-        assert_eq!(n.normalize(&[70.0, 0.009]), vec![1.0, 1.0]);
+        assert_eq!(normalize(&n, &[50.0, 0.001]), vec![0.0, 0.0]);
+        assert_eq!(normalize(&n, &[70.0, 0.009]), vec![1.0, 1.0]);
         assert_eq!(n.normalize_output(2.4), 0.0);
         assert_eq!(n.normalize_output(5.6), 1.0);
     }
@@ -134,7 +143,7 @@ mod tests {
     fn constant_dimension_maps_to_half() {
         let ex = vec![(vec![3.0, 1.0], 0.0), (vec![3.0, 2.0], 1.0)];
         let n = Normalizer::fit(&ex);
-        assert_eq!(n.normalize(&[3.0, 1.5])[0], 0.5);
+        assert_eq!(normalize(&n, &[3.0, 1.5])[0], 0.5);
     }
 
     #[test]

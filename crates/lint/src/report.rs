@@ -107,7 +107,7 @@ pub fn explain(rule: Rule) -> &'static str {
             "atomic-artifacts (EVL008)\n\nFinal artifacts (traces, reports, metric snapshots, bench JSON) must\nnot be written with std::fs::write / File::create: a crash or a\nconcurrent reader mid-write sees a torn file. Use\neval_trace::write_atomic (stage + rename). Append-mode streams built\non OpenOptions are their own crash-safety story and are exempt."
         }
         Rule::MetricSchema => {
-            "metric-schema (EVL009)\n\nCross-crate schema drift: the emitting side (campaign, adapt, core)\nand the consuming side (eval-obs progress/analyze/bench-check) agree\non metric names only by string equality, so a rename on one side\nstrands the other silently. Every metric name is declared once as an\neval_trace::names constant; this rule flags (a) raw metric-name\nstring literals outside the names module, (b) names consumed in\neval-obs but emitted nowhere, (c) names emitted but never consumed\nand not listed in the committed registry results/metric_schema.json,\n(d) consumed prefix families no emitted name falls under, (e) names\nconstants nothing references, (f) registry entries no longer backed\nby any declaration/emit/consume, and (g) two constants declaring the\nsame name. Regenerate the registry with `eval-lint --emit-schema`."
+            "metric-schema (EVL009)\n\nCross-crate schema drift: the emitting side (campaign, adapt, core)\nand the consuming side (eval-obs analyze/bench-check) agree\non metric names only by string equality, so a rename on one side\nstrands the other silently. Every metric name is declared once as an\neval_trace::names constant; this rule flags (a) raw metric-name\nstring literals outside the names module, (b) names consumed in\neval-obs but emitted nowhere, (c) names emitted but never consumed\nand not listed in the committed registry results/metric_schema.json,\n(d) consumed prefix families no emitted name falls under, (e) names\nconstants nothing references, (f) registry entries no longer backed\nby any declaration/emit/consume, and (g) two constants declaring the\nsame name. Regenerate the registry with `eval-lint --emit-schema`."
         }
         Rule::HotPathReachability => {
             "hot-path-reachability (EVL010)\n\nno-alloc-in-check (EVL006) only sees the marked file itself, so a\nhot-path function that calls an allocating helper in a neighbouring\nmodule passes. This rule closes the gap one call-graph hop out:\nevery function called from a lint:hot-path module must be\nallocation-free or itself live in a hot-path-marked (and therefore\nchecked) module. Resolution is name-based and deliberately\nconservative: unqualified and method calls resolve within the calling\ncrate, `eval_xxx::` paths resolve cross-crate, `Type::` paths are\nskipped, and a finding fires only when every candidate definition\nallocates."

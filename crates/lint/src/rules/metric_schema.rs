@@ -1,8 +1,8 @@
 //! metric-schema (EVL009): cross-crate metric-name drift.
 //!
 //! The emitting side (campaign runner, adaptation layer, core tester,
-//! the hotpath bench bin) and the consuming side (eval-obs progress /
-//! analyze / bench-check) agree on metric names only by string
+//! the hotpath bench bin) and the consuming side (eval-obs analyze /
+//! bench-check) agree on metric names only by string
 //! equality. A rename on one side strands the other *silently*: the
 //! consumer reads zeros, the dashboard goes flat, and nothing fails.
 //!

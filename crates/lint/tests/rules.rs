@@ -229,11 +229,12 @@ fn wall_clock_exempts_the_sanctioned_timing_module() {
 
 #[test]
 fn sink_forward_accepts_the_real_sinks() {
-    // Collector, BufferSink (eval-trace) and ProgressSink (eval-obs) must
-    // all satisfy the forwarding contract.
+    // Collector, BufferSink, StreamingJsonl and TimingSidecar must all
+    // satisfy the forwarding contract.
     for (rel, crate_name) in [
         ("../trace/src/sink.rs", "eval-trace"),
-        ("../obs/src/progress.rs", "eval-obs"),
+        ("../trace/src/stream.rs", "eval-trace"),
+        ("../trace/src/timing.rs", "eval-trace"),
     ] {
         let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
         let source = std::fs::read_to_string(&path).expect("source exists");

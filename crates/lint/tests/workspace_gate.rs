@@ -48,7 +48,7 @@ fn a_seeded_metric_rename_is_caught_on_both_sides() {
     assert!(matches!(registry, RegistryState::Loaded(_)));
     assert!(analyze(&ws, &registry).is_empty(), "baseline must be clean");
 
-    // Seed the drift: one emitter renames campaign.chips_done.
+    // Seed the drift: the one emitter renames campaign.chips_resumed.
     let campaign = "crates/adapt/src/campaign.rs";
     let original = ws
         .files
@@ -57,7 +57,10 @@ fn a_seeded_metric_rename_is_caught_on_both_sides() {
         .expect("campaign.rs is in scope")
         .source
         .clone();
-    let renamed = original.replace("names::CAMPAIGN_CHIPS_DONE", "\"campaign.done_chips\"");
+    let renamed = original.replace(
+        "names::CAMPAIGN_CHIPS_RESUMED",
+        "\"campaign.resumed_chips\"",
+    );
     assert_ne!(original, renamed, "the emit site moved; update this test");
     ws.overlay(campaign, &renamed);
 
@@ -69,15 +72,15 @@ fn a_seeded_metric_rename_is_caught_on_both_sides() {
     assert!(!ms.is_empty(), "the rename must not pass the lint gate");
     // The orphaned consumer: eval-obs still reads the old name.
     assert!(
-        ms.iter().any(|f| f.path == "crates/obs/src/progress.rs"
-            && f.message.contains("\"campaign.chips_done\"")
+        ms.iter().any(|f| f.path == "crates/obs/src/analyze.rs"
+            && f.message.contains("\"campaign.chips_resumed\"")
             && f.message.contains("emitted nowhere")),
         "{findings:?}"
     );
     // The unregistered emitter: the new name is known to nobody.
     assert!(
         ms.iter().any(|f| f.path == campaign
-            && f.message.contains("\"campaign.done_chips\"")
+            && f.message.contains("\"campaign.resumed_chips\"")
             && f.message.contains("not listed in")),
         "{findings:?}"
     );

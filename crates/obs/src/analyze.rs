@@ -1289,4 +1289,94 @@ mod tests {
         assert!(e.message.contains("provenance"), "{}", e.message);
         assert_eq!(e.line, 1);
     }
+
+    mod reader_properties {
+        use super::*;
+        use crate::damage;
+        use eval_trace::{MetricUpdate, Registry};
+        use proptest::prelude::*;
+
+        /// Metric-name characters, JSON's escapes and a non-ASCII one
+        /// included.
+        const NAME_CHARS: [char; 8] = ['a', 'b', '.', '_', '"', '\\', '\n', 'µ'];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The counters and gauges a registry writes read back
+            /// exactly: counter sums below 2^53 (where JSON numbers are
+            /// exact) and every gauge's last value bit for bit.
+            #[test]
+            fn prop_metric_lines_round_trip(
+                names in proptest::collection::vec(
+                    proptest::collection::vec(0usize..NAME_CHARS.len(), 1..6),
+                    1..5,
+                ),
+                updates in proptest::collection::vec(0usize..64, 0..24),
+                adds in proptest::collection::vec(0u64..1 << 40, 24),
+                values in proptest::collection::vec(-1e12f64..1e12, 24),
+            ) {
+                let names: Vec<String> = names
+                    .iter()
+                    .map(|chars| chars.iter().map(|&c| NAME_CHARS[c]).collect())
+                    .collect();
+                let mut registry = Registry::new();
+                let mut counters = BTreeMap::new();
+                let mut gauges = BTreeMap::new();
+                for (i, &u) in updates.iter().enumerate() {
+                    let name = names[u % names.len()].clone();
+                    if u % 2 == 0 {
+                        registry.apply(&MetricUpdate::CounterAdd(name.clone().into(), adds[i]));
+                        *counters.entry(name).or_insert(0) += adds[i];
+                    } else {
+                        registry.apply(&MetricUpdate::GaugeSet(name.clone().into(), values[i]));
+                        gauges.insert(name, values[i].to_bits());
+                    }
+                }
+                let text = registry.jsonl_lines().join("\n");
+                let a = analyze_reader(text.as_bytes()).expect("a written trace reads back");
+                prop_assert!(!a.truncated_tail);
+                prop_assert_eq!(a.counters, counters);
+                let read: BTreeMap<String, u64> =
+                    a.gauges.iter().map(|(n, v)| (n.clone(), v.to_bits())).collect();
+                prop_assert_eq!(read, gauges);
+            }
+
+            /// A damaged trace never panics the reader. A cut or
+            /// reordered trace still reads; an error names a line that
+            /// the damage produced, never one of the trace's own lines.
+            /// Reordered lines leave every counter and span sum as it
+            /// was.
+            #[test]
+            fn prop_damaged_traces_fail_only_on_damaged_lines(
+                kind in 0usize..damage::KINDS,
+                at in 0.0f64..1.0,
+                ascii in 0u32..128,
+            ) {
+                let clean = mini_trace();
+                let whole: Vec<&str> = clean.lines().collect();
+                let reference = analyze_reader(clean.as_bytes()).expect("the clean trace reads");
+
+                let damaged = damage::apply(&clean, kind, at, ascii as u8);
+                let read = std::panic::catch_unwind(|| analyze_reader(damaged.as_bytes()));
+                prop_assert!(read.is_ok(), "analyze panicked on damage {} at {}", kind, at);
+                match read.unwrap() {
+                    Ok(a) => {
+                        if kind == 4 {
+                            prop_assert_eq!(&a.counters, &reference.counters);
+                            prop_assert_eq!(&a.spans, &reference.spans);
+                        }
+                    }
+                    Err(err) => {
+                        prop_assert!(kind == 1, "damage {} at {} failed: {}", kind, at, err);
+                        let line = damaged.lines().nth(err.line - 1).unwrap_or("");
+                        prop_assert!(
+                            !whole.contains(&line),
+                            "error names the undamaged line {}: {}", err.line, err
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

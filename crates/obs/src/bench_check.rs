@@ -1017,6 +1017,7 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::damage;
         use proptest::prelude::*;
 
         /// The committed bench baseline, the file tier-1 gates against.
@@ -1038,31 +1039,6 @@ mod tests {
             )
         }
 
-        /// `text` damaged in one of four ways: cut at byte `at`, byte
-        /// `at` replaced by `ascii`, or one line dropped or duplicated.
-        fn damage(text: &str, kind: usize, at: f64, ascii: u8) -> String {
-            assert!(text.is_ascii(), "every byte is a char boundary");
-            let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
-            let line = ((at * lines.len() as f64) as usize).min(lines.len() - 1);
-            let byte = ((at * text.len() as f64) as usize).min(text.len() - 1);
-            match kind {
-                0 => text[..byte].to_string(),
-                1 => {
-                    let mut bytes = text.as_bytes().to_vec();
-                    bytes[byte] = ascii;
-                    String::from_utf8(bytes).expect("ASCII stays UTF-8")
-                }
-                2 => {
-                    lines.remove(line);
-                    lines.concat()
-                }
-                _ => {
-                    lines.insert(line, lines[line]);
-                    lines.concat()
-                }
-            }
-        }
-
         fn same(a: &HistoryRecord, b: &HistoryRecord) -> bool {
             a.format == b.format && a.host == b.host && a.samples == b.samples
         }
@@ -1076,7 +1052,7 @@ mod tests {
             /// panic; the undamaged file gives back every benchmark.
             #[test]
             fn prop_damaged_bench_files_parse_or_fail(
-                kind in 0usize..4,
+                kind in 0usize..damage::KINDS,
                 at in 0.0f64..1.0,
                 ascii in 0u32..128,
             ) {
@@ -1086,7 +1062,7 @@ mod tests {
                 prop_assert_eq!(clean.samples.len(), clean.benches.len());
                 prop_assert!(clean.provenance.is_some());
 
-                let damaged = damage(BASELINE, kind, at, ascii as u8);
+                let damaged = damage::apply(BASELINE, kind, at, ascii as u8);
                 let parsed = std::panic::catch_unwind(|| BenchFile::parse(&damaged).is_ok());
                 prop_assert!(parsed.is_ok(), "parse panicked on damage {} at {}", kind, at);
             }
@@ -1096,7 +1072,7 @@ mod tests {
             /// gives back its record, in order.
             #[test]
             fn prop_damaged_history_drops_only_the_damaged_lines(
-                kind in 0usize..4,
+                kind in 0usize..damage::KINDS,
                 at in 0.0f64..1.0,
                 ascii in 0u32..128,
             ) {
@@ -1112,7 +1088,7 @@ mod tests {
                     prop_assert_eq!(&rec.samples[name], &samples(center, 9));
                 }
 
-                let damaged = damage(&clean, kind, at, ascii as u8);
+                let damaged = damage::apply(&clean, kind, at, ascii as u8);
                 let parsed = std::panic::catch_unwind(|| parse_history(&damaged));
                 prop_assert!(parsed.is_ok(), "parse_history panicked on damage {} at {}", kind, at);
                 let got = parsed.unwrap();

@@ -8,9 +8,6 @@
 //!   per-scheme / per-chip / per-phase rollups with digest quantiles,
 //!   fuzzy-vs-exhaustive frequency deltas, binding-constraint
 //!   breakdowns, and `SolveCache` hit rates (`eval-obs analyze`);
-//! * [`progress`] — [`progress::ProgressSink`], a `TraceSink` decorator
-//!   that heartbeats live campaign progress to stderr while forwarding
-//!   every record verbatim (the `--progress` flag);
 //! * [`bench_check`] — the bench regression gate comparing a fresh
 //!   `BENCH_hotpath.json` against the committed baseline and the pooled
 //!   `BENCH_history.jsonl` distribution (`eval-obs bench-check`, wired
@@ -38,7 +35,6 @@ pub mod analyze;
 pub mod bench_check;
 pub mod postmortem;
 pub mod profile;
-pub mod progress;
 pub mod runs;
 pub mod stats;
 
@@ -50,9 +46,11 @@ pub use bench_check::{
 pub use eval_trace::json::{Json, JsonError};
 pub use postmortem::{parse_bundle, Bundle, FlightLine};
 pub use profile::Profile;
-pub use progress::ProgressSink;
 pub use runs::{find, load_journal, parse_journal, query_by_fingerprint, RunEntry};
 pub use stats::{
     deciles, effect_size, paired_bootstrap, quantile_gate, EffectSize, GateConfig, GateVerdict,
     PairedInterval,
 };
+
+#[cfg(test)]
+mod damage;

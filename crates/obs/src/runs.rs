@@ -466,4 +466,84 @@ mod tests {
         assert!(shown.contains("trace-jsonl"));
         assert!(shown.contains(&hex64(7)));
     }
+
+    mod journal_properties {
+        use super::*;
+        use crate::damage;
+        use proptest::prelude::*;
+
+        /// Path characters, JSON's escapes and a non-ASCII one included.
+        const PATH_CHARS: [char; 10] = ['a', '/', '.', '-', ' ', '"', '\\', '\t', '\n', 'µ'];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every entry a writer journals parses back whole, in
+            /// order. Timestamps stay below 2^53, where JSON numbers
+            /// are exact.
+            #[test]
+            fn prop_journal_lines_round_trip(
+                paths in proptest::collection::vec(
+                    proptest::collection::vec(0usize..PATH_CHARS.len(), 0..12),
+                    0..6,
+                ),
+                secs in proptest::collection::vec(0u64..1 << 53, 6),
+                addrs in proptest::collection::vec(0u64..u64::MAX, 6),
+                stamped in proptest::collection::vec(proptest::bool::ANY, 6),
+            ) {
+                let entries: Vec<RunEntry> = paths
+                    .iter()
+                    .enumerate()
+                    .map(|(i, chars)| {
+                        let addr = stamped[i].then_some(addrs[i]);
+                        RunEntry {
+                            index: i,
+                            unix_secs: secs[i],
+                            path: chars.iter().map(|&c| PATH_CHARS[c]).collect(),
+                            provenance: prov("trace-jsonl", addr, "rev \"µ\"", addr.map(|a| !a)),
+                        }
+                    })
+                    .collect();
+                let text: String = entries
+                    .iter()
+                    .map(|e| journal_line(Path::new(&e.path), &e.provenance, e.unix_secs) + "\n")
+                    .collect();
+                prop_assert_eq!(parse_journal(&text), entries);
+            }
+
+            /// A damaged journal never panics its reader, which drops
+            /// only the damaged lines: every entry line left whole
+            /// still gives back its entry, in order, indexed densely.
+            #[test]
+            fn prop_damaged_journal_drops_only_the_damaged_lines(
+                kind in 0usize..damage::KINDS,
+                at in 0.0f64..1.0,
+                ascii in 0u32..128,
+            ) {
+                let clean = journal();
+                let lines: Vec<&str> = clean.lines().collect();
+                let entries = parse_journal(&clean);
+                prop_assert_eq!(entries.len(), 3);
+
+                let damaged = damage::apply(&clean, kind, at, ascii as u8);
+                let parsed = std::panic::catch_unwind(|| parse_journal(&damaged));
+                prop_assert!(parsed.is_ok(), "parse_journal panicked on damage {} at {}", kind, at);
+                let got = parsed.unwrap();
+                for (i, entry) in got.iter().enumerate() {
+                    prop_assert_eq!(entry.index, i);
+                }
+                let mut rest = got.iter();
+                for whole in damaged.lines() {
+                    // The first two lines are the junk `parse_journal` skips.
+                    if let Some(k) = lines.iter().skip(2).position(|l| *l == whole) {
+                        let want = &entries[k];
+                        prop_assert!(
+                            rest.any(|e| e.path == want.path && e.provenance == want.provenance),
+                            "entry {} lost after damage {} at {}", k, kind, at
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

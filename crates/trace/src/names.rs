@@ -2,7 +2,7 @@
 //!
 //! Every metric/counter name that crosses a crate boundary — emitted by
 //! the campaign, runtime, solver, or trainer and consumed by `eval-obs`
-//! rollups, the progress heartbeat, or the `bench-check` gate — is
+//! rollups or the `bench-check` gate — is
 //! declared here exactly once as a `&'static str` constant. Emitters and
 //! consumers import the constant instead of repeating the string, so a
 //! rename is a compile-visible change on both sides rather than a silent
@@ -19,8 +19,6 @@
 //! matched by `starts_with` (e.g. the per-scheme decision-latency
 //! timers) rather than one exact metric.
 
-/// Chips in the campaign population (gauge; also announced on resume).
-pub const CAMPAIGN_CHIPS_TOTAL: &str = "campaign.chips_total";
 /// Chips fully merged into the campaign result so far (counter).
 pub const CAMPAIGN_CHIPS_DONE: &str = "campaign.chips_done";
 /// Chips restored from a checkpoint instead of re-run (counter).
@@ -171,7 +169,6 @@ pub const TIMING_SPAN_SAMPLES: &str = "timing.span_samples";
 /// [`crate::provenance::metric_schema_hash`], so producer/consumer
 /// schema drift is detectable from any stamped artifact alone.
 pub const ALL_METRICS: &[&str] = &[
-    CAMPAIGN_CHIPS_TOTAL,
     CAMPAIGN_CHIPS_DONE,
     CAMPAIGN_CHIPS_RESUMED,
     CAMPAIGN_CHIPS_FAILED,

@@ -145,195 +145,14 @@ impl Workload {
         ]
     }
 
-    /// The extended suite: [`Workload::all`] plus ten more SPEC-2000-named
-    /// programs (the evaluation campaign uses the 16-workload suite; the
-    /// extras are available for broader studies).
-    pub fn extended() -> Vec<Workload> {
-        let mut out = Self::all();
-        out.extend([
-            // ---- additional SPECint-like ----
-            Self::vpr(),
-            Self::eon(),
-            Self::perlbmk(),
-            Self::gap(),
-            // ---- additional SPECfp-like ----
-            Self::wupwise(),
-            Self::galgel(),
-            Self::lucas(),
-            Self::fma3d(),
-            Self::facerec(),
-            Self::apsi(),
-        ]);
-        out
-    }
-
-    /// Looks a workload up by name (searches the extended suite).
+    /// Looks a workload up by name among [`Workload::all`].
     pub fn by_name(name: &str) -> Option<Workload> {
-        Self::extended().into_iter().find(|w| w.name == name)
+        Self::all().into_iter().find(|w| w.name == name)
     }
 
     /// Total dynamic instructions over all phases.
     pub fn total_instructions(&self) -> u64 {
         self.phases.iter().map(|p| p.instructions).sum()
-    }
-
-    fn vpr() -> Workload {
-        // FPGA place & route: simulated annealing — branchy with a
-        // temperature-dependent acceptance pattern, moderate working set.
-        let mut place = PhaseSpec::int_template(1800, 45_000);
-        place.branch_entropy = 0.30;
-        place.warm_lines = 7_000;
-        place.dep_mean = 4.5;
-        let mut route = PhaseSpec::int_template(1840, 35_000);
-        route.mix = [0.36, 0.01, 0.0, 0.0, 0.30, 0.12, 0.21];
-        route.warm_lines = 9_000;
-        route.stream_frac = 0.004;
-        Workload {
-            name: "vpr",
-            class: WorkloadClass::Int,
-            phases: vec![place, route],
-        }
-    }
-
-    fn eon() -> Workload {
-        // Probabilistic ray tracer (C++): virtual dispatch, tiny data,
-        // highly predictable branches.
-        let mut trace_rays = PhaseSpec::int_template(1900, 55_000);
-        trace_rays.mix = [0.48, 0.03, 0.0, 0.0, 0.22, 0.09, 0.18];
-        trace_rays.hot_lines = 384;
-        trace_rays.warm_lines = 3_000;
-        trace_rays.branch_entropy = 0.08;
-        trace_rays.dep_mean = 5.5;
-        let mut shade = PhaseSpec::int_template(1930, 25_000);
-        shade.branch_entropy = 0.12;
-        Workload {
-            name: "eon",
-            class: WorkloadClass::Int,
-            phases: vec![trace_rays, shade],
-        }
-    }
-
-    fn perlbmk() -> Workload {
-        // Perl interpreter: dispatch loops, hash tables, hard branches.
-        let mut interp = PhaseSpec::int_template(2000, 50_000);
-        interp.branch_entropy = 0.32;
-        interp.bb_count = 44;
-        interp.warm_lines = 8_000;
-        interp.dep_mean = 3.8;
-        let mut regex = PhaseSpec::int_template(2050, 30_000);
-        regex.branch_entropy = 0.20;
-        regex.hot_lines = 384;
-        Workload {
-            name: "perlbmk",
-            class: WorkloadClass::Int,
-            phases: vec![interp, regex],
-        }
-    }
-
-    fn gap() -> Workload {
-        // Computational group theory: big-integer arithmetic plus lists.
-        let mut arith = PhaseSpec::int_template(2100, 45_000);
-        arith.mix = [0.46, 0.05, 0.0, 0.0, 0.24, 0.10, 0.15];
-        arith.dep_mean = 4.0;
-        let mut collect = PhaseSpec::int_template(2140, 35_000);
-        collect.warm_lines = 9_500;
-        collect.stream_frac = 0.006;
-        Workload {
-            name: "gap",
-            class: WorkloadClass::Int,
-            phases: vec![arith, collect],
-        }
-    }
-
-    fn wupwise() -> Workload {
-        // Lattice QCD: dense complex linear algebra, very regular.
-        let mut bmunu = PhaseSpec::fp_template(2200, 55_000);
-        bmunu.mix = [0.14, 0.0, 0.28, 0.26, 0.22, 0.07, 0.03];
-        bmunu.dep_mean = 13.0;
-        bmunu.stream_frac = 0.008;
-        let mut gammul = PhaseSpec::fp_template(2230, 25_000);
-        gammul.dep_mean = 10.0;
-        Workload {
-            name: "wupwise",
-            class: WorkloadClass::Fp,
-            phases: vec![bmunu, gammul],
-        }
-    }
-
-    fn galgel() -> Workload {
-        // Fluid dynamics (Galerkin method): dense kernels, L2-resident.
-        let mut assemble = PhaseSpec::fp_template(2300, 40_000);
-        assemble.warm_lines = 9_000;
-        assemble.stream_frac = 0.005;
-        let mut solve = PhaseSpec::fp_template(2330, 40_000);
-        solve.mix = [0.15, 0.0, 0.27, 0.24, 0.23, 0.07, 0.04];
-        solve.dep_mean = 11.0;
-        Workload {
-            name: "galgel",
-            class: WorkloadClass::Fp,
-            phases: vec![assemble, solve],
-        }
-    }
-
-    fn lucas() -> Workload {
-        // Lucas-Lehmer primality: FFT-based squaring — strided streams.
-        let mut fft = PhaseSpec::fp_template(2400, 50_000);
-        fft.stream_frac = 0.018;
-        fft.dep_mean = 9.0;
-        let mut carry = PhaseSpec::fp_template(2430, 30_000);
-        carry.mix = [0.24, 0.01, 0.20, 0.14, 0.26, 0.10, 0.05];
-        carry.dep_mean = 5.0;
-        Workload {
-            name: "lucas",
-            class: WorkloadClass::Fp,
-            phases: vec![fft, carry],
-        }
-    }
-
-    fn fma3d() -> Workload {
-        // Crash simulation (FEM): element loops with indirection.
-        let mut elements = PhaseSpec::fp_template(2500, 45_000);
-        elements.stream_frac = 0.012;
-        elements.hot_frac = 0.78;
-        let mut contact = PhaseSpec::fp_template(2530, 35_000);
-        contact.branch_entropy = 0.12;
-        contact.dep_mean = 7.0;
-        Workload {
-            name: "fma3d",
-            class: WorkloadClass::Fp,
-            phases: vec![elements, contact],
-        }
-    }
-
-    fn facerec() -> Workload {
-        // Face recognition: image convolutions plus graph matching.
-        let mut gabor = PhaseSpec::fp_template(2600, 45_000);
-        gabor.mix = [0.16, 0.0, 0.26, 0.22, 0.24, 0.08, 0.04];
-        gabor.stream_frac = 0.010;
-        let mut match_graph = PhaseSpec::fp_template(2630, 30_000);
-        match_graph.branch_entropy = 0.10;
-        match_graph.mix = [0.24, 0.01, 0.18, 0.12, 0.28, 0.10, 0.07];
-        Workload {
-            name: "facerec",
-            class: WorkloadClass::Fp,
-            phases: vec![gabor, match_graph],
-        }
-    }
-
-    fn apsi() -> Workload {
-        // Mesoscale weather: many small stencil kernels in sequence.
-        let mut advect = PhaseSpec::fp_template(2700, 40_000);
-        advect.stream_frac = 0.009;
-        let mut diffuse = PhaseSpec::fp_template(2730, 25_000);
-        diffuse.stream_frac = 0.006;
-        diffuse.dep_mean = 9.0;
-        let mut energy = PhaseSpec::fp_template(2760, 25_000);
-        energy.mix = [0.18, 0.0, 0.26, 0.18, 0.24, 0.09, 0.05];
-        Workload {
-            name: "apsi",
-            class: WorkloadClass::Fp,
-            phases: vec![advect, diffuse, energy],
-        }
     }
 
     fn gzip() -> Workload {
@@ -611,38 +430,23 @@ mod tests {
     }
 
     #[test]
-    fn extended_suite_has_26_unique_workloads() {
-        let ext = Workload::extended();
-        assert_eq!(ext.len(), 26);
-        let mut names: Vec<_> = ext.iter().map(|w| w.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 26);
-        // The campaign suite is a strict prefix.
-        for (a, b) in Workload::all().iter().zip(ext.iter()) {
-            assert_eq!(a.name, b.name);
-        }
-    }
-
-    #[test]
     fn classes_are_balanced() {
         let all = Workload::all();
         let ints = all.iter().filter(|w| w.class == WorkloadClass::Int).count();
         assert_eq!(ints, 8);
-        let ext = Workload::extended();
-        let ints = ext.iter().filter(|w| w.class == WorkloadClass::Int).count();
-        assert_eq!(ints, 12);
     }
 
     #[test]
     fn by_name_finds_and_misses() {
         assert!(Workload::by_name("swim").is_some());
         assert!(Workload::by_name("doom").is_none());
+        // Only the 16-workload suite is searched.
+        assert!(Workload::by_name("vpr").is_none());
     }
 
     #[test]
     fn every_workload_has_multiple_phases_with_disjoint_bb_ranges() {
-        for w in Workload::extended() {
+        for w in Workload::all() {
             assert!(w.phases.len() >= 2, "{} has too few phases", w.name);
             for pair in w.phases.windows(2) {
                 let end = pair[0].bb_base + pair[0].bb_count;
@@ -657,7 +461,7 @@ mod tests {
 
     #[test]
     fn mixes_are_valid_distributions_after_normalization() {
-        for w in Workload::extended() {
+        for w in Workload::all() {
             for p in &w.phases {
                 let sum: f64 = p.mix.iter().sum();
                 assert!(sum > 0.9 && sum < 1.1, "{}: mix sums to {sum}", w.name);
