@@ -978,6 +978,41 @@ mod tests {
                 std::fs::remove_file(&path).ok();
                 prop_assert!(outcome.is_ok(), "load panicked on damage {} at {}", damage, byte);
             }
+
+            /// `committed_cells` over a sidecar whose lines were put in
+            /// any order: the written order reads back its chips, and any
+            /// other order is `Corrupt` at the first line out of place
+            /// (a record before the header, or a chip out of sequence),
+            /// never a silently reordered population.
+            #[test]
+            fn prop_reordered_sidecars_read_back_or_fail_at_the_first_moved_line(
+                keys in proptest::collection::vec(0u32..4, 4),
+            ) {
+                let clean = sidecar();
+                let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+                prop_assert_eq!(lines.len(), keys.len());
+                // A stable sort by random keys: any order, identity included.
+                let mut order: Vec<usize> = (0..lines.len()).collect();
+                order.sort_by_key(|&i| keys[i]);
+                let path = temp_path("reordered");
+                let bytes: Vec<u8> = order.iter().flat_map(|&i| lines[i].iter().copied()).collect();
+                std::fs::write(&path, bytes).expect("writable");
+                let read = committed_cells(&path);
+                std::fs::remove_file(&path).ok();
+                match order.iter().enumerate().position(|(at, &i)| at != i) {
+                    None => {
+                        let want: Vec<u64> = records().iter().map(|r| r.seed).collect();
+                        let got: Vec<u64> = read.expect("reads").iter().map(|c| c.seed).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    Some(moved) => match read {
+                        Err(CheckpointError::Corrupt { line, .. }) => {
+                            prop_assert_eq!(line, moved + 1, "order {:?}", order);
+                        }
+                        other => prop_assert!(false, "order {:?} read as {:?}", order, other),
+                    },
+                }
+            }
         }
     }
 }

@@ -262,9 +262,12 @@ pub(crate) fn decide_phase(
         .collect();
 
     // --- retuning cycles ---
-    let result = retune(
-        config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
-    );
+    let result = {
+        let _span = tracer.span("retune");
+        retune(
+            config, core, th_c, f_core, &settings, &alpha, &rho, &variants, tracer,
+        )
+    };
 
     let queue = queue_size(class, &variants);
     let perf_model = PerfModel::new(phase.cpi_comp(queue), phase.mr, phase.mp_ns, rp_cycles);

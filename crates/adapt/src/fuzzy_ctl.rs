@@ -171,7 +171,7 @@ impl LearnedOptimizer<FuzzyController> {
             let seed = budget.seed ^ ((key.id.index() as u64) << 8);
             let bank = {
                 let _fit_span = tracer.span("fit-fuzzy");
-                LearnedBank::fit(&ex, |normalized, salt| {
+                LearnedBank::fit(&ex, key.asv, key.abb, |normalized, salt| {
                     FuzzyController::train(normalized, &budget.config, seed ^ salt)
                         // lint:allow(panic-safety): TrainingBudget::default
                         // sizes the example set well above the rule count,

@@ -455,21 +455,26 @@ impl<M: PhaseModel> Fitted<M> {
     }
 }
 
-/// One (subsystem, variant) bank: a `Freq` model and two `Power`
-/// models, each with the normalizer it was trained under.
+/// One (subsystem, variant) bank: a `Freq` model and up to two `Power`
+/// models, each with the normalizer it was trained under. A bank for an
+/// environment without ASV (ABB) holds no `Vdd` (`Vbb`) model: its
+/// optimizer never reads one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedBank<M> {
     pub(crate) freq: Fitted<M>,
-    vdd: Fitted<M>,
-    vbb: Fitted<M>,
+    vdd: Option<Fitted<M>>,
+    vbb: Option<Fitted<M>>,
 }
 
 impl<M: PhaseModel> LearnedBank<M> {
     /// Fits each role's normalizer to its teacher examples, then the
     /// model via `fit_model(normalized, salt)`, with salts `0x11`,
-    /// `0x22`, `0x33` for `Freq`, `Vdd`, `Vbb`.
+    /// `0x22`, `0x33` for `Freq`, `Vdd`, `Vbb`. `Vdd` is fitted only
+    /// when `asv`, `Vbb` only when `abb`.
     pub(crate) fn fit(
         ex: &TeacherExamples,
+        asv: bool,
+        abb: bool,
         mut fit_model: impl FnMut(&[(Vec<f64>, f64)], u64) -> M,
     ) -> Self {
         let mut role = |examples: &[(Vec<f64>, f64)], salt: u64| {
@@ -479,8 +484,8 @@ impl<M: PhaseModel> LearnedBank<M> {
         };
         Self {
             freq: role(&ex.freq, 0x11),
-            vdd: role(&ex.vdd, 0x22),
-            vbb: role(&ex.vbb, 0x33),
+            vdd: asv.then(|| role(&ex.vdd, 0x22)),
+            vbb: abb.then(|| role(&ex.vbb, 0x33)),
         }
     }
 }
@@ -488,7 +493,7 @@ impl<M: PhaseModel> LearnedBank<M> {
 impl<M: Trainable> LearnedBank<M> {
     /// Trains all three models of one bank from a teacher example set.
     pub fn train(ex: &TeacherExamples, seed: u64) -> Self {
-        Self::fit(ex, |normalized, salt| M::train(normalized, seed ^ salt))
+        Self::fit(ex, true, true, |normalized, salt| M::train(normalized, seed ^ salt))
     }
 }
 
@@ -544,15 +549,15 @@ impl<M: PhaseModel> Optimizer for LearnedOptimizer<M> {
     ) -> (f64, f64) {
         let bank = self.lookup(scene);
         let inputs = [scene.th_c, scene.alpha_f, scene.rho, f_core];
-        let vdd = if scene.env.asv {
-            VDD_LADDER.nearest(bank.vdd.infer(&inputs))
-        } else {
-            1.0
+        // A role the environment does not use answers its neutral
+        // setting; a bank fitted for the environment has every other.
+        let vdd = match &bank.vdd {
+            Some(role) if scene.env.asv => VDD_LADDER.nearest(role.infer(&inputs)),
+            _ => 1.0,
         };
-        let vbb = if scene.env.abb {
-            VBB_LADDER.nearest(bank.vbb.infer(&inputs))
-        } else {
-            0.0
+        let vbb = match &bank.vbb {
+            Some(role) if scene.env.abb => VBB_LADDER.nearest(role.infer(&inputs)),
+            _ => 0.0,
         };
         (vdd, vbb)
     }
@@ -713,7 +718,8 @@ mod tests {
             &budget,
             Tracer::noop(),
         );
-        let role = |f: &Fitted<FuzzyController>| {
+        let role = |f: Option<&Fitted<FuzzyController>>| {
+            let f = f.expect("an ALL bank fits every role");
             let (rules, inputs) = (f.model.rules(), f.model.inputs());
             rules * (2 * inputs + 1) + 2 * f.norm.dim() + 2
         };
@@ -723,17 +729,50 @@ mod tests {
         for bank in &banks {
             // 25 rules at 3, 4 and 4 inputs, and 8 + 10 + 10 ranges.
             assert_eq!(
-                [role(&bank.freq), role(&bank.vdd), role(&bank.vbb)],
+                [role(Some(&bank.freq)), role(bank.vdd.as_ref()), role(bank.vbb.as_ref())],
                 [175 + 8, 225 + 10, 225 + 10]
             );
         }
         let values: usize = banks
             .iter()
-            .map(|b| role(&b.freq) + role(&b.vdd) + role(&b.vbb))
+            .map(|b| role(Some(&b.freq)) + role(b.vdd.as_ref()) + role(b.vbb.as_ref()))
             .sum();
         assert_eq!(values, 12_407);
         let bytes = 8 * values;
         assert!(bytes < 120_000, "one core's controllers hold {bytes} bytes");
+    }
+
+    /// A bank fits the `Power` roles its environment's ladders use and
+    /// no other: TS holds no power model, TS+ASV no `Vbb` model, and
+    /// `ALL` all three.
+    #[test]
+    fn banks_fit_only_the_roles_their_ladders_use() {
+        let budget = TrainingBudget {
+            examples: 30,
+            config: TrainingConfig {
+                epochs: 1,
+                ..TrainingConfig::micro08()
+            },
+            seed: 3,
+        };
+        let envs = [Environment::TS, Environment::TS_ASV, Environment::ALL];
+        let opts = FuzzyOptimizer::sweep(
+            factory().config(),
+            &factory().chip(4),
+            0,
+            &envs,
+            &budget,
+            Tracer::noop(),
+            |_, _| {},
+        );
+        for (opt, (asv, abb)) in opts.iter().zip([(false, false), (true, false), (true, true)]) {
+            let banks: Vec<_> = opt.banks.iter().flatten().flatten().collect();
+            assert!(!banks.is_empty());
+            for bank in banks {
+                assert_eq!(bank.vdd.is_some(), asv, "{}", opt.environment().name);
+                assert_eq!(bank.vbb.is_some(), abb, "{}", opt.environment().name);
+            }
+        }
     }
 }
 

@@ -50,7 +50,7 @@ impl<'a> SubsystemScene<'a> {
     }
 
     /// [`check`] evaluated with the original damped reference solver and
-    /// the unbounded error-rate evaluation: the independent "before"
+    /// the unhoisted error-rate reference: the independent "before"
     /// implementation kept for equivalence tests and benchmarks.
     ///
     /// [`check`]: SubsystemScene::check
@@ -76,7 +76,8 @@ impl<'a> SubsystemScene<'a> {
             vbb: Volts::raw(vbb),
             t_c: sol.t_c,
         };
-        let pe = self.rho * self.state.timing(&self.variants).pe_access(GHz::raw(f_ghz), &cond);
+        let timing = self.state.timing(&self.variants);
+        let pe = self.rho * eval_timing::reference::pe_access(timing, GHz::raw(f_ghz), &cond);
         if pe > self.pe_budget {
             return None;
         }

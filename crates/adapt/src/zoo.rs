@@ -219,9 +219,9 @@ impl ControllerZoo {
                 let seed =
                     budget.seed ^ ((key.id.index() as u64) << 8) ^ (u64::from(key.alt) << 16);
                 let (i, a) = (key.id.index(), usize::from(key.alt));
-                nn[i][a] = fit("fit-nn-table", ex, seed, tracer);
-                tree[i][a] = fit("fit-tree", ex, seed, tracer);
-                mlp[i][a] = fit("fit-mlp", ex, seed, tracer);
+                nn[i][a] = fit("fit-nn-table", ex, env, seed, tracer);
+                tree[i][a] = fit("fit-tree", ex, env, seed, tracer);
+                mlp[i][a] = fit("fit-mlp", ex, env, seed, tracer);
                 tracer.count_n(eval_trace::names::CONTROLLER_ZOO_TRAINED, 3);
             },
         );
@@ -234,16 +234,19 @@ impl ControllerZoo {
     }
 }
 
-/// Trains one family's bank under the timing-only `span` (`fit-<family>`),
-/// a child of the sweep's `bank` span.
+/// Trains one family's bank for `env`'s ladders under the timing-only
+/// `span` (`fit-<family>`), a child of the sweep's `bank` span.
 fn fit<M: Trainable>(
     span: &'static str,
     ex: &TeacherExamples,
+    env: Environment,
     seed: u64,
     tracer: Tracer<'_>,
 ) -> Option<LearnedBank<M>> {
     let _fit_span = tracer.span(span);
-    Some(LearnedBank::train(ex, seed))
+    Some(LearnedBank::fit(ex, env.asv, env.abb, |normalized, salt| {
+        M::train(normalized, seed ^ salt)
+    }))
 }
 
 #[cfg(test)]

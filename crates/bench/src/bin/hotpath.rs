@@ -371,7 +371,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         Some(time_ns(
             || {
-                black_box(timing.pe_access(GHz::raw(4.0), black_box(&cond)));
+                black_box(eval_timing::reference::pe_access(
+                    timing,
+                    GHz::raw(4.0),
+                    black_box(&cond),
+                ));
             },
             5,
             7,

@@ -86,7 +86,7 @@ struct SessionFlags {
 impl SessionFlags {
     /// The session flags of this process's command line, for a binary
     /// with no flags of its own: any other argument is an error.
-    fn from_cli() -> std::io::Result<Self> {
+    fn from_cli() -> Result<Self, SessionError> {
         let (flags, rest) = Self::parse(std::env::args().skip(1))?;
         refuse_leftovers(&rest)?;
         Ok(flags)
@@ -94,7 +94,7 @@ impl SessionFlags {
 
     /// Takes the session flags out of `args`, returning the arguments
     /// it did not consume, in order.
-    fn parse(args: impl IntoIterator<Item = String>) -> std::io::Result<(Self, Vec<String>)> {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), SessionError> {
         let mut flags = SessionFlags::default();
         let mut rest = Vec::new();
         let mut args = args.into_iter();
@@ -127,7 +127,7 @@ pub fn flag_value(
     flag: &str,
     arg: &str,
     rest: &mut impl Iterator<Item = String>,
-) -> std::io::Result<Option<String>> {
+) -> Result<Option<String>, SessionError> {
     let value = if arg == flag {
         rest.next()
     } else if let Some(value) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
@@ -143,7 +143,7 @@ pub fn flag_value(
 
 /// Refuses the arguments a binary with no flags of its own was left
 /// with after the session flags.
-fn refuse_leftovers(rest: &[String]) -> std::io::Result<()> {
+fn refuse_leftovers(rest: &[String]) -> Result<(), SessionError> {
     match rest.first() {
         Some(arg) => Err(invalid(format!(
             "unknown argument {arg} (accepted: --trace <path>, --checkpoint <path>, \
@@ -159,9 +159,35 @@ fn derived_checkpoint_path(trace: &Path) -> PathBuf {
     trace.with_extension("ckpt.jsonl")
 }
 
-fn invalid(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+fn invalid(msg: String) -> SessionError {
+    SessionError(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))
 }
+
+/// A session flag the binary cannot use, or a session file it cannot
+/// open or write.
+pub struct SessionError(std::io::Error);
+
+impl From<std::io::Error> for SessionError {
+    fn from(e: std::io::Error) -> Self {
+        Self(e)
+    }
+}
+
+// A binary's `main` prints a returned error with `Debug`: show the
+// message.
+impl std::fmt::Debug for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&self.0, f)
+    }
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(&self.0, f)
+    }
+}
+
+impl std::error::Error for SessionError {}
 
 impl TraceSession {
     /// Builds a session from the session flags in `args` (the arguments
@@ -177,7 +203,7 @@ impl TraceSession {
     /// with the sidecar's committed frontier, or on a corrupt sidecar.
     pub fn from_args(
         args: impl IntoIterator<Item = String>,
-    ) -> std::io::Result<(Option<TraceSession>, Vec<String>)> {
+    ) -> Result<(Option<TraceSession>, Vec<String>), SessionError> {
         let (flags, rest) = SessionFlags::parse(args)?;
         Ok((Self::open(flags)?, rest))
     }
@@ -189,7 +215,7 @@ impl TraceSession {
     ///
     /// Everything [`TraceSession::from_args`] can return, and an unknown
     /// argument.
-    pub fn from_cli() -> std::io::Result<Option<TraceSession>> {
+    pub fn from_cli() -> Result<Option<TraceSession>, SessionError> {
         Self::open(SessionFlags::from_cli()?)
     }
 
@@ -201,7 +227,7 @@ impl TraceSession {
     ///
     /// Everything [`TraceSession::from_cli`] can return, and either
     /// checkpoint flag.
-    pub fn from_cli_without_checkpoint() -> std::io::Result<Option<TraceSession>> {
+    pub fn from_cli_without_checkpoint() -> Result<Option<TraceSession>, SessionError> {
         let flags = SessionFlags::from_cli()?;
         let given = [
             ("--checkpoint", flags.checkpoint.is_some()),
@@ -214,7 +240,7 @@ impl TraceSession {
     }
 
     /// Opens the outputs `flags` ask for.
-    fn open(flags: SessionFlags) -> std::io::Result<Option<TraceSession>> {
+    fn open(flags: SessionFlags) -> Result<Option<TraceSession>, SessionError> {
         let trace_path = flags.trace;
         if flags.timing && trace_path.is_none() {
             return Err(invalid(
@@ -326,7 +352,7 @@ impl TraceSession {
     /// # Errors
     ///
     /// Propagates the I/O error if an output file cannot be written.
-    pub fn finish(self) -> std::io::Result<()> {
+    pub fn finish(self) -> Result<(), SessionError> {
         if self.trace_path.is_some() {
             self.tracer().count(eval_trace::names::PROVENANCE_ARTIFACTS);
         }
@@ -684,7 +710,7 @@ mod tests {
             let err = SessionFlags::parse(args(list))
                 .err()
                 .unwrap_or_else(|| panic!("{list:?} parsed"));
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(err.0.kind(), std::io::ErrorKind::InvalidInput);
             assert_eq!(err.to_string(), format!("{flag} needs a value"), "{list:?}");
         }
     }

@@ -27,12 +27,14 @@ fn run(exe: &str, tag: &str, env: &[(&str, &str)], args: &[&str]) -> Output {
 }
 
 /// Asserts `out` is a clean refusal: exit 1, a message containing
-/// `named`, no panic and no work started (`started` begins the line the
-/// binary prints just before its first chip runs).
+/// `named` printed as a message (not an error's `Debug` structure), no
+/// panic and no work started (`started` begins the line the binary
+/// prints just before its first chip runs).
 fn assert_refused(out: &Output, named: &str, started: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains(named), "stderr: {stderr}");
+    assert!(!stderr.contains("Custom {"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(!stderr.contains(started), "work started: {stderr}");
 }

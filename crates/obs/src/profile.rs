@@ -448,4 +448,58 @@ mod tests {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }
+
+    mod sidecar_properties {
+        use super::*;
+        use crate::damage;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A damaged timing sidecar (cut, a byte replaced, a line
+            /// dropped, duplicated or swapped) never panics the reader or
+            /// the profile built from it: it reads as a partial profile
+            /// whose every view renders, or fails with a typed error
+            /// naming a line the damage produced. Reordered lines give
+            /// the clean sidecar's profile.
+            #[test]
+            fn prop_damaged_sidecars_profile_or_fail_typed(
+                kind in 0usize..damage::KINDS,
+                at in 0.0f64..1.0,
+                ascii in 0u32..128,
+            ) {
+                let clean = mini_sidecar();
+                let whole: Vec<&str> = clean.lines().collect();
+                let reference = profile();
+                let damaged = damage::apply(&clean, kind, at, ascii as u8);
+                let read = std::panic::catch_unwind(|| {
+                    analyze_reader(damaged.as_bytes()).map(|a| {
+                        let p = Profile::from_analysis(&a);
+                        let _ = (p.report_text(), p.folded(), p.speedscope("damaged"));
+                        let _ = p.attribution(&a);
+                        p
+                    })
+                });
+                prop_assert!(read.is_ok(), "profile panicked on damage {} at {}", kind, at);
+                match read.unwrap() {
+                    Ok(p) => {
+                        if kind == 4 {
+                            prop_assert_eq!(&p.spans, &reference.spans);
+                            prop_assert_eq!(p.samples, reference.samples);
+                            prop_assert_eq!(&p.digests, &reference.digests);
+                        }
+                    }
+                    Err(err) => {
+                        prop_assert!(kind == 1, "damage {} at {} failed: {}", kind, at, err);
+                        let line = damaged.lines().nth(err.line - 1).unwrap_or("");
+                        prop_assert!(
+                            !whole.contains(&line),
+                            "error names the undamaged line {}: {}", err.line, err
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

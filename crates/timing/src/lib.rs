@@ -40,6 +40,7 @@ pub mod kind;
 pub mod mitigation;
 pub mod paths;
 pub mod pipeline;
+pub mod reference;
 pub mod stage;
 
 pub use kind::{PathClass, SubsystemKind};

@@ -2,7 +2,7 @@
 
 use eval_units::{GHz, UnitRangeError, Volts};
 use eval_variation::device::KELVIN;
-use eval_variation::{delay_factor, ChipMap, DeviceParams};
+use eval_variation::{ChipMap, DeviceParams};
 
 use crate::paths::PathDistribution;
 use crate::kind::PathClass;
@@ -85,10 +85,25 @@ struct CondTerms {
     mobility: f64,
 }
 
-/// Relative margin by which the screen's bound
-/// ([`StageTiming::pe_exceeds_over`]) must exceed the error budget before
-/// it rejects; rounding in the bound is many orders of magnitude smaller.
+/// Relative margin by which a lower bound on `PE` must exceed the error
+/// budget before [`StageTiming::pe_access_bounded`] or
+/// [`StageTiming::pe_exceeds_over`] rejects on it; rounding in the bound
+/// is many orders of magnitude smaller.
 const SCREEN_MARGIN: f64 = 1e-6;
+
+/// `ln(1 - cap * (1 + SCREEN_MARGIN) / scale)`: a running `ln(1 - PE)`
+/// below it proves `scale * PE > cap` with the margin to spare. It is
+/// `-inf` (nothing is proven) unless `cap` and the scaled cap are normal
+/// numbers and the scaled cap is below 1, where the margin dwarfs every
+/// rounding in the bound; that covers `scale <= 0`, `cap <= 0` and NaN.
+fn log_cap(scale: f64, cap: f64) -> f64 {
+    let scaled = cap * (1.0 + SCREEN_MARGIN) / scale;
+    if cap >= f64::MIN_POSITIVE && (f64::MIN_POSITIVE..1.0).contains(&scaled) {
+        (-scaled).ln_1p()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
 
 /// The timing model of one pipeline stage (subsystem) on a specific chip:
 /// a nominal path-delay distribution plus the systematic variation of the
@@ -211,12 +226,9 @@ impl StageTiming {
         self.cells.iter().map(|c| (c.vt0, c.leff))
     }
 
-    /// Per-cell delay factor (relative to nominal) at `cond`.
-    fn cell_factor(&self, cell: &CellDevice, cond: &OperatingConditions) -> f64 {
-        let vt = self
-            .device
-            .vt_at(cell.vt0, cond.t_c, cond.vdd.get(), cond.vbb.get());
-        delay_factor(&self.device, vt, cell.leff, cond.vdd.get(), cond.t_c)
+    /// The footprint's device-physics constants.
+    pub(crate) fn device(&self) -> &DeviceParams {
+        &self.device
     }
 
     /// `delay_factor`'s per-call terms at `(vdd, vbb, t_c)`.
@@ -238,8 +250,9 @@ impl StageTiming {
         cell.vt0 + terms.vt_shift_t + terms.vt_shift_vdd + terms.vt_shift_vbb
     }
 
-    /// [`cell_factor`](Self::cell_factor) from hoisted terms: the same
-    /// operands multiplied in `delay_factor`'s order, so bit-identical.
+    /// The cell's delay factor (relative to nominal) from hoisted terms:
+    /// `delay_factor`'s operands multiplied in its order, so bit-identical
+    /// to it, with one `powf` per cell instead of four.
     fn hoisted_factor(&self, cell: &CellDevice, terms: &CondTerms) -> f64 {
         let vt = Self::cell_vt(cell, terms);
         assert!(
@@ -255,10 +268,39 @@ impl StageTiming {
 
     /// The largest per-cell delay factor at `cond` (the slowest spot).
     pub fn worst_cell_factor(&self, cond: &OperatingConditions) -> f64 {
+        let terms = self.cond_terms(cond.vdd.get(), cond.vbb.get(), cond.t_c);
         self.cells
             .iter()
-            .map(|c| self.cell_factor(c, cond))
+            .map(|c| self.hoisted_factor(c, &terms))
             .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The one per-cell `PE` loop: `ln(1 - PE)` at `f` under `cond`,
+    /// summed over the cells in footprint order, each contributing
+    /// `paths / n_cells` independent paths. A cell that misses with
+    /// certainty (`q >= 1`) ends the loop at `-inf` (`PE = 1`). `None`
+    /// as soon as the running sum falls below `log_cap`: each cell only
+    /// lowers it, so it then stays below.
+    fn log_ok(&self, f: GHz, cond: &OperatingConditions, log_cap: f64) -> Option<f64> {
+        assert!(f.get() > 0.0, "frequency must be positive");
+        let t = f.period_ns();
+        let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
+        let terms = self.cond_terms(cond.vdd.get(), cond.vbb.get(), cond.t_c);
+        let mut log_ok = 0.0f64;
+        for cell in &self.cells {
+            let q = self
+                .dist
+                .scaled(self.hoisted_factor(cell, &terms))
+                .single_path_miss(t);
+            if q >= 1.0 {
+                return Some(f64::NEG_INFINITY);
+            }
+            log_ok += per_cell_paths * (-q).ln_1p();
+            if log_ok < log_cap {
+                return None;
+            }
+        }
+        Some(log_ok)
     }
 
     /// Error probability **per access** at frequency `f` under `cond`.
@@ -268,37 +310,21 @@ impl StageTiming {
     /// Panics if `f <= 0` or if `cond.vdd` does not exceed the local
     /// threshold voltage (an invalid operating point).
     pub fn pe_access(&self, f: GHz, cond: &OperatingConditions) -> f64 {
-        assert!(f.get() > 0.0, "frequency must be positive");
-        let t = f.period_ns();
-        let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
-        let mut log_ok = 0.0f64;
-        for cell in &self.cells {
-            let kappa = self.cell_factor(cell, cond);
-            let q = self.dist.scaled(kappa).single_path_miss(t);
-            if q >= 1.0 {
-                return 1.0;
-            }
-            log_ok += per_cell_paths * (-q).ln_1p();
-        }
-        -log_ok.exp_m1()
+        // With no cap the loop never stops early.
+        let log_ok = self.log_ok(f, cond, f64::NEG_INFINITY);
+        -log_ok.unwrap_or(f64::NEG_INFINITY).exp_m1()
     }
 
-    /// Budget-aware variant of [`pe_access`] for the hot path: evaluates
-    /// the same per-cell product but returns early with `None` as soon as
-    /// the accumulated error probability already proves
-    /// `scale * pe > cap` (the caller's `rho * PE > budget` test). The
-    /// partial product is a lower bound on the final `pe` — each cell only
-    /// adds error mass — so an early `None` is never wrong.
+    /// Budget-aware variant of [`pe_access`] for the hot path: `None`
+    /// exactly when `scale * pe_access(f, cond) > cap` (the caller's
+    /// `rho * PE > budget` test), else `Some` of `pe_access`'s bits.
     ///
-    /// The loop invariants of `delay_factor` (the mobility and supply
-    /// ratios, the nominal overdrive and each cell's channel-length term)
-    /// are computed once per call or once per stage and multiplied in the
-    /// original operand order, so every cell's delay factor is bitwise
-    /// the one [`pe_access`] uses.
-    ///
-    /// When the access is within budget, the returned `Some(pe)` is
-    /// bitwise identical to [`pe_access`]'s value: same cells, same
-    /// accumulation order, same arithmetic.
+    /// The cell loop is `pe_access`'s, stopped early once the partial
+    /// product proves the budget broken with a relative margin of `1e-6`
+    /// to spare; the partial product is a lower bound on the
+    /// final `PE`, so such an exit implies the final test. A point that
+    /// does not exit early is decided by that same final test, so both
+    /// answers are exact.
     ///
     /// [`pe_access`]: StageTiming::pe_access
     ///
@@ -313,25 +339,8 @@ impl StageTiming {
         scale: f64,
         cap: f64,
     ) -> Option<f64> {
-        assert!(f.get() > 0.0, "frequency must be positive");
-        let t = f.period_ns();
-        let per_cell_paths = self.dist.paths() / self.cells.len() as f64;
-        let terms = self.cond_terms(cond.vdd.get(), cond.vbb.get(), cond.t_c);
-        let mut log_ok = 0.0f64;
-        for cell in &self.cells {
-            let kappa = self.hoisted_factor(cell, &terms);
-            let q = self.dist.scaled(kappa).single_path_miss(t);
-            if q >= 1.0 {
-                // `pe_access` returns 1.0 here; mirror its caller's
-                // `scale * 1.0 > cap` comparison exactly.
-                return if scale > cap { None } else { Some(1.0) };
-            }
-            log_ok += per_cell_paths * (-q).ln_1p();
-            if scale * (-log_ok.exp_m1()) > cap {
-                return None;
-            }
-        }
-        let pe = -log_ok.exp_m1();
+        // A saturated cell gives `PE = 1`: the test is then `scale > cap`.
+        let pe = -self.log_ok(f, cond, log_cap(scale, cap))?.exp_m1();
         if scale * pe > cap {
             None
         } else {
@@ -382,9 +391,7 @@ impl StageTiming {
             d.alpha * d.k1_vt_per_kelvin * (t_lo_c + KELVIN),
             d.alpha * d.k1_vt_per_kelvin * (t_hi_c + KELVIN),
         );
-        // `PE > cap'` <=> `log_ok < ln(1 - cap'/scale)`; NaN or -inf when
-        // `cap' >= scale`, where no `PE <= 1` can exceed it: never true.
-        let log_cap = (-(cap * (1.0 + SCREEN_MARGIN) / scale)).ln_1p();
+        let log_cap = log_cap(scale, cap);
         let mut log_ok = 0.0f64;
         for cell in &self.cells {
             let (od_lo, od_hi) = (
@@ -451,6 +458,7 @@ impl StageTiming {
 mod tests {
     use super::*;
     use crate::kind::{PathClass, SubsystemKind};
+    use crate::reference;
     use eval_variation::{ChipGrid, VariationModel, VariationParams};
 
     fn test_stage(kind: SubsystemKind, seed: u64) -> StageTiming {
@@ -478,7 +486,7 @@ mod tests {
         let (scale, cap) = (0.6, 1e-4);
         for i in 0..33 {
             let f = GHz::raw(2.4 + 0.1 * i as f64);
-            let full = stage.pe_access(f, &cond);
+            let full = reference::pe_access(&stage, f, &cond);
             let bounded = stage.pe_access_bounded(f, &cond, scale, cap);
             if scale * full > cap {
                 assert!(bounded.is_none(), "f={f:?}: expected early None");
@@ -630,10 +638,61 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The hoisted kernel answers `None` exactly when
-            /// `scale * pe_access > cap`, and otherwise returns
-            /// `pe_access`'s bits, also at caps of `scale * pe` and one ulp
-            /// either side of it.
+            /// The hoisted kernel's `PE` is the unhoisted reference's,
+            /// bit for bit: at the crossing frequency, at frequencies
+            /// where some cell misses with certainty (`q >= 1`), and with
+            /// the supply just above the footprint's highest threshold.
+            #[test]
+            fn prop_pe_access_matches_the_reference_bit_for_bit(
+                seed in 0u64..40,
+                kind in 0usize..3,
+                vdd in 0.8f64..1.2,
+                vbb in -0.5f64..0.5,
+                t_c in 40.0f64..130.0,
+                log10_pe in -16.0f64..-0.1,
+                overclock in 1.0f64..4.0,
+                log10_headroom in -9.0f64..-0.5,
+            ) {
+                let (stage, cond, f) = scenario(seed, kind, vdd, vbb, t_c, log10_pe);
+                let same = |f: GHz, cond: &OperatingConditions| {
+                    let kernel = stage.pe_access(f, cond);
+                    let witness = reference::pe_access(&stage, f, cond);
+                    (kernel.to_bits(), witness.to_bits())
+                };
+                let (kernel, witness) = same(f, &cond);
+                prop_assert_eq!(kernel, witness);
+                // Far past the crossing every cell saturates.
+                let (kernel, witness) = same(GHz::raw(f.get() * 4.0 * overclock), &cond);
+                prop_assert_eq!(kernel, witness);
+                prop_assert_eq!(f64::from_bits(kernel), 1.0);
+                // The supply that leaves the highest-`Vt0` cell an
+                // overdrive of `headroom` (`Vt` itself moves with `Vdd`).
+                let d = DeviceParams::micro08();
+                let vt0 = stage
+                    .cell_params()
+                    .map(|(vt0, _)| vt0)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let vt_rest = vt0 + d.k1_vt_per_kelvin * (t_c - d.t_ref_c)
+                    - d.k2_vt_per_vdd * d.vdd_nominal
+                    + d.k3_vt_per_vbb * vbb;
+                let vdd_low = (10f64.powf(log10_headroom) + vt_rest) / (1.0 - d.k2_vt_per_vdd);
+                let low = OperatingConditions {
+                    vdd: Volts::raw(vdd_low),
+                    ..cond
+                };
+                let od = low.vdd.get() - d.vt_at(vt0, t_c, low.vdd.get(), vbb);
+                prop_assert!(od > 0.0, "overdrive {od:e}");
+                for f in [GHz::raw(0.25), f] {
+                    let (kernel, witness) = same(f, &low);
+                    prop_assert_eq!(kernel, witness);
+                }
+            }
+
+            /// The hoisted kernel answers `None` exactly when `scale`
+            /// times the reference `PE` exceeds `cap`, and otherwise
+            /// returns the reference's bits, also at caps of
+            /// `scale * pe` and one ulp either side of it, at the
+            /// crossing frequency and where every cell saturates.
             #[test]
             fn prop_hoisted_bounded_kernel_matches_pe_access(
                 seed in 0u64..40,
@@ -646,14 +705,16 @@ mod tests {
                 log10_cap in -14.0f64..-1.0,
             ) {
                 let (stage, cond, f) = scenario(seed, kind, vdd, vbb, t_c, log10_pe);
-                let pe = stage.pe_access(f, &cond);
-                let exact = scale * pe;
-                for cap in [10f64.powf(log10_cap), exact, exact.next_down(), exact.next_up()] {
-                    let bounded = stage.pe_access_bounded(f, &cond, scale, cap);
-                    if scale * pe > cap {
-                        prop_assert!(bounded.is_none(), "cap {cap:e}: expected None, pe {pe:e}");
-                    } else {
-                        prop_assert_eq!(bounded.map(f64::to_bits), Some(pe.to_bits()));
+                for f in [f, GHz::raw(f.get() * 16.0)] {
+                    let pe = reference::pe_access(&stage, f, &cond);
+                    let exact = scale * pe;
+                    for cap in [10f64.powf(log10_cap), exact, exact.next_down(), exact.next_up()] {
+                        let bounded = stage.pe_access_bounded(f, &cond, scale, cap);
+                        if scale * pe > cap {
+                            prop_assert!(bounded.is_none(), "cap {cap:e}: want None, pe {pe:e}");
+                        } else {
+                            prop_assert_eq!(bounded.map(f64::to_bits), Some(pe.to_bits()));
+                        }
                     }
                 }
             }
@@ -676,7 +737,7 @@ mod tests {
                 log10_cap in -14.0f64..-1.0,
             ) {
                 let (stage, cond, f) = scenario(seed, kind, vdd, vbb, t_c, log10_pe);
-                let pe = stage.pe_access(f, &cond);
+                let pe = reference::pe_access(&stage, f, &cond);
                 let exact = scale * pe;
                 let range = (t_c, t_c);
                 for cap in [10f64.powf(log10_cap), exact, exact.next_up()] {
